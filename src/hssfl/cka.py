@@ -7,8 +7,7 @@ The similarity score between two L x L Gram matrices is
     score(Ki, Kj) = trace(Ki @ Kj) / (||Ki||_F * ||Kj||_F)
 
 which for linear Grams K = A @ A.T equals ||Aj.T @ Ai||_F^2 divided by
-||Ai.T @ Ai||_F * ||Aj.T @ Aj||_F. Gram matrices are uncentered by default;
-a centering toggle exists for experimentation.
+||Ai.T @ Ai||_F * ||Aj.T @ Aj||_F. Gram matrices are uncentered.
 
 Sign convention of the proximal penalty: the prose intent is a *distance*
 penalty, so the default training form is ONE_MINUS_CKA (penalize
@@ -33,7 +32,7 @@ from .errors import (
     ShapeError,
     UnsupportedCombinationError,
 )
-from .numkit import Matrix, as_matrix, check_finite, matrix_from_csv, matrix_to_csv
+from .numkit import Matrix, as_matrix, check_finite
 
 SYMMETRY_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
@@ -61,13 +60,6 @@ class GramMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def to_csv(self) -> str:
-        return matrix_to_csv(self.entries)
-
-    @staticmethod
-    def from_csv(text: str) -> "GramMatrix":
-        return GramMatrix(matrix_from_csv(text))
-
 
 class ProximalForm(enum.Enum):
     ONE_MINUS_CKA = "one_minus_cka"
@@ -94,39 +86,14 @@ def gram_linear(a: Matrix) -> GramMatrix:
     return GramMatrix(check_finite(k, "linear gram"))
 
 
-def gram_rbf(a: Matrix, gamma: float) -> GramMatrix:
-    """K_pq = exp(-gamma * ||a_p - a_q||^2)."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    a = as_matrix(a, "activations")
-    sq = np.sum(a * a, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (a @ a.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    k = np.exp(-gamma * d2)
-    k = (k + k.T) / 2.0
-    return GramMatrix(check_finite(k, "rbf gram"))
-
-
-def center_gram(k: GramMatrix) -> GramMatrix:
-    """H K H with H = I - 11^T/L. Off by default everywhere; see module doc."""
-    m = k.entries
-    n = m.shape[0]
-    h = np.eye(n) - np.full((n, n), 1.0 / n)
-    c = h @ m @ h
-    return GramMatrix((c + c.T) / 2.0)
-
-
 def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
     if ki.size != kj.size:
         raise ShapeError(f"gram sizes differ: {ki.size} vs {kj.size}")
 
 
-def linear_cka(ki: GramMatrix, kj: GramMatrix, centered: bool = False) -> float:
+def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
     """trace(Ki @ Kj) / (||Ki||_F ||Kj||_F), in [0, 1] for PSD inputs."""
     _same_size(ki, kj)
-    if centered:
-        ki, kj = center_gram(ki), center_gram(kj)
     ni = float(np.linalg.norm(ki.entries))
     nj = float(np.linalg.norm(kj.entries))
     if ni == 0.0 or nj == 0.0:
@@ -143,9 +110,9 @@ def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
 def _check_weights(weights: Sequence[float]) -> None:
     total = float(np.sum(np.asarray(weights, dtype=np.float64), initial=0.0))
     if any(w < 0 for w in weights):
-        raise ConfigError("aggregation weights must be nonnegative")
+        raise ConfigError("weights must be nonnegative")
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(f"aggregation weights must sum to 1, got {total!r}")
+        raise ConfigError(f"weights must sum to 1, got {total!r}")
 
 
 def _order_invariant_sum(stack: np.ndarray) -> np.ndarray:
@@ -195,10 +162,13 @@ def _expect_gram(reference: Reference, form: ProximalForm) -> GramMatrix:
     return reference
 
 
-def _expect_matrix(reference: Reference, form: ProximalForm) -> Matrix:
+def _expect_matrix(reference: Reference, form: ProximalForm, phi: Matrix) -> Matrix:
     if isinstance(reference, GramMatrix):
         raise ConfigError(f"form {form.value} needs a representation-matrix reference")
-    return as_matrix(reference, "reference representations")
+    phibar = as_matrix(reference, "reference representations")
+    if phibar.shape != phi.shape:
+        raise ShapeError(f"shapes differ: {phi.shape} vs {phibar.shape}")
+    return phibar
 
 
 def proximal_value(
@@ -212,9 +182,7 @@ def proximal_value(
         return 0.0
     phi = as_matrix(phi, "phi")
     if form is ProximalForm.L2_REP:
-        phibar = _expect_matrix(reference, form)
-        if phibar.shape != phi.shape:
-            raise ShapeError(f"shapes differ: {phi.shape} vs {phibar.shape}")
+        phibar = _expect_matrix(reference, form, phi)
         return mu * float(np.linalg.norm(phi - phibar))
     kbar = _expect_gram(reference, form)
     k = gram_linear(phi)
@@ -241,10 +209,7 @@ def proximal_grad(phi: Matrix, reference: Reference, form: ProximalForm) -> Matr
     form = ProximalForm.parse(form)
     phi = as_matrix(phi, "phi")
     if form is ProximalForm.L2_REP:
-        phibar = _expect_matrix(reference, form)
-        if phibar.shape != phi.shape:
-            raise ShapeError(f"shapes differ: {phi.shape} vs {phibar.shape}")
-        diff = phi - phibar
+        diff = phi - _expect_matrix(reference, form, phi)
         dist = float(np.linalg.norm(diff))
         if dist <= EPS_GRAD:
             return np.zeros_like(phi)

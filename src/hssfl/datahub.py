@@ -10,7 +10,6 @@ its rows are reserved so later partitions never overlap it.
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
@@ -57,21 +56,6 @@ class PartitionPlan:
     client_indices: Tuple[Tuple[int, ...], ...]
     mode: str
     classes_per_client: Optional[int] = None
-
-    def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "classes_per_client": self.classes_per_client,
-            "clients": [list(idx) for idx in self.client_indices],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "PartitionPlan":
-        d = json.loads(text)
-        return PartitionPlan(
-            tuple(tuple(c) for c in d["clients"]), d["mode"], d["classes_per_client"]
-        )
 
 
 @dataclass(frozen=True)

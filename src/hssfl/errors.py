@@ -26,10 +26,17 @@ class NumericalFailureError(HssflError, RuntimeError):
 
     def __init__(self, component: str, detail: str = ""):
         self.component = component
+        self.detail = detail
         msg = f"non-finite values in {component}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def within(self, where: str) -> "NumericalFailureError":
+        """The same failure with ``where`` put before its detail."""
+        return NumericalFailureError(
+            self.component, f"{where}, {self.detail}" if self.detail else where
+        )
 
 
 class ProtocolError(HssflError, RuntimeError):

@@ -8,8 +8,12 @@ server aggregates the new reference used in the next round. Unsampled
 clients keep their last reported payload, so the weighted aggregate always
 covers all clients.
 
-Payloads cross a real serialization boundary (CSV text, byte counts
-recorded) even though transport is in-process. All randomness flows through
+Payloads cross a real serialization boundary even though transport is
+in-process: one codec turns every matrix sent (the alignment rows, the
+reference, client uploads) and every checkpointed payload into CSV text,
+counts its bytes and decodes it. Each transmission is decoded once, so the
+clients of a round share one decoded copy of the alignment rows and of the
+reference. All randomness flows through
 value-like streams keyed by (seed, client, round, epoch, purpose), so runs
 are bit-reproducible regardless of how many workers execute clients in
 parallel. Wall-clock timings are collected separately from the round log and
@@ -23,6 +27,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,16 +37,15 @@ from . import sslnet
 from .cka import (
     GramMatrix,
     ProximalForm,
+    _check_weights,
     aggregate_grams,
     aggregate_representations,
     gram_linear,
 )
 from .datahub import Dataset, PartitionPlan, RadSet, partition_iid, partition_noniid, sample_rad
 from .errors import ConfigError, NumericalFailureError, ProtocolError
-from .numkit import Matrix, RngStream, matrix_from_csv, matrix_to_csv
+from .numkit import Matrix, RngStream, lipschitz_ratios, matrix_from_csv, matrix_to_csv
 from .sslnet import AugmentConfig, ClientModel, MlpSpec
-
-WEIGHT_SUM_TOL = 1e-9
 
 KERNEL = "kernel"
 REPRESENTATION = "representation"
@@ -108,10 +112,7 @@ class FedConfig:
             weights = self.client_weights
         if len(weights) != self.num_clients:
             raise ConfigError("client_weights length must equal num_clients")
-        if any(w < 0 for w in weights):
-            raise ConfigError("client weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError(f"client weights must sum to 1, got {sum(weights)!r}")
+        _check_weights(weights)
         sample = self.sample_size
         if sample is None:
             object.__setattr__(self, "sample_size", self.num_clients)
@@ -169,15 +170,6 @@ class RoundMessage:
     kind: str
     payload_bytes: int
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "round": self.round,
-            "client": self.client,
-            "kind": self.kind,
-            "payload_bytes": self.payload_bytes,
-        }
-
 
 @dataclass
 class RoundLog:
@@ -195,8 +187,7 @@ class RoundLog:
         return [r for r in self.records if r["type"] == "server"]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                       for r in self.records)
+        return "".join(_jsonl_line(r) for r in self.records)
 
     @staticmethod
     def from_jsonl(text: str) -> "RoundLog":
@@ -265,16 +256,29 @@ def server_aggregate(
     return aggregate_representations(pairs)
 
 
-def _serialize_payload(payload: Payload) -> str:
-    if isinstance(payload, GramMatrix):
-        return payload.to_csv()
-    return matrix_to_csv(payload)
+def _jsonl_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_payload(text: str, mode: str) -> Payload:
-    if mode == KERNEL:
-        return GramMatrix.from_csv(text)
-    return matrix_from_csv(text)
+def _encode(payload: Payload) -> str:
+    return matrix_to_csv(payload.entries if isinstance(payload, GramMatrix) else payload)
+
+
+def _decode(text: str, gram: bool) -> Payload:
+    entries = matrix_from_csv(text)
+    return GramMatrix(entries) if gram else entries
+
+
+def _transmit(payload: Payload) -> Tuple[Payload, int]:
+    """Encode, count bytes, decode: the receiver's copy and the wire size."""
+    text = _encode(payload)
+    return _decode(text, isinstance(payload, GramMatrix)), len(text.encode("utf-8"))
+
+
+def _loss_options(cfg: FedConfig) -> dict:
+    """The objective's keyword options, as every client-side call passes them."""
+    return dict(augment_cfg=cfg.augment_cfg, normalize=cfg.normalize_loss,
+                clip_radius=cfg.clip_radius, symmetrize=cfg.symmetrize_loss)
 
 
 def _epoch_batches(
@@ -318,15 +322,10 @@ def local_training(
                     cfg.eta,
                     cfg.momentum,
                     erng.sub(f"step{b}"),
-                    augment_cfg=cfg.augment_cfg,
-                    normalize=cfg.normalize_loss,
-                    clip_radius=cfg.clip_radius,
-                    symmetrize=cfg.symmetrize_loss,
+                    **_loss_options(cfg),
                 )
             except NumericalFailureError as exc:
-                raise NumericalFailureError(
-                    exc.component, f"round {round_index} epoch {epoch} batch {b}"
-                ) from exc
+                raise exc.within(f"epoch {epoch} batch {b}") from exc
             model = step.model
             losses.append(step.loss_total)
             norms.append(step.grad_norm)
@@ -360,9 +359,7 @@ def _eval_losses(
     rng: RngStream,
 ) -> Tuple[float, float, float]:
     return sslnet.combined_loss(
-        model, shard, rad, reference, cfg.mu, cfg.proximal_form, rng,
-        augment_cfg=cfg.augment_cfg, normalize=cfg.normalize_loss,
-        clip_radius=cfg.clip_radius, symmetrize=cfg.symmetrize_loss,
+        model, shard, rad, reference, cfg.mu, cfg.proximal_form, rng, **_loss_options(cfg)
     )
 
 
@@ -375,9 +372,7 @@ def _probe_checkpoint(
     prng: RngStream,
 ) -> dict:
     total, _, _, grads = sslnet.loss_and_grad(
-        model, shard, rad, reference, cfg.mu, cfg.proximal_form, prng,
-        augment_cfg=cfg.augment_cfg, normalize=cfg.normalize_loss,
-        clip_radius=cfg.clip_radius, symmetrize=cfg.symmetrize_loss,
+        model, shard, rad, reference, cfg.mu, cfg.proximal_form, prng, **_loss_options(cfg)
     )
     phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
     return {
@@ -407,9 +402,7 @@ def _probe_sigma2(
     for b, idx in enumerate(batches):
         _, _, _, g = sslnet.loss_and_grad(
             model, shard[idx], rad, reference, cfg.mu, cfg.proximal_form,
-            erng.sub(f"sigma{b}"), augment_cfg=cfg.augment_cfg,
-            normalize=cfg.normalize_loss, clip_radius=cfg.clip_radius,
-            symmetrize=cfg.symmetrize_loss,
+            erng.sub(f"sigma{b}"), **_loss_options(cfg),
         )
         grads.append(sslnet.flatten_grads(g))
     stack = np.stack(grads)
@@ -417,71 +410,73 @@ def _probe_sigma2(
     return float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
 
 
+@contextmanager
+def _client_work(client_id: int, round_index: int):
+    """Client-side numerics: numpy float warnings are silenced, since the
+    finiteness checks raise NumericalFailureError instead, and that error is
+    tagged with the client and round."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except NumericalFailureError as exc:
+        raise exc.within(f"client {client_id} round {round_index}") from exc
+
+
 def _train_one_client(
     client_id: int,
     model: ClientModel,
     shard: Matrix,
-    rad_csv: str,
-    ref_csv: str,
+    rad: Matrix,
+    reference: Payload,
     cfg: FedConfig,
     round_index: int,
 ) -> dict:
     """Full client-side work for one round; pure function, safe to run in
-    any worker thread."""
-    rad = matrix_from_csv(rad_csv)
-    reference = _parse_payload(ref_csv, cfg.payload)
+    any worker thread. The returned payload is the server's decoded copy of
+    the upload, with its wire size."""
     crng = RngStream(cfg.seed, client=client_id)
     eval_rng = crng.child(round=round_index, purpose="eval")
-
-    start = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
-
     probe = None
     checkpoints: List[dict] = []
     hook = None
     sigma2 = 0.0
+    with _client_work(client_id, round_index):
+        start = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
+        if cfg.theory_probes:
+            prng = crng.child(round=round_index, purpose="probe")
+            checkpoints.append(_probe_checkpoint(model, shard, rad, reference, cfg, prng))
+            sigma2 = _probe_sigma2(model, shard, rad, reference, cfg, round_index, crng)
+
+            def hook(epoch: int, m: ClientModel) -> None:
+                checkpoints.append(_probe_checkpoint(m, shard, rad, reference, cfg, prng))
+
+        result = local_training(
+            model, shard, rad, reference, cfg, round_index, crng, epoch_hook=hook
+        )
+        model = result["model"]
+        end = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
+        payload, phi = _client_payload(model, rad, cfg)
+        upload, upload_bytes = _transmit(payload)
+        rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
+
     if cfg.theory_probes:
-        prng = crng.child(round=round_index, purpose="probe")
-        checkpoints.append(_probe_checkpoint(model, shard, rad, reference, cfg, prng))
-        sigma2 = _probe_sigma2(model, shard, rad, reference, cfg, round_index, crng)
-
-        def hook(epoch: int, m: ClientModel) -> None:
-            checkpoints.append(_probe_checkpoint(m, shard, rad, reference, cfg, prng))
-
-    result = local_training(
-        model, shard, rad, reference, cfg, round_index, crng, epoch_hook=hook
-    )
-    model = result["model"]
-    end = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
-    payload, phi = _client_payload(model, rad, cfg)
-    payload_csv = _serialize_payload(payload)
-    rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
-
-    if cfg.theory_probes:
-        l1_ratios, l2_ratios = [], []
-        for a in range(len(checkpoints)):
-            for b in range(a + 1, len(checkpoints)):
-                dw = float(np.linalg.norm(checkpoints[a]["params"] - checkpoints[b]["params"]))
-                if dw == 0.0:
-                    continue
-                dg = float(np.linalg.norm(checkpoints[a]["grad"] - checkpoints[b]["grad"]))
-                dphi = float(np.linalg.norm(checkpoints[a]["phi"] - checkpoints[b]["phi"]))
-                l1_ratios.append(dg / dw)
-                l2_ratios.append(dphi / dw)
+        params = [c["params"] for c in checkpoints]
         probe = {
             "losses": [c["loss"] for c in checkpoints],
             "grad_norms": [float(np.linalg.norm(c["grad"])) for c in checkpoints],
             "rep_norm_max": float(max(
                 np.max(np.sqrt(np.sum(c["phi"] * c["phi"], axis=1))) for c in checkpoints
             )),
-            "l1_ratios": l1_ratios,
-            "l2_ratios": l2_ratios,
+            "l1_ratios": lipschitz_ratios(params, [c["grad"] for c in checkpoints]),
+            "l2_ratios": lipschitz_ratios(params, [c["phi"] for c in checkpoints]),
             "sigma2": sigma2,
         }
 
     return {
         "client": client_id,
         "model": model,
-        "payload_csv": payload_csv,
+        "payload": upload,
+        "upload_bytes": upload_bytes,
         "record": {
             "type": "client",
             "round": round_index,
@@ -504,15 +499,15 @@ def _swap_eval(
     client_id: int,
     model: ClientModel,
     shard: Matrix,
-    rad_csv: str,
-    new_ref_csv: str,
+    rad: Matrix,
+    new_reference: Payload,
     cfg: FedConfig,
     round_index: int,
 ) -> Tuple[float, float, float]:
-    rad = matrix_from_csv(rad_csv)
-    reference = _parse_payload(new_ref_csv, cfg.payload)
+    """End-of-round losses against the next round's reference."""
     eval_rng = RngStream(cfg.seed, client=client_id).child(round=round_index, purpose="eval")
-    return _eval_losses(model, shard, rad, reference, cfg, eval_rng)
+    with _client_work(client_id, round_index):
+        return _eval_losses(model, shard, rad, new_reference, cfg, eval_rng)
 
 
 def init_models(cfg: FedConfig) -> List[ClientModel]:
@@ -548,11 +543,7 @@ class _LogWriter:
             return
         with open(self.path, "a", encoding="utf-8") as fh:
             for r in records:
-                fh.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _checkpoint_path(d: str, *parts: str) -> str:
-    return os.path.join(d, *parts)
+                fh.write(_jsonl_line(r))
 
 
 def _save_checkpoint(
@@ -564,29 +555,29 @@ def _save_checkpoint(
 ) -> None:
     os.makedirs(directory, exist_ok=True)
     for k, m in enumerate(models):
-        sslnet.save_model(m, _checkpoint_path(directory, f"client_{k}"), round_index)
+        sslnet.save_model(m, os.path.join(directory, f"client_{k}"), round_index)
     for k, payload in registry.items():
-        with open(_checkpoint_path(directory, f"payload_{k}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_serialize_payload(payload))
+        with open(os.path.join(directory, f"payload_{k}.csv"), "w", encoding="utf-8") as fh:
+            fh.write(_encode(payload))
     state = {"round": round_index, "config": cfg.to_dict()}
-    tmp = _checkpoint_path(directory, "state.json.tmp")
+    tmp = os.path.join(directory, "state.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(state, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, _checkpoint_path(directory, "state.json"))
+    os.replace(tmp, os.path.join(directory, "state.json"))
 
 
 def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientModel], Dict[int, Payload]]:
-    with open(_checkpoint_path(directory, "state.json"), "r", encoding="utf-8") as fh:
+    with open(os.path.join(directory, "state.json"), "r", encoding="utf-8") as fh:
         state = json.load(fh)
     if state["config"] != cfg.to_dict():
         raise ConfigError("checkpoint was produced by a different configuration")
-    models = [sslnet.load_model(_checkpoint_path(directory, f"client_{k}"))
+    models = [sslnet.load_model(os.path.join(directory, f"client_{k}"))
               for k in range(cfg.num_clients)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        with open(_checkpoint_path(directory, f"payload_{k}.csv"), "r", encoding="utf-8") as fh:
-            registry[k] = _parse_payload(fh.read(), cfg.payload)
+        with open(os.path.join(directory, f"payload_{k}.csv"), "r", encoding="utf-8") as fh:
+            registry[k] = _decode(fh.read(), cfg.payload == KERNEL)
     return state["round"], models, registry
 
 
@@ -628,16 +619,13 @@ def run_training(
     if cfg.rounds == 0:
         return RunResult(cfg, models, log, rad, plan, server)
 
-    rad_csv = matrix_to_csv(rad.features)
-    rad_bytes = len(rad_csv.encode("utf-8"))
+    rad_rows, rad_bytes = _transmit(rad.features)
 
     def bootstrap() -> None:
         boot_bytes = []
         for k in range(cfg.num_clients):
-            payload, _ = _client_payload(models[k], matrix_from_csv(rad_csv), cfg)
-            text = _serialize_payload(payload)
-            registry[k] = _parse_payload(text, cfg.payload)
-            nbytes = len(text.encode("utf-8"))
+            payload, _ = _client_payload(models[k], rad_rows, cfg)
+            registry[k], nbytes = _transmit(payload)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload, nbytes))
@@ -658,8 +646,7 @@ def run_training(
         for t in range(start_round + 1, cfg.rounds + 1):
             weights = list(cfg.client_weights)
             reference = server_aggregate([], weights, cfg.payload, registry)
-            ref_csv = _serialize_payload(reference)
-            ref_bytes = len(ref_csv.encode("utf-8"))
+            received_ref, ref_bytes = _transmit(reference)
             server.reference = reference
 
             selected = select_clients(
@@ -673,7 +660,7 @@ def run_training(
 
             def task(k: int) -> dict:
                 t0 = time.perf_counter()
-                out = _train_one_client(k, models[k], shards[k], rad_csv, ref_csv, cfg, t)
+                out = _train_one_client(k, models[k], shards[k], rad_rows, received_ref, cfg, t)
                 out["wall"] = time.perf_counter() - t0
                 return out
 
@@ -686,20 +673,19 @@ def run_training(
             for out in sorted(outs, key=lambda o: o["client"]):
                 k = out["client"]
                 models[k] = out["model"]
-                payload = _parse_payload(out["payload_csv"], cfg.payload)
-                nbytes = len(out["payload_csv"].encode("utf-8"))
-                reports.append((k, payload))
+                nbytes = out["upload_bytes"]
+                reports.append((k, out["payload"]))
                 out["record"]["downstream_bytes"] = rad_bytes + ref_bytes
                 out["record"]["upstream_bytes"] = nbytes
                 log.messages.append(RoundMessage("client->server", t, k, cfg.payload, nbytes))
                 log.timings[(t, k)] = out["wall"]
 
             new_reference = server_aggregate(reports, weights, cfg.payload, registry)
-            new_ref_csv = _serialize_payload(new_reference)
+            received_new_ref, _ = _transmit(new_reference)
 
             def swap_task(out: dict) -> Tuple[float, float, float]:
                 k = out["client"]
-                return _swap_eval(k, models[k], shards[k], rad_csv, new_ref_csv, cfg, t)
+                return _swap_eval(k, models[k], shards[k], rad_rows, received_new_ref, cfg, t)
 
             ordered = sorted(outs, key=lambda o: o["client"])
             if pool is not None:

@@ -1,8 +1,9 @@
-"""Dense float64 linear algebra and splittable, counter-based random streams.
+"""Float64 matrix validation, the CSV matrix codec, the checkpoint-pair
+Lipschitz estimator, and splittable, counter-based random streams.
 
-Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64. Every
-exposed operation validates shapes and finiteness so downstream modules can
-assume well-formed inputs. Randomness is organized as value-like streams: a
+Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64;
+``as_matrix`` and ``check_finite`` validate shapes and finiteness where
+values enter. Randomness is organized as value-like streams: a
 :class:`RngStream` is an immutable key (master seed plus client/round/epoch/
 purpose coordinates) from which a fresh counter-based generator is derived on
 every use, so identical keys always reproduce identical sequences no matter
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, replace
+from typing import List, Sequence
 
 import numpy as np
 
@@ -38,35 +40,22 @@ def check_finite(m: Matrix, name: str = "result") -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product a @ b."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return check_finite(a @ b)
-
-
-def frobenius_inner(a: Matrix, b: Matrix) -> float:
-    """Entrywise inner product sum_ij a_ij * b_ij."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def frobenius_norm(a: Matrix) -> float:
-    return float(np.sqrt(frobenius_inner(a, a)))
-
-
-def add_scaled(a: Matrix, b: Matrix, alpha: float) -> Matrix:
-    """Entrywise a + alpha * b."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
-    return check_finite(a + alpha * b)
+def lipschitz_ratios(
+    points: Sequence[np.ndarray], values: Sequence[np.ndarray]
+) -> List[float]:
+    """||v_a - v_b|| / ||x_a - x_b|| for every pair a < b in order, skipping
+    pairs whose points coincide."""
+    ratios = []
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            dx = float(np.linalg.norm(np.asarray(points[a], dtype=float)
+                                      - np.asarray(points[b], dtype=float)))
+            if dx == 0.0:
+                continue
+            dv = float(np.linalg.norm(np.asarray(values[a], dtype=float)
+                                      - np.asarray(values[b], dtype=float)))
+            ratios.append(dv / dx)
+    return ratios
 
 
 @dataclass(frozen=True)

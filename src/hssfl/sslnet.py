@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cka
-from .errors import ConfigError, NumericalFailureError, DegenerateInputError, ShapeError
+from .errors import ConfigError, NumericalFailureError, ShapeError
 from .numkit import (
     Matrix,
     RngStream,
@@ -104,10 +104,6 @@ class ClientModel:
             mom_pred_w=self.mom_pred_w.copy(),
             mom_pred_b=self.mom_pred_b.copy(),
         )
-
-    @property
-    def rep_width(self) -> int:
-        return self.pred_w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -240,15 +236,19 @@ def _encoder_forward(
     return h, inputs, pre_acts
 
 
-def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, ActivationTape]:
-    """Predictor output plus the cached activations needed for backprop."""
+def _encoder_input(model: ClientModel, batch: Matrix) -> Matrix:
     batch = as_matrix(batch, "batch")
     if batch.shape[1] != model.spec.input_width:
         raise ShapeError(
             f"batch width {batch.shape[1]} != encoder input {model.spec.input_width}"
         )
+    return batch
+
+
+def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, ActivationTape]:
+    """Predictor output plus the cached activations needed for backprop."""
     enc_out, inputs, pre_acts = _encoder_forward(
-        model.online_w, model.online_b, model.spec.activation, batch
+        model.online_w, model.online_b, model.spec.activation, _encoder_input(model, batch)
     )
     pred_out = enc_out @ model.pred_w + model.pred_b
     return pred_out, ActivationTape(inputs, pre_acts, enc_out, pred_out)
@@ -256,19 +256,15 @@ def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, Activatio
 
 def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
     """Target-encoder output; never contributes gradients."""
-    batch = as_matrix(batch, "batch")
-    if batch.shape[1] != model.spec.input_width:
-        raise ShapeError(
-            f"batch width {batch.shape[1]} != encoder input {model.spec.input_width}"
-        )
     out, _, _ = _encoder_forward(
-        model.target_w, model.target_b, model.spec.activation, batch
+        model.target_w, model.target_b, model.spec.activation, _encoder_input(model, batch)
     )
     return out
 
 
 def ssl_loss(pred: Matrix, target: Matrix, normalize: bool = False) -> float:
-    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows."""
+    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows
+    (a zero row normalizes to zero)."""
     loss, _ = _ssl_loss_grad(pred, target, normalize, want_grad=False)
     return loss
 
@@ -291,19 +287,21 @@ def _ssl_loss_grad(
         grad = (2.0 / batch) * diff if want_grad else None
         return loss, grad
     rp = _row_norms(pred)
-    rt = _row_norms(target)
-    if np.any(rp == 0.0) or np.any(rt == 0.0):
-        raise DegenerateInputError("cannot L2-normalize a zero row")
-    p_hat = pred / rp[:, None]
-    t_hat = target / rt[:, None]
+    p_hat = _divide_rows(pred, rp)
+    t_hat = _divide_rows(target, _row_norms(target))
     diff = p_hat - t_hat
     loss = float(np.sum(diff * diff)) / batch
     if not want_grad:
         return loss, None
-    # d/dp ||p_hat - t_hat||^2 = (2/r) (I - p_hat p_hat^T)(p_hat - t_hat)
+    # d/dp ||p_hat - t_hat||^2 = (2/r) (I - p_hat p_hat^T)(p_hat - t_hat);
+    # a zero prediction row takes the zero subgradient.
     proj = np.sum(p_hat * diff, axis=1)
-    grad = (2.0 / batch) * (diff - p_hat * proj[:, None]) / rp[:, None]
-    return loss, grad
+    return loss, _divide_rows((2.0 / batch) * (diff - p_hat * proj[:, None]), rp)
+
+
+def _divide_rows(m: Matrix, norms: np.ndarray) -> Matrix:
+    """Row p divided by norms[p]; rows with a zero norm become zero."""
+    return np.divide(m, norms[:, None], out=np.zeros_like(m), where=norms[:, None] > 0.0)
 
 
 def representations(
@@ -379,6 +377,75 @@ def _backprop(
     return g_w, g_b, g_pred_w, g_pred_b
 
 
+def _objective(want_grad: bool, model, local_batch, rad, reference, mu, form, rng,
+               augment_cfg, normalize, clip_radius, symmetrize):
+    """The combined objective with the backward pass optional; the arguments
+    are those of loss_and_grad.
+
+    Returns (loss_total, loss_ssl, loss_prox, grads); grads is
+    (g_w, g_b, g_pred_w, g_pred_b), or None when want_grad is False.
+    """
+    views = augment(local_batch, augment_cfg, rng.sub("aug"))
+    directions = [(views.v_prime, views.v_doubleprime)]
+    if symmetrize:
+        directions.append((views.v_doubleprime, views.v_prime))
+    loss_ssl = None
+    grads = None
+    for online_in, target_in in directions:
+        pred, tape = forward_online(model, online_in)
+        target = forward_target(model, target_in)
+        _check_forward(pred, target)
+        loss, d_pred = _ssl_loss_grad(pred, target, normalize, want_grad)
+        loss_ssl = loss if loss_ssl is None else loss_ssl + loss
+        if want_grad:
+            grads = _add_grads(grads, _backprop(model, tape, d_pred))
+
+    loss_prox = 0.0
+    if mu > 0.0:
+        if rad is None or reference is None:
+            raise ConfigError("mu > 0 requires an alignment batch and a reference")
+        phi_raw, rad_tape = forward_online(model, rad)
+        if not np.all(np.isfinite(phi_raw)):
+            raise NumericalFailureError("representations")
+        if clip_radius is not None:
+            phi, over, norms = _clip_rows(phi_raw, clip_radius)
+        else:
+            phi = phi_raw
+        try:
+            loss_prox = cka.proximal_value(phi, reference, form, mu)
+            d_phi = cka.proximal_grad(phi, reference, form) if want_grad else None
+        except ShapeError as exc:
+            if "non-finite" in str(exc):
+                raise NumericalFailureError("proximal term", str(exc)) from None
+            raise
+        if want_grad:
+            if clip_radius is not None:
+                d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, clip_radius)
+            grads = _add_grads(grads, _backprop(model, rad_tape, d_phi), mu)
+
+    loss_total = loss_ssl + loss_prox
+    if not np.isfinite(loss_total):
+        raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
+    if want_grad:
+        g_w, g_b, g_pw, g_pb = grads
+        for name, arrs in (("encoder gradient", g_w + g_b),
+                           ("predictor gradient", [g_pw, g_pb])):
+            if not all(np.all(np.isfinite(a)) for a in arrs):
+                raise NumericalFailureError(name)
+    return loss_total, loss_ssl, loss_prox, grads
+
+
+def _add_grads(grads, extra, scale: float = 1.0):
+    """grads + scale * extra, tensor by tensor; extra itself when grads is None."""
+    if grads is None:
+        return extra
+    g_w, g_b, g_pw, g_pb = grads
+    e_w, e_b, e_pw, e_pb = extra
+    return ([g + scale * e for g, e in zip(g_w, e_w)],
+            [g + scale * e for g, e in zip(g_b, e_b)],
+            g_pw + scale * e_pw, g_pb + scale * e_pb)
+
+
 def combined_loss(
     model: ClientModel,
     local_batch: Matrix,
@@ -397,34 +464,8 @@ def combined_loss(
     Returns (loss_total, loss_ssl, loss_prox); identical values to
     loss_and_grad with the backward pass skipped.
     """
-    views = augment(local_batch, augment_cfg, rng.sub("aug"))
-    pred, _ = forward_online(model, views.v_prime)
-    target = forward_target(model, views.v_doubleprime)
-    _check_forward(pred, target)
-    loss_ssl, _ = _ssl_loss_grad(pred, target, normalize, want_grad=False)
-    if symmetrize:
-        pred2, _ = forward_online(model, views.v_doubleprime)
-        target2 = forward_target(model, views.v_prime)
-        _check_forward(pred2, target2)
-        other, _ = _ssl_loss_grad(pred2, target2, normalize, want_grad=False)
-        loss_ssl += other
-    loss_prox = 0.0
-    if mu > 0.0:
-        if rad is None or reference is None:
-            raise ConfigError("mu > 0 requires an alignment batch and a reference")
-        phi = representations(model, rad, clip_radius=clip_radius)
-        if not np.all(np.isfinite(phi)):
-            raise NumericalFailureError("representations")
-        try:
-            loss_prox = cka.proximal_value(phi, reference, form, mu)
-        except ShapeError as exc:
-            if "non-finite" in str(exc):
-                raise NumericalFailureError("proximal term", str(exc)) from None
-            raise
-    loss_total = loss_ssl + loss_prox
-    if not np.isfinite(loss_total):
-        raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
-    return loss_total, loss_ssl, loss_prox
+    return _objective(False, model, local_batch, rad, reference, mu, form, rng,
+                      augment_cfg, normalize, clip_radius, symmetrize)[:3]
 
 
 def loss_and_grad(
@@ -448,61 +489,8 @@ def loss_and_grad(
     one-directional regression loss is the default; ``symmetrize`` adds the
     view-swapped direction.
     """
-    views = augment(local_batch, augment_cfg, rng.sub("aug"))
-    pred, tape = forward_online(model, views.v_prime)
-    target = forward_target(model, views.v_doubleprime)
-    _check_forward(pred, target)
-    loss_ssl, d_pred = _ssl_loss_grad(pred, target, normalize)
-    g_w, g_b, g_pw, g_pb = _backprop(model, tape, d_pred)
-    if symmetrize:
-        pred2, tape2 = forward_online(model, views.v_doubleprime)
-        target2 = forward_target(model, views.v_prime)
-        _check_forward(pred2, target2)
-        other, d_pred2 = _ssl_loss_grad(pred2, target2, normalize)
-        loss_ssl += other
-        sg_w, sg_b, sg_pw, sg_pb = _backprop(model, tape2, d_pred2)
-        for i in range(len(g_w)):
-            g_w[i] = g_w[i] + sg_w[i]
-            g_b[i] = g_b[i] + sg_b[i]
-        g_pw = g_pw + sg_pw
-        g_pb = g_pb + sg_pb
-
-    loss_prox = 0.0
-    if mu > 0.0:
-        if rad is None or reference is None:
-            raise ConfigError("mu > 0 requires an alignment batch and a reference")
-        phi_raw, rad_tape = forward_online(model, rad)
-        if not np.all(np.isfinite(phi_raw)):
-            raise NumericalFailureError("representations")
-        if clip_radius is not None:
-            phi, over, norms = _clip_rows(phi_raw, clip_radius)
-        else:
-            phi = phi_raw
-        try:
-            loss_prox = cka.proximal_value(phi, reference, form, mu)
-            d_phi = cka.proximal_grad(phi, reference, form)
-        except ShapeError as exc:
-            if "non-finite" in str(exc):
-                raise NumericalFailureError("proximal term", str(exc)) from None
-            raise
-        if clip_radius is not None:
-            d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, clip_radius)
-        pg_w, pg_b, pg_pw, pg_pb = _backprop(model, rad_tape, d_phi)
-        for i in range(len(g_w)):
-            g_w[i] = g_w[i] + mu * pg_w[i]
-            g_b[i] = g_b[i] + mu * pg_b[i]
-        g_pw = g_pw + mu * pg_pw
-        g_pb = g_pb + mu * pg_pb
-
-    loss_total = loss_ssl + loss_prox
-    if not np.isfinite(loss_total):
-        raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
-    for name, arrs in (("encoder gradient", g_w + g_b),
-                       ("predictor gradient", [g_pw, g_pb])):
-        for a in arrs:
-            if not np.all(np.isfinite(a)):
-                raise NumericalFailureError(name)
-    return loss_total, loss_ssl, loss_prox, (g_w, g_b, g_pw, g_pb)
+    return _objective(True, model, local_batch, rad, reference, mu, form, rng,
+                      augment_cfg, normalize, clip_radius, symmetrize)
 
 
 def flatten_grads(grads) -> np.ndarray:
@@ -608,15 +596,12 @@ def ema_update(model: ClientModel, tau: Optional[float] = None) -> ClientModel:
 def save_model(model: ClientModel, directory: str, round_index: Optional[int] = None) -> None:
     """Checkpoint: one CSV per tensor plus a JSON manifest."""
     os.makedirs(directory, exist_ok=True)
-    for i, (w, b) in enumerate(zip(model.online_w, model.online_b)):
-        save_matrix_csv(w, os.path.join(directory, f"online_w{i}.csv"))
-        save_matrix_csv(b[None, :], os.path.join(directory, f"online_b{i}.csv"))
-    for i, (w, b) in enumerate(zip(model.target_w, model.target_b)):
-        save_matrix_csv(w, os.path.join(directory, f"target_w{i}.csv"))
-        save_matrix_csv(b[None, :], os.path.join(directory, f"target_b{i}.csv"))
-    for i, (w, b) in enumerate(zip(model.mom_w, model.mom_b)):
-        save_matrix_csv(w, os.path.join(directory, f"mom_w{i}.csv"))
-        save_matrix_csv(b[None, :], os.path.join(directory, f"mom_b{i}.csv"))
+    for prefix, ws, bs in (("online", model.online_w, model.online_b),
+                           ("target", model.target_w, model.target_b),
+                           ("mom", model.mom_w, model.mom_b)):
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            save_matrix_csv(w, os.path.join(directory, f"{prefix}_w{i}.csv"))
+            save_matrix_csv(b[None, :], os.path.join(directory, f"{prefix}_b{i}.csv"))
     save_matrix_csv(model.pred_w, os.path.join(directory, "pred_w.csv"))
     save_matrix_csv(model.pred_b[None, :], os.path.join(directory, "pred_b.csv"))
     save_matrix_csv(model.mom_pred_w, os.path.join(directory, "mom_pred_w.csv"))

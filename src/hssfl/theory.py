@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InsufficientProbesError
 from .federation import RoundLog
+from .numkit import lipschitz_ratios
 
 HOLD_TOL = 1e-9
 
@@ -38,9 +39,6 @@ class EstimatedConstant:
     value: float
     samples: int
     provenance: str = ""
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass
@@ -107,20 +105,10 @@ def lipschitz_ratio_max(
     estimator used for both the gradient and the embedding map."""
     if len(points) < 2:
         raise InsufficientProbesError("need at least two checkpoints")
-    best = None
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            dx = float(np.linalg.norm(np.asarray(points[a], dtype=float)
-                                      - np.asarray(points[b], dtype=float)))
-            if dx == 0.0:
-                continue
-            dv = float(np.linalg.norm(np.asarray(values[a], dtype=float)
-                                      - np.asarray(values[b], dtype=float)))
-            ratio = dv / dx
-            best = ratio if best is None else max(best, ratio)
-    if best is None:
+    ratios = lipschitz_ratios(points, values)
+    if not ratios:
         raise InsufficientProbesError("all checkpoint pairs are degenerate (no movement)")
-    return best
+    return max(ratios)
 
 
 def _probe_records(log: RoundLog) -> List[dict]:

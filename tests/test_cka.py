@@ -6,9 +6,7 @@ from hssfl.cka import (
     ProximalForm,
     aggregate_grams,
     aggregate_representations,
-    center_gram,
     gram_linear,
-    gram_rbf,
     linear_cka,
     proximal_grad,
     proximal_value,
@@ -20,7 +18,7 @@ from hssfl.errors import (
     ShapeError,
     UnsupportedCombinationError,
 )
-from hssfl.numkit import RngStream, frobenius_inner, gaussian_sample
+from hssfl.numkit import RngStream, gaussian_sample
 
 
 def random_activations(seed, rows=4, cols=3):
@@ -71,24 +69,6 @@ class TestGramLinear:
         assert np.array_equal(k.entries, k.entries.T)
 
 
-class TestGramRbf:
-    def test_unit_diagonal(self):
-        k = gram_rbf(random_activations(3, 4, 2), gamma=0.7)
-        assert np.array_equal(np.diag(k.entries), np.ones(4))
-
-    def test_identical_rows(self):
-        a = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert np.allclose(gram_rbf(a, 1.0).entries, np.ones((2, 2)))
-
-    def test_scalar_oracle(self):
-        k = gram_rbf(np.array([[0.0], [1.0]]), gamma=1.0)
-        assert k.entries[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ConfigError):
-            gram_rbf(np.eye(2), 0.0)
-
-
 class TestLinearCka:
     def test_self_similarity(self):
         k = random_psd_gram(4)
@@ -133,15 +113,6 @@ class TestLinearCka:
         with pytest.raises(DegenerateInputError):
             linear_cka(GramMatrix(np.zeros((2, 2))), GramMatrix(np.eye(2)))
 
-    def test_centering_toggle(self):
-        a = random_activations(8, 6, 3) + 5.0
-        b = random_activations(9, 6, 3)
-        plain = linear_cka(gram_linear(a), gram_linear(b))
-        centered = linear_cka(gram_linear(a), gram_linear(b), centered=True)
-        assert plain != pytest.approx(centered)
-        hk = center_gram(gram_linear(a)).entries
-        assert np.allclose(hk.sum(axis=0), 0.0, atol=1e-9)
-
 
 class TestTraceAlignment:
     def test_zero(self):
@@ -155,7 +126,7 @@ class TestTraceAlignment:
         ki = random_psd_gram(11)
         kj = random_psd_gram(12)
         assert trace_alignment(ki, kj) == pytest.approx(
-            frobenius_inner(ki.entries, kj.entries)
+            np.trace(ki.entries @ kj.entries)
         )
 
 
@@ -270,7 +241,7 @@ class TestProximalGrad:
             phi = random_activations(900 + seed, 4, 3)
             kbar = GramMatrix(0.5 * gram_linear(phi).entries)
             g = proximal_grad(phi, kbar, ProximalForm.RAW_CKA)
-            assert abs(frobenius_inner(g, phi)) < 1e-8
+            assert abs(np.sum(g * phi)) < 1e-8
 
 
 class TestGramMatrixType:
@@ -281,7 +252,3 @@ class TestGramMatrixType:
     def test_square_enforced(self):
         with pytest.raises(ShapeError):
             GramMatrix(np.ones((2, 3)))
-
-    def test_csv_round_trip(self):
-        k = random_psd_gram(33, 4)
-        assert np.array_equal(GramMatrix.from_csv(k.to_csv()).entries, k.entries)

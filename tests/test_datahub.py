@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hssfl.datahub import (
-    PartitionPlan,
     load_csv,
     partition_iid,
     partition_noniid,
@@ -182,11 +181,3 @@ class TestSampleRad:
         ds = mixture(seed=19, classes=2, per_class=5)
         with pytest.raises(ConfigError):
             sample_rad(ds, ds.size + 1, RngStream(19, purpose="rad"))
-
-
-class TestPartitionPlanSerialization:
-    def test_json_round_trip(self):
-        ds = mixture(seed=20)
-        plan = partition_noniid(ds, 5, RngStream(20, purpose="part"))
-        back = PartitionPlan.from_json(plan.to_json())
-        assert back == plan

@@ -7,6 +7,8 @@ from hssfl.errors import ConfigError, ProtocolError
 from hssfl.federation import (
     FedConfig,
     RoundLog,
+    _encode,
+    _transmit,
     local_training,
     run_training,
     select_clients,
@@ -279,11 +281,12 @@ class TestRadShift:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_failure_annotated_with_location(self):
         from hssfl.errors import NumericalFailureError
         cfg = small_cfg(eta=50.0, momentum=0.9, rounds=3)
-        with pytest.raises(NumericalFailureError, match="round"):
+        with pytest.raises(NumericalFailureError,
+                           match=r": client [0-3] round [1-3], epoch \d+ batch \d+"):
             run_training(cfg, dataset())
 
 
@@ -334,3 +337,15 @@ class TestFedConfig:
     def test_round_trip_dict(self):
         cfg = small_cfg()
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestPayloadCodec:
+    def test_csv_round_trip(self):
+        a = gaussian_sample(RngStream(33, purpose="act"), 4, 3)
+        k = gram_linear(a)
+        received, nbytes = _transmit(k)
+        assert isinstance(received, GramMatrix)
+        assert np.array_equal(received.entries, k.entries)
+        assert nbytes == len(_encode(k).encode("utf-8"))
+        received, _ = _transmit(a)
+        assert np.array_equal(received, a)

@@ -4,106 +4,11 @@ import pytest
 from hssfl.errors import ParseError, ShapeError
 from hssfl.numkit import (
     RngStream,
-    add_scaled,
-    frobenius_inner,
-    frobenius_norm,
     gaussian_sample,
-    matmul,
+    lipschitz_ratios,
     matrix_from_csv,
     matrix_to_csv,
 )
-
-
-def brute_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_direct_summation_oracle(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[3.0], [4.0]])
-        assert matmul(a, b)[0, 0] == pytest.approx(11.0)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            x = rng.normal(size=(3, 4))
-            y = rng.normal(size=(4, 2))
-            assert np.allclose(matmul(x, y), brute_matmul(x, y), rtol=1e-12)
-
-    def test_zero_annihilates(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(4, 3))
-            b = rng.normal(size=(3, 5))
-            c = rng.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-10 * max(1.0, np.max(np.abs(left)))
-
-    def test_orthogonal_norm_preservation(self):
-        for seed in range(10):
-            g = gaussian_sample(RngStream(seed, purpose="q"), 6, 6)
-            q, _ = np.linalg.qr(g)
-            m = gaussian_sample(RngStream(seed, purpose="m"), 6, 4)
-            assert frobenius_norm(matmul(q, m)) == pytest.approx(
-                frobenius_norm(m), rel=1e-10
-            )
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ShapeError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
-
-
-class TestFrobenius:
-    def test_self_inner_is_squared_norm(self):
-        m = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert frobenius_inner(m, m) == pytest.approx(frobenius_norm(m) ** 2)
-
-    def test_entrywise_sum_oracle(self):
-        assert frobenius_inner(np.eye(2), np.ones((2, 2))) == pytest.approx(2.0)
-
-    def test_zero(self):
-        m = np.array([[1.0, 2.0]])
-        assert frobenius_inner(m, np.zeros_like(m)) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestAddScaled:
-    def test_alpha_zero(self):
-        a = np.array([[1.0, 2.0]])
-        assert np.array_equal(add_scaled(a, np.ones_like(a), 0.0), a)
-
-    def test_zero_base(self):
-        b = np.array([[4.0, 5.0]])
-        assert np.array_equal(add_scaled(np.zeros_like(b), b, 1.0), b)
-
-    def test_arithmetic(self):
-        assert add_scaled(np.array([[1.0]]), np.array([[2.0]]), -0.5)[0, 0] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            add_scaled(np.ones((1, 2)), np.ones((2, 1)), 1.0)
 
 
 class TestGaussianSample:
@@ -162,3 +67,11 @@ class TestRngStream:
         a = gaussian_sample(s.sub("one"), 3, 3)
         b = gaussian_sample(s.sub("two"), 3, 3)
         assert not np.array_equal(a, b)
+
+
+class TestLipschitzRatios:
+    def test_pair_order_and_coincident_points(self):
+        points = [np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([3.0])]
+        values = [np.array([0.0]), np.array([2.0]), np.array([5.0]), np.array([3.0])]
+        # pairs (0,1), (0,2), (0,3), (1,3), (2,3); (1,2) share a point
+        assert lipschitz_ratios(points, values) == [2.0, 5.0, 1.0, 0.5, 1.0]

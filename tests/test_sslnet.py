@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hssfl.cka import ProximalForm, gram_linear
-from hssfl.errors import ConfigError, DegenerateInputError, ShapeError
+from hssfl.errors import ConfigError, ShapeError
 from hssfl.numkit import RngStream, gaussian_sample
 from hssfl.sslnet import (
     AugmentConfig,
+    _ssl_loss_grad,
     combined_loss,
     MlpSpec,
     augment,
@@ -164,12 +165,28 @@ class TestSslLoss:
         assert ssl_loss(p, 2.0 * p, normalize=True) == pytest.approx(0.0, abs=1e-12)
 
     def test_normalized_zero_row(self):
-        with pytest.raises(DegenerateInputError):
-            ssl_loss(np.zeros((1, 2)), np.ones((1, 2)), normalize=True)
+        # a zero row normalizes to zero and a zero prediction row takes the
+        # zero subgradient; the other rows keep their exact values
+        pred = np.array([[0.0, 0.0], [3.0, 4.0]])
+        target = np.array([[1.0, 1.0], [0.0, 0.0]])
+        loss, grad = _ssl_loss_grad(pred, target, normalize=True)
+        assert loss == pytest.approx((1.0 + 1.0) / 2.0)
+        assert np.array_equal(grad[0], np.zeros(2))
+        _, row_grad = _ssl_loss_grad(pred[1:], target[1:], normalize=True)
+        assert np.array_equal(grad[1], row_grad[0] / 2.0)
+        assert np.all(np.isfinite(grad))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ssl_loss(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_normalized_zero_predictions_give_zero_gradient(self):
+        m = make_model()
+        m.pred_w[:] = 0.0
+        x = batch_for(RELU)
+        _, _, _, grads = loss_and_grad(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
+                                       RngStream(3, purpose="step"), normalize=True)
+        assert not np.any(flatten_grads(grads))
 
 
 class TestRepresentations:

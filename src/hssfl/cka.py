@@ -108,9 +108,12 @@ def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    total = float(np.sum(np.asarray(weights, dtype=np.float64), initial=0.0))
-    if any(w < 0 for w in weights):
+    w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ConfigError("weights must be finite")
+    if np.any(w < 0):
         raise ConfigError("weights must be nonnegative")
+    total = float(np.sum(w, initial=0.0))
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"weights must sum to 1, got {total!r}")
 

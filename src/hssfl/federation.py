@@ -4,21 +4,22 @@ Each global round: the server broadcasts the alignment rows and the current
 aggregated reference (kernel matrix by default, representation matrix in
 l2_rep mode), a sampled subset of clients runs local epochs against that
 fixed reference, the clients report their fresh alignment payloads, and the
-server aggregates the new reference used in the next round. Unsampled
-clients keep their last reported payload, so the weighted aggregate always
-covers all clients.
+server aggregates the new reference, which scores the round's clients and
+is the next round's reference. Unsampled clients keep their last reported
+payload, so the weighted aggregate always covers all clients.
 
+Each reference is aggregated and transmitted once: before round 1, from the
+bootstrap uploads or the loaded checkpoint, and at the end of every round.
 Payloads cross a real serialization boundary even though transport is
-in-process: one codec turns every matrix sent (the alignment rows, the
-reference, client uploads) and every checkpointed payload into CSV text,
-counts its bytes and decodes it. Each transmission is decoded once, so the
-clients of a round share one decoded copy of the alignment rows and of the
-reference. All randomness flows through
-value-like streams keyed by (seed, client, round, epoch, purpose), so runs
-are bit-reproducible regardless of how many workers execute clients in
-parallel. Wall-clock timings are collected separately from the round log and
-never serialized with it, keeping logs byte-comparable across machines and
-worker counts.
+in-process: one CSV matrix codec (``numkit``) turns every matrix sent (the
+alignment rows, the reference, client uploads) into text, counts its bytes
+and decodes it once, and writes and reads the checkpointed payloads like the
+model tensors. One thread pool runs the clients for every worker count. All
+randomness flows through value-like streams keyed by (seed, client, round,
+epoch, purpose), so runs are bit-reproducible regardless of how many workers
+execute clients in parallel. Wall-clock timings are collected separately
+from the round log and never serialized with it, keeping logs byte-comparable
+across machines and worker counts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +46,15 @@ from .cka import (
 )
 from .datahub import Dataset, PartitionPlan, RadSet, partition_iid, partition_noniid, sample_rad
 from .errors import ConfigError, NumericalFailureError, ProtocolError
-from .numkit import Matrix, RngStream, lipschitz_ratios, matrix_from_csv, matrix_to_csv
+from .numkit import (
+    Matrix,
+    RngStream,
+    lipschitz_ratios,
+    load_matrix_csv,
+    matrix_from_csv,
+    matrix_to_csv,
+    save_matrix_csv,
+)
 from .sslnet import AugmentConfig, ClientModel, MlpSpec
 
 KERNEL = "kernel"
@@ -86,8 +96,16 @@ class FedConfig:
             raise ConfigError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for name in ("eta", "momentum", "mu", "rad_shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.eta < 0:
+            raise ConfigError("eta must be >= 0")
         if self.mu < 0:
             raise ConfigError("mu must be >= 0")
+        if self.clip_radius is not None and not 0.0 < self.clip_radius < np.inf:
+            raise ConfigError(f"clip_radius must be finite and > 0, got {self.clip_radius!r}")
+        self.augment_cfg  # validates noise_std and mask_prob once
         if not (0.0 <= self.tau <= 1.0):
             raise ConfigError("tau must be in [0, 1]")
         if len(self.client_specs) != self.num_clients:
@@ -103,13 +121,11 @@ class FedConfig:
             raise ConfigError(
                 "l2_rep form requires representation payloads and vice versa"
             )
-        weights = self.client_weights
-        if weights is None:
+        if self.client_weights is None:
             weights = tuple(1.0 / self.num_clients for _ in range(self.num_clients))
-            object.__setattr__(self, "client_weights", weights)
         else:
-            object.__setattr__(self, "client_weights", tuple(float(w) for w in weights))
-            weights = self.client_weights
+            weights = tuple(float(w) for w in self.client_weights)
+        object.__setattr__(self, "client_weights", weights)
         if len(weights) != self.num_clients:
             raise ConfigError("client_weights length must equal num_clients")
         _check_weights(weights)
@@ -119,36 +135,16 @@ class FedConfig:
         elif not (1 <= sample <= self.num_clients):
             raise ConfigError(f"sample_size must be in [1, {self.num_clients}]")
 
-    @property
+    @cached_property
     def augment_cfg(self) -> AugmentConfig:
         return AugmentConfig(self.noise_std, self.mask_prob)
 
     def to_dict(self) -> dict:
-        return {
-            "num_clients": self.num_clients,
-            "rounds": self.rounds,
-            "local_epochs": self.local_epochs,
-            "eta": self.eta,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "mu": self.mu,
-            "proximal_form": self.proximal_form.value,
-            "tau": self.tau,
-            "client_specs": [s.to_dict() for s in self.client_specs],
-            "rad_size": self.rad_size,
-            "seed": self.seed,
-            "client_weights": list(self.client_weights),
-            "sample_size": self.sample_size,
-            "partition": self.partition,
-            "payload": self.payload,
-            "noise_std": self.noise_std,
-            "mask_prob": self.mask_prob,
-            "normalize_loss": self.normalize_loss,
-            "clip_radius": self.clip_radius,
-            "theory_probes": self.theory_probes,
-            "symmetrize_loss": self.symmetrize_loss,
-            "rad_shift": self.rad_shift,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["proximal_form"] = self.proximal_form.value
+        d["client_specs"] = [s.to_dict() for s in self.client_specs]
+        d["client_weights"] = list(self.client_weights)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "FedConfig":
@@ -260,19 +256,25 @@ def _jsonl_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _encode(payload: Payload) -> str:
-    return matrix_to_csv(payload.entries if isinstance(payload, GramMatrix) else payload)
-
-
-def _decode(text: str, gram: bool) -> Payload:
-    entries = matrix_from_csv(text)
-    return GramMatrix(entries) if gram else entries
+def _entries(payload: Payload) -> Matrix:
+    return payload.entries if isinstance(payload, GramMatrix) else payload
 
 
 def _transmit(payload: Payload) -> Tuple[Payload, int]:
     """Encode, count bytes, decode: the receiver's copy and the wire size."""
-    text = _encode(payload)
-    return _decode(text, isinstance(payload, GramMatrix)), len(text.encode("utf-8"))
+    text = matrix_to_csv(_entries(payload))
+    received = matrix_from_csv(text)
+    if isinstance(payload, GramMatrix):
+        received = GramMatrix(received)
+    return received, len(text.encode("utf-8"))
+
+
+def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, int, Matrix]:
+    """The client's alignment payload as the server receives it, its wire
+    size, and the representations it was built from."""
+    phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
+    received, nbytes = _transmit(gram_linear(phi) if cfg.payload == KERNEL else phi)
+    return received, nbytes, phi
 
 
 def _loss_options(cfg: FedConfig) -> dict:
@@ -305,7 +307,6 @@ def local_training(
     probes, which draw from their own streams)."""
     epoch_losses: List[float] = []
     epoch_grad_norms: List[float] = []
-    step_grad_norms: List[List[float]] = []
     for epoch in range(cfg.local_epochs):
         erng = rng.child(round=round_index, epoch=epoch)
         batches = _epoch_batches(shard.shape[0], cfg.batch_size, erng.sub("order"))
@@ -332,22 +333,13 @@ def local_training(
         model = sslnet.ema_update(model)
         epoch_losses.append(float(np.mean(losses)))
         epoch_grad_norms.append(float(np.mean(norms)))
-        step_grad_norms.append(norms)
         if epoch_hook is not None:
             epoch_hook(epoch, model)
     return {
         "model": model,
         "epoch_losses": epoch_losses,
         "epoch_grad_norms": epoch_grad_norms,
-        "step_grad_norms": step_grad_norms,
     }
-
-
-def _client_payload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, Matrix]:
-    phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
-    if cfg.payload == KERNEL:
-        return gram_linear(phi), phi
-    return phi, phi
 
 
 def _eval_losses(
@@ -455,8 +447,7 @@ def _train_one_client(
         )
         model = result["model"]
         end = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
-        payload, phi = _client_payload(model, rad, cfg)
-        upload, upload_bytes = _transmit(payload)
+        upload, upload_bytes, phi = _upload(model, rad, cfg)
         rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
 
     if cfg.theory_probes:
@@ -557,8 +548,7 @@ def _save_checkpoint(
     for k, m in enumerate(models):
         sslnet.save_model(m, os.path.join(directory, f"client_{k}"), round_index)
     for k, payload in registry.items():
-        with open(os.path.join(directory, f"payload_{k}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_encode(payload))
+        save_matrix_csv(_entries(payload), os.path.join(directory, f"payload_{k}.csv"))
     state = {"round": round_index, "config": cfg.to_dict()}
     tmp = os.path.join(directory, "state.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -576,8 +566,8 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
               for k in range(cfg.num_clients)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        with open(os.path.join(directory, f"payload_{k}.csv"), "r", encoding="utf-8") as fh:
-            registry[k] = _decode(fh.read(), cfg.payload == KERNEL)
+        entries = load_matrix_csv(os.path.join(directory, f"payload_{k}.csv"))
+        registry[k] = GramMatrix(entries) if cfg.payload == KERNEL else entries
     return state["round"], models, registry
 
 
@@ -620,12 +610,11 @@ def run_training(
         return RunResult(cfg, models, log, rad, plan, server)
 
     rad_rows, rad_bytes = _transmit(rad.features)
-
-    def bootstrap() -> None:
+    weights = list(cfg.client_weights)
+    if start_round == 0:
         boot_bytes = []
         for k in range(cfg.num_clients):
-            payload, _ = _client_payload(models[k], rad_rows, cfg)
-            registry[k], nbytes = _transmit(payload)
+            registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload, nbytes))
@@ -637,18 +626,12 @@ def run_training(
         }
         log.records.append(record)
         writer.write([record])
+    server.reference = server_aggregate([], weights, cfg.payload, registry)
+    received_ref, ref_bytes = _transmit(server.reference)
 
-    if start_round == 0:
-        bootstrap()
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         for t in range(start_round + 1, cfg.rounds + 1):
-            weights = list(cfg.client_weights)
-            reference = server_aggregate([], weights, cfg.payload, registry)
-            received_ref, ref_bytes = _transmit(reference)
-            server.reference = reference
-
             selected = select_clients(
                 cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
             )
@@ -664,13 +647,11 @@ def run_training(
                 out["wall"] = time.perf_counter() - t0
                 return out
 
-            if pool is not None:
-                outs = list(pool.map(task, selected))
-            else:
-                outs = [task(k) for k in selected]
-
+            # selected is ascending and map keeps its order, so outs is in
+            # client order whatever the worker count.
+            outs = list(pool.map(task, selected))
             reports = []
-            for out in sorted(outs, key=lambda o: o["client"]):
+            for out in outs:
                 k = out["client"]
                 models[k] = out["model"]
                 nbytes = out["upload_bytes"]
@@ -680,46 +661,40 @@ def run_training(
                 log.messages.append(RoundMessage("client->server", t, k, cfg.payload, nbytes))
                 log.timings[(t, k)] = out["wall"]
 
-            new_reference = server_aggregate(reports, weights, cfg.payload, registry)
-            received_new_ref, _ = _transmit(new_reference)
+            # The new reference scores this round's clients, then serves as
+            # the next round's reference.
+            reference = server_aggregate(reports, weights, cfg.payload, registry)
+            received_ref, ref_bytes = _transmit(reference)
 
             def swap_task(out: dict) -> Tuple[float, float, float]:
                 k = out["client"]
-                return _swap_eval(k, models[k], shards[k], rad_rows, received_new_ref, cfg, t)
-
-            ordered = sorted(outs, key=lambda o: o["client"])
-            if pool is not None:
-                swaps = list(pool.map(swap_task, ordered))
-            else:
-                swaps = [swap_task(o) for o in ordered]
+                return _swap_eval(k, models[k], shards[k], rad_rows, received_ref, cfg, t)
 
             new_records = []
-            for out, swap in zip(ordered, swaps):
+            for out, swap in zip(outs, pool.map(swap_task, outs)):
                 rec = out["record"]
                 rec["loss_total_swap"] = swap[0]
                 rec["loss_ssl_swap"] = swap[1]
                 rec["loss_prox_swap"] = swap[2]
                 new_records.append(rec)
-            ref_entries = new_reference.entries if isinstance(new_reference, GramMatrix) else new_reference
             server_record = {
                 "type": "server",
                 "round": t,
                 "selected": selected,
-                "reference_norm": float(np.linalg.norm(ref_entries)),
+                "reference_norm": float(np.linalg.norm(_entries(reference))),
             }
             new_records.append(server_record)
             log.records.extend(new_records)
             writer.write(new_records)
 
             server.round = t
-            server.reference = new_reference
+            server.reference = reference
             if checkpoint_dir:
                 _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
             if stop_after_round is not None and t >= stop_after_round:
                 break
     finally:
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown(cancel_futures=True)
 
     return RunResult(cfg, models, log, rad, plan, server)
 

@@ -2,8 +2,9 @@
 Lipschitz estimator, and splittable, counter-based random streams.
 
 Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64;
-``as_matrix`` and ``check_finite`` validate shapes and finiteness where
-values enter. Randomness is organized as value-like streams: a
+``as_matrix`` validates shapes and finiteness where values enter, and
+``check_finite`` raises ``NumericalFailureError`` on a computed result that
+is not finite. Randomness is organized as value-like streams: a
 :class:`RngStream` is an immutable key (master seed plus client/round/epoch/
 purpose coordinates) from which a fresh counter-based generator is derived on
 every use, so identical keys always reproduce identical sequences no matter
@@ -19,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import NumericalFailureError, ParseError, ShapeError
 
 Matrix = np.ndarray
 
@@ -35,8 +36,9 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
 
 
 def check_finite(m: Matrix, name: str = "result") -> Matrix:
+    """m itself; a computed result with NaN/Inf raises NumericalFailureError."""
     if not np.all(np.isfinite(m)):
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise NumericalFailureError(name)
     return m
 
 
@@ -94,18 +96,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator for this key; repeated calls restart the sequence."""
         return np.random.Generator(np.random.Philox(key=self._key()))
-
-
-def gaussian_sample(
-    stream: RngStream, rows: int, cols: int, mean: float = 0.0, stddev: float = 1.0
-) -> Matrix:
-    """i.i.d. normal entries, reproducible per stream."""
-    if stddev < 0:
-        raise ShapeError(f"stddev must be >= 0, got {stddev}")
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"invalid matrix shape ({rows}, {cols})")
-    out = stream.generator().normal(loc=mean, scale=stddev, size=(rows, cols))
-    return check_finite(out)
 
 
 def matrix_to_csv(m: Matrix) -> str:

@@ -107,19 +107,13 @@ class ClientModel:
 
 
 @dataclass(frozen=True)
-class ViewPair:
-    v_prime: Matrix
-    v_doubleprime: Matrix
-
-
-@dataclass(frozen=True)
 class AugmentConfig:
     noise_std: float = 0.0
     mask_prob: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (0.0 <= self.mask_prob < 1.0):
             raise ConfigError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
 
@@ -185,8 +179,8 @@ def init_client_model(
     )
 
 
-def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> ViewPair:
-    """Two views: additive Gaussian noise then independent zero-masking.
+def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> Tuple[Matrix, Matrix]:
+    """Two views (v', v''): additive Gaussian noise then independent zero-masking.
 
     The views draw from independent sub-streams so repeated calls with the
     same stream reproduce the same pair.
@@ -201,8 +195,8 @@ def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> ViewPair:
         return view
 
     if cfg.is_identity:
-        return ViewPair(batch.copy(), batch.copy())
-    return ViewPair(one_view("view1"), one_view("view2"))
+        return batch.copy(), batch.copy()
+    return one_view("view1"), one_view("view2")
 
 
 def _act(z: Matrix, activation: str) -> Matrix:
@@ -262,13 +256,6 @@ def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
     return out
 
 
-def ssl_loss(pred: Matrix, target: Matrix, normalize: bool = False) -> float:
-    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows
-    (a zero row normalizes to zero)."""
-    loss, _ = _ssl_loss_grad(pred, target, normalize, want_grad=False)
-    return loss
-
-
 def _row_norms(m: Matrix) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
@@ -276,6 +263,8 @@ def _row_norms(m: Matrix) -> np.ndarray:
 def _ssl_loss_grad(
     pred: Matrix, target: Matrix, normalize: bool, want_grad: bool = True
 ) -> Tuple[float, Optional[Matrix]]:
+    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows
+    (a zero row normalizes to zero), and its gradient in pred when wanted."""
     pred = as_matrix(pred, "pred")
     target = as_matrix(target, "target")
     if pred.shape != target.shape:
@@ -385,10 +374,10 @@ def _objective(want_grad: bool, model, local_batch, rad, reference, mu, form, rn
     Returns (loss_total, loss_ssl, loss_prox, grads); grads is
     (g_w, g_b, g_pred_w, g_pred_b), or None when want_grad is False.
     """
-    views = augment(local_batch, augment_cfg, rng.sub("aug"))
-    directions = [(views.v_prime, views.v_doubleprime)]
+    v1, v2 = augment(local_batch, augment_cfg, rng.sub("aug"))
+    directions = [(v1, v2)]
     if symmetrize:
-        directions.append((views.v_doubleprime, views.v_prime))
+        directions.append((v2, v1))
     loss_ssl = None
     grads = None
     for online_in, target_in in directions:
@@ -411,13 +400,8 @@ def _objective(want_grad: bool, model, local_batch, rad, reference, mu, form, rn
             phi, over, norms = _clip_rows(phi_raw, clip_radius)
         else:
             phi = phi_raw
-        try:
-            loss_prox = cka.proximal_value(phi, reference, form, mu)
-            d_phi = cka.proximal_grad(phi, reference, form) if want_grad else None
-        except ShapeError as exc:
-            if "non-finite" in str(exc):
-                raise NumericalFailureError("proximal term", str(exc)) from None
-            raise
+        loss_prox = cka.proximal_value(phi, reference, form, mu)
+        d_phi = cka.proximal_grad(phi, reference, form) if want_grad else None
         if want_grad:
             if clip_radius is not None:
                 d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, clip_radius)

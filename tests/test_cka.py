@@ -15,18 +15,19 @@ from hssfl.cka import (
 from hssfl.errors import (
     ConfigError,
     DegenerateInputError,
+    NumericalFailureError,
     ShapeError,
     UnsupportedCombinationError,
 )
-from hssfl.numkit import RngStream, gaussian_sample
+from hssfl.numkit import RngStream
 
 
 def random_activations(seed, rows=4, cols=3):
-    return gaussian_sample(RngStream(seed, purpose="act"), rows, cols)
+    return RngStream(seed, purpose="act").generator().normal(size=(rows, cols))
 
 
 def random_psd_gram(seed, size=4):
-    b = gaussian_sample(RngStream(seed, purpose="psd"), size, size + 1)
+    b = RngStream(seed, purpose="psd").generator().normal(size=(size, size + 1))
     return gram_linear(b)
 
 
@@ -52,6 +53,11 @@ class TestGramLinear:
 
     def test_dot_product_oracle(self):
         assert gram_linear(np.array([[1.0, 2.0]])).entries[0, 0] == pytest.approx(5.0)
+
+    def test_overflow_is_numerical_failure(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite values in linear gram"):
+                gram_linear(np.full((2, 2), 1e200))
 
     def test_right_orthogonal_invariance(self):
         a = random_activations(0, 5, 4)
@@ -151,6 +157,11 @@ class TestAggregation:
     def test_weight_sum_enforced(self):
         with pytest.raises(ConfigError):
             aggregate_grams([(0.7, random_psd_gram(20))])
+
+    def test_non_finite_weight_rejected(self):
+        k = random_psd_gram(20)
+        with pytest.raises(ConfigError, match="finite"):
+            aggregate_grams([(0.5, k), (0.5, k), (float("nan"), k)])
 
     def test_preserves_symmetry_and_psd(self):
         pairs = [(0.25, random_psd_gram(s, 5)) for s in range(4)]

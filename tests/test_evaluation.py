@@ -12,7 +12,7 @@ from hssfl.evaluation import (
 )
 
 score = evaluation.test_accuracy
-from hssfl.numkit import RngStream, gaussian_sample
+from hssfl.numkit import RngStream
 from hssfl.sslnet import MlpSpec, init_client_model
 
 
@@ -71,7 +71,7 @@ class TestTestAccuracy:
 
     def test_all_zero_probe_predicts_class_zero(self):
         probe = LinearProbe(np.zeros((3, 4)), np.zeros(4), 0, 0.1)
-        reps = gaussian_sample(RngStream(3, purpose="z"), 20, 3)
+        reps = RngStream(3, purpose="z").generator().normal(size=(20, 3))
         labels = np.arange(20) % 4
         assert score(probe, reps, labels) == float(np.mean(labels == 0))
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from hssfl import federation
 from hssfl.cka import GramMatrix, gram_linear
 from hssfl.datahub import synth_mixture
 from hssfl.errors import ConfigError, ProtocolError
 from hssfl.federation import (
     FedConfig,
     RoundLog,
-    _encode,
     _transmit,
     local_training,
     run_training,
@@ -15,7 +15,7 @@ from hssfl.federation import (
     server_aggregate,
     standalone_training,
 )
-from hssfl.numkit import RngStream, gaussian_sample
+from hssfl.numkit import RngStream, matrix_to_csv
 from hssfl.sslnet import MlpSpec
 
 
@@ -76,7 +76,7 @@ class TestSelectClients:
 
 class TestServerAggregate:
     def test_identical_payloads(self):
-        k = gram_linear(gaussian_sample(RngStream(3, purpose="a"), 4, 2))
+        k = gram_linear(RngStream(3, purpose="a").generator().normal(size=(4, 2)))
         registry = {}
         out = server_aggregate([(0, k), (1, k)], [0.5, 0.5], "kernel", registry)
         assert np.allclose(out.entries, k.entries)
@@ -87,7 +87,7 @@ class TestServerAggregate:
         assert np.array_equal(out.entries, 2.0 * np.eye(3))
 
     def test_arrival_order_irrelevant(self):
-        ks = [gram_linear(gaussian_sample(RngStream(s, purpose="k"), 4, 2))
+        ks = [gram_linear(RngStream(s, purpose="k").generator().normal(size=(4, 2)))
               for s in range(3)]
         w = [1 / 3] * 3
         a = server_aggregate(list(enumerate(ks)), w, "kernel", {})
@@ -127,7 +127,7 @@ class TestLocalTraining:
         rad = ds.features[40:60]
         from hssfl.federation import init_models
         model = init_models(cfg)[0]
-        ref = gram_linear(gaussian_sample(RngStream(5, purpose="r"), 20, 8))
+        ref = gram_linear(RngStream(5, purpose="r").generator().normal(size=(20, 8)))
         first = local_training(model, shard, rad, ref, cfg, 2, RngStream(cfg.seed, client=0))
         second = local_training(model, shard, rad, ref, cfg, 2, RngStream(cfg.seed, client=0))
         assert first["epoch_losses"] == second["epoch_losses"]
@@ -261,6 +261,22 @@ class TestRunTraining:
         with pytest.raises(UnsupportedCombinationError):
             run_training(cfg, dataset())
 
+    def test_each_reference_aggregated_and_sent_once(self, monkeypatch):
+        counts = {"server_aggregate": 0, "_transmit": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(federation, name)):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(federation, name, counted)
+        cfg = small_cfg(rounds=3, sample_size=2)
+        run_training(cfg, dataset(), workers=2)
+        assert counts["server_aggregate"] == cfg.rounds + 1
+        # the RAD, the bootstrap uploads and the first reference, then
+        # each round's uploads and new reference
+        assert counts["_transmit"] == (
+            1 + cfg.num_clients + 1 + cfg.rounds * (cfg.sample_size + 1)
+        )
+
     def test_jsonl_round_trip(self):
         cfg = small_cfg()
         res = run_training(cfg, dataset())
@@ -304,6 +320,8 @@ class TestCheckpointResume:
                                checkpoint_dir=str(tmp_path / "ck_part"),
                                resume=True)
         assert full_log.read_bytes() == part_log.read_bytes()
+        assert (full.server.reference.entries.tobytes()
+                == resumed.server.reference.entries.tobytes())
         for a, b in zip(full.models, resumed.models):
             for x, y in zip(a.online_w, b.online_w):
                 assert x.tobytes() == y.tobytes()
@@ -334,6 +352,24 @@ class TestFedConfig:
         with pytest.raises(ConfigError):
             small_cfg(payload="representation")
 
+    @pytest.mark.parametrize("overrides", [
+        dict(mu=float("nan")),
+        dict(mu=float("inf")),
+        dict(eta=float("nan")),
+        dict(eta=-0.1),
+        dict(momentum=float("nan")),
+        dict(rad_shift=float("inf")),
+        dict(clip_radius=float("nan")),
+        dict(clip_radius=0.0),
+        dict(num_clients=3, client_weights=(0.5, 0.5, float("nan"))),
+        dict(noise_std=-0.1),
+        dict(noise_std=float("nan")),
+        dict(mask_prob=1.0),
+    ], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+    def test_bad_numbers_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            small_cfg(**overrides)
+
     def test_round_trip_dict(self):
         cfg = small_cfg()
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
@@ -341,11 +377,11 @@ class TestFedConfig:
 
 class TestPayloadCodec:
     def test_csv_round_trip(self):
-        a = gaussian_sample(RngStream(33, purpose="act"), 4, 3)
+        a = RngStream(33, purpose="act").generator().normal(size=(4, 3))
         k = gram_linear(a)
         received, nbytes = _transmit(k)
         assert isinstance(received, GramMatrix)
         assert np.array_equal(received.entries, k.entries)
-        assert nbytes == len(_encode(k).encode("utf-8"))
+        assert nbytes == len(matrix_to_csv(k.entries).encode("utf-8"))
         received, _ = _transmit(a)
         assert np.array_equal(received, a)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from hssfl.errors import ParseError, ShapeError
+from hssfl.errors import NumericalFailureError, ParseError, ShapeError
 from hssfl.numkit import (
     RngStream,
-    gaussian_sample,
+    as_matrix,
+    check_finite,
     lipschitz_ratios,
     matrix_from_csv,
     matrix_to_csv,
@@ -12,38 +13,42 @@ from hssfl.numkit import (
 
 
 class TestGaussianSample:
-    def test_zero_stddev_constant(self):
-        m = gaussian_sample(RngStream(1, purpose="c"), 3, 2, mean=5.0, stddev=0.0)
-        assert np.array_equal(m, np.full((3, 2), 5.0))
+    """Normal draws from an RngStream's generator: one key, one sequence."""
 
     def test_same_stream_identical(self):
         s = RngStream(42, client=1, round=2, epoch=3, purpose="x")
-        a = gaussian_sample(s, 4, 4)
-        b = gaussian_sample(s, 4, 4)
+        a = s.generator().normal(size=(4, 4))
+        b = s.generator().normal(size=(4, 4))
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = gaussian_sample(RngStream(42, client=0), 4, 4)
-        b = gaussian_sample(RngStream(42, client=1), 4, 4)
+        a = RngStream(42, client=0).generator().normal(size=(4, 4))
+        b = RngStream(42, client=1).generator().normal(size=(4, 4))
         assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
-        m = gaussian_sample(RngStream(0, purpose="lln"), 1000, 100)
+        m = RngStream(0, purpose="lln").generator().normal(size=(1000, 100))
         assert abs(m.mean()) < 0.02
         assert abs(m.std() - 1.0) < 0.02
 
-    def test_negative_stddev(self):
-        with pytest.raises(ShapeError):
-            gaussian_sample(RngStream(0), 2, 2, stddev=-1.0)
-
     def test_repeated_runs_bit_identical(self):
-        vals = {gaussian_sample(RngStream(9, round=5), 8, 8).tobytes() for _ in range(5)}
+        vals = {RngStream(9, round=5).generator().normal(size=(8, 8)).tobytes() for _ in range(5)}
         assert len(vals) == 1
+
+
+class TestFiniteness:
+    def test_non_finite_input_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="x contains non-finite entries"):
+            as_matrix([[1.0, np.nan]], "x")
+
+    def test_non_finite_result_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailureError, match="non-finite values in y"):
+            check_finite(np.array([[np.inf]]), "y")
 
 
 class TestCsv:
     def test_round_trip_exact(self):
-        m = gaussian_sample(RngStream(11, purpose="csv"), 5, 3) * 1e-7
+        m = RngStream(11, purpose="csv").generator().normal(size=(5, 3)) * 1e-7
         text = matrix_to_csv(m)
         assert np.array_equal(matrix_from_csv(text), m)
 
@@ -64,8 +69,8 @@ class TestRngStream:
 
     def test_sub_streams_independent(self):
         s = RngStream(5, purpose="p")
-        a = gaussian_sample(s.sub("one"), 3, 3)
-        b = gaussian_sample(s.sub("two"), 3, 3)
+        a = s.sub("one").generator().normal(size=(3, 3))
+        b = s.sub("two").generator().normal(size=(3, 3))
         assert not np.array_equal(a, b)
 
 

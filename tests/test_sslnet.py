@@ -3,7 +3,7 @@ import pytest
 
 from hssfl.cka import ProximalForm, gram_linear
 from hssfl.errors import ConfigError, ShapeError
-from hssfl.numkit import RngStream, gaussian_sample
+from hssfl.numkit import RngStream
 from hssfl.sslnet import (
     AugmentConfig,
     _ssl_loss_grad,
@@ -22,7 +22,6 @@ from hssfl.sslnet import (
     representations,
     save_model,
     set_params,
-    ssl_loss,
 )
 
 RELU = MlpSpec((4, 5, 3), "relu")
@@ -34,7 +33,7 @@ def make_model(spec=RELU, seed=0, tau=0.99):
 
 
 def batch_for(spec, seed=1, rows=6):
-    return gaussian_sample(RngStream(seed, purpose="batch"), rows, spec.input_width)
+    return RngStream(seed, purpose="batch").generator().normal(size=(rows, spec.input_width))
 
 
 class TestInit:
@@ -73,14 +72,14 @@ class TestInit:
 class TestAugment:
     def test_identity_config(self):
         x = batch_for(RELU)
-        pair = augment(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
-        assert np.array_equal(pair.v_prime, x)
-        assert np.array_equal(pair.v_doubleprime, x)
+        v1, v2 = augment(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
+        assert np.array_equal(v1, x)
+        assert np.array_equal(v2, x)
 
     def test_mask_fraction(self):
         x = np.ones((200, 100))
-        pair = augment(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
-        frac = np.mean(pair.v_prime == 0.0)
+        v1, _ = augment(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
+        frac = np.mean(v1 == 0.0)
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_per_stream(self):
@@ -88,19 +87,21 @@ class TestAugment:
         s = RngStream(2, client=1, round=4, purpose="aug")
         p1 = augment(x, AugmentConfig(0.3, 0.1), s)
         p2 = augment(x, AugmentConfig(0.3, 0.1), s)
-        assert np.array_equal(p1.v_prime, p2.v_prime)
-        assert np.array_equal(p1.v_doubleprime, p2.v_doubleprime)
+        assert np.array_equal(p1[0], p2[0])
+        assert np.array_equal(p1[1], p2[1])
 
     def test_views_differ(self):
         x = batch_for(RELU)
-        pair = augment(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
-        assert not np.array_equal(pair.v_prime, pair.v_doubleprime)
+        v1, v2 = augment(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
+        assert not np.array_equal(v1, v2)
 
     def test_invalid_cfg(self):
         with pytest.raises(ConfigError):
             AugmentConfig(-0.1, 0.0)
         with pytest.raises(ConfigError):
             AugmentConfig(0.0, 1.0)
+        with pytest.raises(ConfigError):
+            AugmentConfig(float("nan"), 0.0)
 
 
 class TestForward:
@@ -155,14 +156,16 @@ class TestForward:
 class TestSslLoss:
     def test_equal_inputs(self):
         p = batch_for(RELU)
-        assert ssl_loss(p, p.copy()) == 0.0
+        assert _ssl_loss_grad(p, p.copy(), False, want_grad=False)[0] == 0.0
 
     def test_unit_arithmetic(self):
-        assert ssl_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])) == 1.0
+        pred, target = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
+        assert _ssl_loss_grad(pred, target, False, want_grad=False)[0] == 1.0
 
     def test_normalized_scale_removal(self):
         p = batch_for(RELU) + 3.0
-        assert ssl_loss(p, 2.0 * p, normalize=True) == pytest.approx(0.0, abs=1e-12)
+        loss = _ssl_loss_grad(p, 2.0 * p, True, want_grad=False)[0]
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_normalized_zero_row(self):
         # a zero row normalizes to zero and a zero prediction row takes the
@@ -178,7 +181,7 @@ class TestSslLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ssl_loss(np.ones((2, 2)), np.ones((2, 3)))
+            _ssl_loss_grad(np.ones((2, 2)), np.ones((2, 3)), False, want_grad=False)
 
     def test_normalized_zero_predictions_give_zero_gradient(self):
         m = make_model()
@@ -283,9 +286,9 @@ class TestCombinedStep:
         x = batch_for(spec, seed=22, rows=4)
         rad = batch_for(spec, seed=23, rows=5)
         if form is ProximalForm.L2_REP:
-            ref = gaussian_sample(RngStream(24, purpose="ref"), 5, 2)
+            ref = RngStream(24, purpose="ref").generator().normal(size=(5, 2))
         else:
-            ref = gram_linear(gaussian_sample(RngStream(24, purpose="ref"), 5, 2))
+            ref = gram_linear(RngStream(24, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(25)
         aug = AugmentConfig(0.0, 0.0)
 
@@ -305,7 +308,7 @@ class TestCombinedStep:
         m = make_model(spec, seed=31)
         x = batch_for(spec, seed=32, rows=4)
         rad = 3.0 * batch_for(spec, seed=33, rows=5)
-        ref = gram_linear(gaussian_sample(RngStream(34, purpose="ref"), 5, 2))
+        ref = gram_linear(RngStream(34, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(35)
         aug = AugmentConfig(0.0, 0.0)
         clip = 0.8
@@ -360,7 +363,7 @@ class TestSymmetrized:
         m = make_model(spec, seed=61)
         x = batch_for(spec, seed=62, rows=4)
         rad = batch_for(spec, seed=63, rows=5)
-        ref = gram_linear(gaussian_sample(RngStream(64, purpose="ref"), 5, 2))
+        ref = gram_linear(RngStream(64, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(65)
         aug = AugmentConfig(0.1, 0.0)
 

@@ -196,10 +196,7 @@ def cmd_eval(args) -> int:
         raise HssflError(f"no resolved config under {run_dir}; was the run completed?")
     with open(cfg_path, "r", encoding="utf-8") as fh:
         cfg = FedConfig.from_dict(json.load(fh))
-    models_dir = os.path.join(run_dir, "models")
-    if not os.path.isdir(models_dir):
-        raise HssflError(f"no model checkpoints under {models_dir}")
-    models = [sslnet.load_model(os.path.join(models_dir, f"client_{k}"))
+    models = [sslnet.load_model(os.path.join(run_dir, "models", f"client_{k}"))
               for k in range(cfg.num_clients)]
     data = datahub.load_csv(args.data)
     probe_cfg = evaluation.ProbeConfig(

@@ -1,5 +1,8 @@
-"""Synthetic dataset generation, CSV ingestion, client partitioning, and
+"""Synthetic dataset generation, dataset CSV files, client partitioning, and
 construction of the shared alignment set.
+
+Dataset files are the only matrices the simulator stores as CSV: features
+then an integral label per row, through the ``numkit`` CSV codec.
 
 Class-disjoint partitioning mirrors the usual non-IID setup: the classes are
 shuffled and split into equal groups, and each client receives every row of
@@ -9,15 +12,14 @@ its rows are reserved so later partitions never overlap it.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeError
-from .numkit import Matrix, RngStream, as_matrix
+from .numkit import Matrix, RngStream, as_matrix, load_matrix_csv, save_matrix_csv
 
 
 @dataclass
@@ -99,47 +101,24 @@ def synth_mixture(
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    """Features then label per line; exact float round-trip formatting."""
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in zip(ds.features, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(label)}\n")
+    """Features then label per line, through the numkit CSV codec."""
+    save_matrix_csv(np.column_stack([ds.features, ds.labels]), path)
 
 
-def load_csv(path: str, label_column: int = -1) -> Dataset:
-    """Read a numeric CSV; the label column must hold integral values."""
+def load_csv(path: str) -> Dataset:
+    """Read a numeric CSV whose last column holds integral labels."""
     if not os.path.exists(path):
         raise ConfigError(f"no such file: {path}")
-    feats: List[List[float]] = []
-    labels: List[int] = []
-    width = None
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if width is None:
-                width = len(cells)
-                if not (-width <= label_column < width):
-                    raise ConfigError(f"label column {label_column} out of range")
-            elif len(cells) != width:
-                raise ParseError(f"expected {width} columns, got {len(cells)}", line=lineno)
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric cell ({exc})", line=lineno) from None
-            lab = values[label_column]
-            if lab != int(lab):
-                raise ParseError(f"label {lab!r} is not integral", line=lineno)
-            del values[label_column % width]
-            feats.append(values)
-            labels.append(int(lab))
-    if not feats:
-        raise ParseError("no rows found")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
+    table = load_matrix_csv(path)
+    labels = table[:, -1]
+    fractional = np.nonzero(labels != np.floor(labels))[0]
+    if fractional.size:
+        row = int(fractional[0])
+        raise ParseError(f"row {row + 1}: label {float(labels[row])!r} is not integral")
+    if labels.min() < 0:
         raise ParseError("labels must be nonnegative")
-    return Dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)
+    labels = labels.astype(np.int64)
+    return Dataset(np.ascontiguousarray(table[:, :-1]), labels, int(labels.max()) + 1)
 
 
 def partition_noniid(ds: Dataset, num_clients: int, rng: RngStream) -> PartitionPlan:

@@ -11,10 +11,12 @@ payload, so the weighted aggregate always covers all clients.
 Each reference is aggregated and transmitted once: before round 1, from the
 bootstrap uploads or the loaded checkpoint, and at the end of every round.
 Payloads cross a real serialization boundary even though transport is
-in-process: one CSV matrix codec (``numkit``) turns every matrix sent (the
-alignment rows, the reference, client uploads) into text, counts its bytes
-and decodes it once, and writes and reads the checkpointed payloads like the
-model tensors. One thread pool runs the clients for every worker count. All
+in-process: every matrix sent (the alignment rows, the reference, client
+uploads) is encoded as npy, counted and decoded once. One atomically
+replaced ``checkpoint.npz`` holds each round's client tensors and payloads;
+a resume cuts ``log.jsonl`` back to the rounds it holds, so a run killed at
+any point resumes to the uninterrupted result. One thread pool runs the
+clients for every worker count. All
 randomness flows through value-like streams keyed by (seed, client, round,
 epoch, purpose), so runs are bit-reproducible regardless of how many workers
 execute clients in parallel. Wall-clock timings are collected separately
@@ -24,12 +26,14 @@ across machines and worker counts.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,16 +53,16 @@ from .errors import ConfigError, NumericalFailureError, ProtocolError
 from .numkit import (
     Matrix,
     RngStream,
+    as_matrix,
     lipschitz_ratios,
-    load_matrix_csv,
-    matrix_from_csv,
-    matrix_to_csv,
-    save_matrix_csv,
+    load_arrays,
+    save_arrays,
 )
 from .sslnet import AugmentConfig, ClientModel, MlpSpec
 
 KERNEL = "kernel"
 REPRESENTATION = "representation"
+CHECKPOINT_FILE = "checkpoint.npz"
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,11 @@ class FedConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "FedConfig":
+        known = {f.name for f in fields(FedConfig)}
+        required = {f.name for f in fields(FedConfig) if f.default is MISSING}
+        unknown, missing = sorted(set(d) - known), sorted(required - set(d))
+        if unknown or missing:
+            raise ConfigError(f"config has unknown keys {unknown} and lacks keys {missing}")
         d = dict(d)
         d["client_specs"] = tuple(MlpSpec.from_dict(s) for s in d["client_specs"])
         d["client_weights"] = tuple(d["client_weights"]) if d.get("client_weights") else None
@@ -261,12 +270,15 @@ def _entries(payload: Payload) -> Matrix:
 
 
 def _transmit(payload: Payload) -> Tuple[Payload, int]:
-    """Encode, count bytes, decode: the receiver's copy and the wire size."""
-    text = matrix_to_csv(_entries(payload))
-    received = matrix_from_csv(text)
+    """Encode as npy, count bytes, decode: the receiver's copy and the wire size."""
+    wire = io.BytesIO()
+    np.save(wire, _entries(payload), allow_pickle=False)
+    nbytes = wire.tell()
+    wire.seek(0)
+    received = as_matrix(np.load(wire, allow_pickle=False), "received payload")
     if isinstance(payload, GramMatrix):
         received = GramMatrix(received)
-    return received, len(text.encode("utf-8"))
+    return received, nbytes
 
 
 def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, int, Matrix]:
@@ -524,10 +536,22 @@ def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[RadSet, PartitionPlan]:
 
 
 class _LogWriter:
-    def __init__(self, path: Optional[str], append: bool):
+    """Appends records to the log after cutting it to its first ``keep``
+    lines; any later line, a torn one included, is of a round run again."""
+
+    def __init__(self, path: Optional[str], keep: int):
         self.path = path
-        if path and not append:
-            open(path, "w").close()
+        if not path:
+            return
+        kept = []
+        if keep and os.path.exists(path):
+            with open(path, "rb") as fh:
+                kept = list(itertools.islice(fh, keep))
+        if len(kept) < keep or (kept and not kept[-1].endswith(b"\n")):
+            raise ConfigError(f"{path} holds fewer than the {keep} records "
+                              "the checkpoint was taken after")
+        with open(path, "wb") as fh:
+            fh.writelines(kept)
 
     def write(self, records: Sequence[dict]) -> None:
         if not self.path:
@@ -544,29 +568,24 @@ def _save_checkpoint(
     registry: Dict[int, Payload],
     cfg: FedConfig,
 ) -> None:
-    os.makedirs(directory, exist_ok=True)
+    arrays = {f"payload_{k}": _entries(p) for k, p in sorted(registry.items())}
     for k, m in enumerate(models):
-        sslnet.save_model(m, os.path.join(directory, f"client_{k}"), round_index)
-    for k, payload in registry.items():
-        save_matrix_csv(_entries(payload), os.path.join(directory, f"payload_{k}.csv"))
-    state = {"round": round_index, "config": cfg.to_dict()}
-    tmp = os.path.join(directory, "state.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(directory, "state.json"))
+        arrays.update((f"client_{k}/{name}", a) for name, a in sslnet.model_arrays(m).items())
+    os.makedirs(directory, exist_ok=True)
+    save_arrays(os.path.join(directory, CHECKPOINT_FILE), arrays,
+                {"round": round_index, "config": cfg.to_dict()})
 
 
 def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientModel], Dict[int, Payload]]:
-    with open(os.path.join(directory, "state.json"), "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+    state, arrays = load_arrays(os.path.join(directory, CHECKPOINT_FILE))
     if state["config"] != cfg.to_dict():
         raise ConfigError("checkpoint was produced by a different configuration")
-    models = [sslnet.load_model(os.path.join(directory, f"client_{k}"))
-              for k in range(cfg.num_clients)]
+    models = [sslnet.model_from_arrays(spec, cfg.tau, {
+        name.split("/", 1)[1]: a for name, a in arrays.items() if name.startswith(f"client_{k}/")
+    }) for k, spec in enumerate(cfg.client_specs)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        entries = load_matrix_csv(os.path.join(directory, f"payload_{k}.csv"))
+        entries = arrays[f"payload_{k}"]
         registry[k] = GramMatrix(entries) if cfg.payload == KERNEL else entries
     return state["round"], models, registry
 
@@ -603,7 +622,8 @@ def run_training(
     else:
         models = init_models(cfg)
         registry = {}
-    writer = _LogWriter(log_path, append=resume)
+    # the bootstrap record, then S client records and a server record a round
+    writer = _LogWriter(log_path, keep=1 + start_round * (cfg.sample_size + 1) if resume else 0)
 
     server = ServerState(round=start_round, rad=rad, registry=registry)
     if cfg.rounds == 0:

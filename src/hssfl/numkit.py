@@ -1,5 +1,6 @@
-"""Float64 matrix validation, the CSV matrix codec, the checkpoint-pair
-Lipschitz estimator, and splittable, counter-based random streams.
+"""Float64 matrix validation, array files, the CSV matrix codec for dataset
+files, the checkpoint-pair Lipschitz estimator, and splittable, counter-based
+random streams.
 
 Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64;
 ``as_matrix`` validates shapes and finiteness where values enter, and
@@ -9,18 +10,24 @@ is not finite. Randomness is organized as value-like streams: a
 purpose coordinates) from which a fresh counter-based generator is derived on
 every use, so identical keys always reproduce identical sequences no matter
 how many workers run concurrently or in what order.
+
+Every array the simulator stores goes through ``save_arrays``/``load_arrays``
+(one ``.npz`` file); ``matrix_to_csv`` and its kin serve dataset files only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
+import os
+import zipfile
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailureError, ParseError, ShapeError
+from .errors import ConfigError, NumericalFailureError, ParseError, ShapeError
 
 Matrix = np.ndarray
 
@@ -139,3 +146,34 @@ def save_matrix_csv(m: Matrix, path) -> None:
 def load_matrix_csv(path) -> Matrix:
     with io.open(path, "r", encoding="utf-8") as fh:
         return matrix_from_csv(fh.read())
+
+
+_META = "meta"
+
+
+def save_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> None:
+    """Named tensors plus a JSON ``meta`` entry in one ``.npz`` file, written
+    to ``path + ".tmp"`` and published by one atomic rename, so a reader sees
+    the old file or the new one, never a mix. Equal inputs give equal bytes."""
+    with open(path + ".tmp", "wb") as fh:
+        np.savez(fh, **{_META: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+    os.replace(path + ".tmp", path)
+
+
+def load_arrays(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(meta, arrays)`` as ``save_arrays`` wrote them; nothing is unpickled
+    and a tensor that is not finite float64 is rejected."""
+    try:
+        # np.load is handed an open file: given a path, it leaks the handle
+        # when the zip is torn
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays.pop(_META)))
+    except FileNotFoundError:
+        raise ConfigError(f"no such file: {path}") from None
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path} is not an array file ({exc!r})") from None
+    for name, a in arrays.items():
+        if a.dtype != np.float64 or not np.all(np.isfinite(a)):
+            raise ParseError(f"{path}: entry {name!r} is not finite float64")
+    return meta, arrays

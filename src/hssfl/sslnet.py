@@ -15,10 +15,9 @@ parallel workers safely.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .numkit import (
     Matrix,
     RngStream,
     as_matrix,
-    load_matrix_csv,
-    save_matrix_csv,
+    load_arrays,
+    save_arrays,
 )
 
 ACTIVATIONS = ("relu", "tanh")
@@ -90,20 +89,31 @@ class ClientModel:
     mom_pred_b: Optional[np.ndarray] = None
 
     def copy(self) -> "ClientModel":
-        return ClientModel(
-            spec=self.spec,
-            online_w=[w.copy() for w in self.online_w],
-            online_b=[b.copy() for b in self.online_b],
-            pred_w=self.pred_w.copy(),
-            pred_b=self.pred_b.copy(),
-            target_w=[w.copy() for w in self.target_w],
-            target_b=[b.copy() for b in self.target_b],
-            tau=self.tau,
-            mom_w=[m.copy() for m in self.mom_w],
-            mom_b=[m.copy() for m in self.mom_b],
-            mom_pred_w=self.mom_pred_w.copy(),
-            mom_pred_b=self.mom_pred_b.copy(),
+        return model_from_arrays(
+            self.spec, self.tau, {k: a.copy() for k, a in model_arrays(self).items()}
         )
+
+
+# The one list of a model's tensors, shared by copying, model files and run
+# checkpoints: one entry per encoder layer for these fields ...
+_LAYER_TENSORS = ("online_w", "online_b", "target_w", "target_b", "mom_w", "mom_b")
+# ... and one entry for each of these.
+_HEAD_TENSORS = ("pred_w", "pred_b", "mom_pred_w", "mom_pred_b")
+
+
+def model_arrays(model: ClientModel) -> Dict[str, np.ndarray]:
+    """Every tensor of the model by name (``online_w0``, ``pred_b``, ...)."""
+    arrays = {f"{n}{i}": a for n in _LAYER_TENSORS for i, a in enumerate(getattr(model, n))}
+    arrays.update((n, getattr(model, n)) for n in _HEAD_TENSORS)
+    return arrays
+
+
+def model_from_arrays(spec: MlpSpec, tau: float, arrays: Dict[str, np.ndarray]) -> ClientModel:
+    """Inverse of ``model_arrays``; the model holds the given arrays."""
+    layers = range(len(spec.layer_widths) - 1)
+    return ClientModel(spec=spec, tau=tau,
+                       **{n: [arrays[f"{n}{i}"] for i in layers] for n in _LAYER_TENSORS},
+                       **{n: arrays[n] for n in _HEAD_TENSORS})
 
 
 @dataclass(frozen=True)
@@ -489,14 +499,9 @@ def flatten_grads(grads) -> np.ndarray:
 
 
 def flatten_params(model: ClientModel) -> np.ndarray:
-    """Trainable parameters (online encoder + predictor) as one vector."""
-    parts = []
-    for w, b in zip(model.online_w, model.online_b):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(model.pred_w.ravel())
-    parts.append(model.pred_b.ravel())
-    return np.concatenate(parts)
+    """Trainable parameters (online encoder + predictor) as one vector, in
+    the order of ``flatten_grads``."""
+    return flatten_grads((model.online_w, model.online_b, model.pred_w, model.pred_b))
 
 
 def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
@@ -504,18 +509,16 @@ def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
     trainable parameters (target and buffers unchanged)."""
     out = model.copy()
     pos = 0
+
+    def take(a: np.ndarray) -> np.ndarray:
+        nonlocal pos
+        pos += a.size
+        return vec[pos - a.size:pos].reshape(a.shape).copy()
+
     for i in range(len(out.online_w)):
-        for attr, arrs in (("online_w", out.online_w), ("online_b", out.online_b)):
-            a = arrs[i]
-            n = a.size
-            arrs[i] = vec[pos:pos + n].reshape(a.shape).copy()
-            pos += n
-    n = out.pred_w.size
-    out.pred_w = vec[pos:pos + n].reshape(out.pred_w.shape).copy()
-    pos += n
-    n = out.pred_b.size
-    out.pred_b = vec[pos:pos + n].reshape(out.pred_b.shape).copy()
-    pos += n
+        out.online_w[i] = take(out.online_w[i])
+        out.online_b[i] = take(out.online_b[i])
+    out.pred_w, out.pred_b = take(out.pred_w), take(out.pred_b)
     if pos != vec.size:
         raise ShapeError(f"parameter vector length {vec.size} != expected {pos}")
     return out
@@ -578,52 +581,12 @@ def ema_update(model: ClientModel, tau: Optional[float] = None) -> ClientModel:
 
 
 def save_model(model: ClientModel, directory: str, round_index: Optional[int] = None) -> None:
-    """Checkpoint: one CSV per tensor plus a JSON manifest."""
+    """Checkpoint: every tensor plus a JSON manifest in one ``model.npz``."""
     os.makedirs(directory, exist_ok=True)
-    for prefix, ws, bs in (("online", model.online_w, model.online_b),
-                           ("target", model.target_w, model.target_b),
-                           ("mom", model.mom_w, model.mom_b)):
-        for i, (w, b) in enumerate(zip(ws, bs)):
-            save_matrix_csv(w, os.path.join(directory, f"{prefix}_w{i}.csv"))
-            save_matrix_csv(b[None, :], os.path.join(directory, f"{prefix}_b{i}.csv"))
-    save_matrix_csv(model.pred_w, os.path.join(directory, "pred_w.csv"))
-    save_matrix_csv(model.pred_b[None, :], os.path.join(directory, "pred_b.csv"))
-    save_matrix_csv(model.mom_pred_w, os.path.join(directory, "mom_pred_w.csv"))
-    save_matrix_csv(model.mom_pred_b[None, :], os.path.join(directory, "mom_pred_b.csv"))
-    manifest = {
-        "spec": model.spec.to_dict(),
-        "tau": model.tau,
-        "predictor_width": int(model.pred_w.shape[1]),
-        "round": round_index,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = {"spec": model.spec.to_dict(), "tau": model.tau, "round": round_index}
+    save_arrays(os.path.join(directory, "model.npz"), model_arrays(model), manifest)
 
 
 def load_model(directory: str) -> ClientModel:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = MlpSpec.from_dict(manifest["spec"])
-    n_layers = len(spec.layer_widths) - 1
-
-    def mat(name):
-        return load_matrix_csv(os.path.join(directory, name + ".csv"))
-
-    def vec(name):
-        return mat(name).ravel()
-
-    return ClientModel(
-        spec=spec,
-        online_w=[mat(f"online_w{i}") for i in range(n_layers)],
-        online_b=[vec(f"online_b{i}") for i in range(n_layers)],
-        pred_w=mat("pred_w"),
-        pred_b=vec("pred_b"),
-        target_w=[mat(f"target_w{i}") for i in range(n_layers)],
-        target_b=[vec(f"target_b{i}") for i in range(n_layers)],
-        tau=float(manifest["tau"]),
-        mom_w=[mat(f"mom_w{i}") for i in range(n_layers)],
-        mom_b=[vec(f"mom_b{i}") for i in range(n_layers)],
-        mom_pred_w=mat("mom_pred_w"),
-        mom_pred_b=vec("mom_pred_b"),
-    )
+    manifest, arrays = load_arrays(os.path.join(directory, "model.npz"))
+    return model_from_arrays(MlpSpec.from_dict(manifest["spec"]), float(manifest["tau"]), arrays)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,19 @@ from hssfl.cli import main
 
 def run_cli(*args):
     return main(list(args))
+
+
+def read_lines(*path):
+    return Path(*path).read_text(encoding="utf-8").splitlines()
+
+
+def read_json(*path):
+    return json.loads(Path(*path).read_text(encoding="utf-8"))
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 @pytest.fixture()
@@ -22,7 +36,7 @@ class TestGenData:
     def test_default_shape(self, tmp_path):
         out = str(tmp_path / "d.csv")
         assert run_cli("gen-data", "--per-class", "5", "--seed", "1", "--out", out) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert len(lines) == 50
         assert len(lines[0].split(",")) == 33  # 32 features + label
         assert os.path.exists(out + ".manifest.json")
@@ -31,7 +45,7 @@ class TestGenData:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_cli("gen-data", "--per-class", "5", "--seed", "9", "--out", a)
         run_cli("gen-data", "--per-class", "5", "--seed", "9", "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_indivisible_noniid_rejected(self, tmp_path):
         out = str(tmp_path / "d.csv")
@@ -44,7 +58,7 @@ class TestGenData:
         monkeypatch.setenv("HSSFL_SEED", "77")
         run_cli("gen-data", "--per-class", "5", "--out", a)
         run_cli("gen-data", "--per-class", "5", "--seed", "77", "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def run_args(data, out, *extra):
@@ -69,10 +83,8 @@ class TestRun:
         out5 = str(tmp_path / "mu5")
         run_cli(*run_args(data_csv, out0, "--mu", "0"))
         run_cli(*run_args(data_csv, out5, "--mu", "0.5"))
-        rec0 = [json.loads(l) for l in open(os.path.join(out0, "log.jsonl"))
-                if '"client"' in l][0]
-        rec5 = [json.loads(l) for l in open(os.path.join(out5, "log.jsonl"))
-                if '"client"' in l][0]
+        rec0 = [json.loads(l) for l in read_lines(out0, "log.jsonl") if '"client"' in l][0]
+        rec5 = [json.loads(l) for l in read_lines(out5, "log.jsonl") if '"client"' in l][0]
         assert rec0["loss_prox_start"] == 0.0
         assert rec5["loss_prox_start"] > 0.0
 
@@ -83,7 +95,7 @@ class TestRun:
                        "--arch", "8,6", "--clients", "2", "--partition", "iid",
                        "--paper-defaults", "--rounds", "1", "--rad-size", "10",
                        "--seed", "1") == 0
-        cfg = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        cfg = read_json(out, "manifest.json")["config"]
         assert cfg["local_epochs"] == 5
         assert cfg["momentum"] == 0.9
         assert cfg["eta"] == 0.032
@@ -98,7 +110,7 @@ class TestRun:
                      "--arch", "8,6", "--clients", "2", "--partition", "iid",
                      "--paper-defaults", "--seed", "1")
         assert rc == 2
-        cfg = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        cfg = read_json(out, "manifest.json")["config"]
         assert cfg["rounds"] == 200
         assert cfg["rad_size"] == 5000
         assert cfg["eta"] == 0.032
@@ -112,9 +124,17 @@ class TestRun:
         assert run_cli(*args_full) == 0
         assert run_cli(*args_part, "--stop-after", "1") == 0
         assert run_cli(*args_part, "--resume") == 0
-        a = open(os.path.join(full, "log.jsonl"), "rb").read()
-        b = open(os.path.join(part, "log.jsonl"), "rb").read()
-        assert a == b
+        assert (Path(full, "log.jsonl").read_bytes()
+                == Path(part, "log.jsonl").read_bytes())
+
+    def test_checkpoint_and_models_byte_identical(self, tmp_path, data_csv):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_cli(*run_args(data_csv, a)) == 0
+        assert run_cli(*run_args(data_csv, b)) == 0
+        assert os.listdir(os.path.join(a, "checkpoints")) == ["checkpoint.npz"]
+        for sub in ("checkpoints", "models"):
+            files = tree_bytes(os.path.join(a, sub))
+            assert files and files == tree_bytes(os.path.join(b, sub))
 
     def test_config_file_with_flag_override(self, tmp_path, data_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -136,7 +156,7 @@ class TestRun:
         out = str(tmp_path / "run")
         assert run_cli("run", "--data", data_csv, "--out", out,
                        "--config", str(cfg_path), "--lr", "0.005") == 0
-        resolved = json.load(open(os.path.join(out, "config.resolved.json")))
+        resolved = read_json(out, "config.resolved.json")
         assert resolved["eta"] == 0.005  # flag wins over file
         assert resolved["tau"] == 0.9    # file wins over default
 
@@ -147,10 +167,10 @@ class TestEvalAndTheory:
         run_cli(*run_args(data_csv, out))
         assert run_cli("eval", "--run-dir", out, "--data", data_csv,
                        "--probe-epochs", "3") == 0
-        rows = list(open(os.path.join(out, "eval.csv")))
+        rows = read_lines(out, "eval.csv")
         assert rows[0].strip() == "client,architecture,accuracy"
         assert len(rows) == 3
-        jl = [json.loads(l) for l in open(os.path.join(out, "eval.jsonl"))]
+        jl = [json.loads(l) for l in read_lines(out, "eval.jsonl")]
         assert {r["client"] for r in jl} == {0, 1}
 
     def test_check_theory_requires_probes(self, tmp_path, data_csv):
@@ -166,7 +186,30 @@ class TestEvalAndTheory:
             "--momentum", "0.0", "--tau", "1.0", "--batch-size", "4096",
         )) == 0
         assert run_cli("check-theory", "--run-dir", out) == 0
-        lines = [json.loads(l) for l in open(os.path.join(out, "bounds.jsonl"))]
+        lines = [json.loads(l) for l in read_lines(out, "bounds.jsonl")]
         assert "estimates" in lines[0]
         kinds = {l["which"] for l in lines[1:]}
         assert kinds == {"lemma1", "lemma2", "theorem"}
+
+
+class TestBadInput:
+    """Input the program cannot use exits 2 with a message, not a traceback."""
+
+    def test_resume_without_checkpoint(self, tmp_path, data_csv, capsys):
+        assert run_cli(*run_args(data_csv, str(tmp_path / "run")), "--resume") == 2
+        assert "checkpoint.npz" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, data_csv, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"num_client": 2}))
+        rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path), "--arch", "8,6", "--rad-size", "10")
+        assert rc == 2
+        assert "num_client" in capsys.readouterr().err
+
+    def test_eval_without_model_file(self, tmp_path, data_csv, capsys):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        os.remove(os.path.join(out, "models", "client_1", "model.npz"))
+        assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 2
+        assert os.path.join("client_1", "model.npz") in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from hssfl import federation
+from hssfl import federation, numkit
 from hssfl.cka import GramMatrix, gram_linear
 from hssfl.datahub import synth_mixture
 from hssfl.errors import ConfigError, ProtocolError
@@ -15,8 +18,8 @@ from hssfl.federation import (
     server_aggregate,
     standalone_training,
 )
-from hssfl.numkit import RngStream, matrix_to_csv
-from hssfl.sslnet import MlpSpec
+from hssfl.numkit import RngStream
+from hssfl.sslnet import MlpSpec, model_arrays
 
 
 def dataset(seed=0, classes=10, dim=16, per_class=40):
@@ -327,6 +330,55 @@ class TestCheckpointResume:
                 assert x.tobytes() == y.tobytes()
             assert a.pred_w.tobytes() == b.pred_w.tobytes()
 
+    def test_no_csv_on_run_path(self, tmp_path, monkeypatch):
+        def no_csv(*args, **kwargs):
+            raise AssertionError("a CSV codec call on the run path")
+
+        for codec in (numkit.matrix_to_csv, numkit.matrix_from_csv):
+            for name, module in list(sys.modules.items()):
+                if name == "hssfl" or name.startswith("hssfl."):
+                    for attr, value in list(vars(module).items()):
+                        if value is codec:
+                            monkeypatch.setattr(module, attr, no_csv)
+        cfg = small_cfg(rounds=2)
+        ck = str(tmp_path / "ck")
+        run_training(cfg, dataset(), checkpoint_dir=ck, stop_after_round=1)
+        resumed = run_training(cfg, dataset(), checkpoint_dir=ck, resume=True)
+        assert resumed.server.round == 2
+        assert os.listdir(ck) == [federation.CHECKPOINT_FILE]
+
+    @pytest.mark.parametrize("kill", [
+        "mid_log_write", "mid_checkpoint_write", "after_checkpoint_published",
+    ])
+    def test_resume_after_kill_matches_uninterrupted(self, tmp_path, monkeypatch, kill):
+        cfg = small_cfg(rounds=4, sample_size=3)
+        full_log, part_log = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        ck = tmp_path / "ck_part"
+        full = run_training(cfg, dataset(), log_path=str(full_log),
+                            checkpoint_dir=str(tmp_path / "ck_full"))
+        with monkeypatch.context() as m:
+            _kill_in_round_3(m, kill)
+            with pytest.raises(_Killed):
+                run_training(cfg, dataset(), log_path=str(part_log), checkpoint_dir=str(ck))
+        resumed = run_training(cfg, dataset(), log_path=str(part_log),
+                               checkpoint_dir=str(ck), resume=True)
+        assert full_log.read_bytes() == part_log.read_bytes()
+        assert (full.server.reference.entries.tobytes()
+                == resumed.server.reference.entries.tobytes())
+        for a, b in zip(full.models, resumed.models):
+            for x, y in zip(model_arrays(a).values(), model_arrays(b).values()):
+                assert x.tobytes() == y.tobytes()
+        assert os.listdir(ck) == [federation.CHECKPOINT_FILE]
+
+    def test_resume_needs_the_interrupted_log(self, tmp_path):
+        cfg = small_cfg(rounds=2)
+        ck = str(tmp_path / "ck")
+        run_training(cfg, dataset(), log_path=str(tmp_path / "a.jsonl"),
+                     checkpoint_dir=ck, stop_after_round=1)
+        with pytest.raises(ConfigError, match="b.jsonl holds fewer than the 6 records"):
+            run_training(cfg, dataset(), log_path=str(tmp_path / "b.jsonl"),
+                         checkpoint_dir=ck, resume=True)
+
     def test_resume_rejects_other_config(self, tmp_path):
         cfg = small_cfg(rounds=2)
         run_training(cfg, dataset(), checkpoint_dir=str(tmp_path / "ck"),
@@ -335,6 +387,48 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError):
             run_training(other, dataset(), checkpoint_dir=str(tmp_path / "ck"),
                          resume=True)
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at a write point."""
+
+
+def _kill_in_round_3(monkeypatch, point):
+    """Make run_training die at ``point`` while it records round 3."""
+    calls = []
+    if point == "mid_log_write":
+        real_write = federation._LogWriter.write
+
+        def write(self, records):
+            calls.append(records)
+            if len(calls) == 4:  # the bootstrap record, rounds 1 and 2, round 3
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write('{"epoch_losses":[0.')
+                raise _Killed
+            real_write(self, records)
+
+        monkeypatch.setattr(federation._LogWriter, "write", write)
+    elif point == "mid_checkpoint_write":
+        real_savez = np.savez
+
+        def savez(file, *args, **kwargs):
+            calls.append(file)
+            if len(calls) == 3:
+                file.write(b"PK\x03\x04 torn")
+                raise _Killed
+            real_savez(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "savez", savez)
+    else:
+        real_save = federation.save_arrays
+
+        def save_arrays(*args, **kwargs):
+            real_save(*args, **kwargs)
+            calls.append(args)
+            if len(calls) == 3:
+                raise _Killed
+
+        monkeypatch.setattr(federation, "save_arrays", save_arrays)
 
 
 class TestFedConfig:
@@ -370,18 +464,25 @@ class TestFedConfig:
         with pytest.raises(ConfigError):
             small_cfg(**overrides)
 
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        d = small_cfg().to_dict()
+        d["num_client"] = d.pop("num_clients")
+        with pytest.raises(ConfigError, match=r"\['num_client'\].*\['num_clients'\]"):
+            FedConfig.from_dict(d)
+
     def test_round_trip_dict(self):
         cfg = small_cfg()
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestPayloadCodec:
-    def test_csv_round_trip(self):
+    def test_round_trip(self):
         a = RngStream(33, purpose="act").generator().normal(size=(4, 3))
         k = gram_linear(a)
         received, nbytes = _transmit(k)
         assert isinstance(received, GramMatrix)
         assert np.array_equal(received.entries, k.entries)
-        assert nbytes == len(matrix_to_csv(k.entries).encode("utf-8"))
-        received, _ = _transmit(a)
+        assert nbytes == 8 * 4 * 4 + 128
+        received, nbytes = _transmit(a)
         assert np.array_equal(received, a)
+        assert nbytes == 8 * 4 * 3 + 128

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from hssfl.errors import NumericalFailureError, ParseError, ShapeError
+from hssfl.errors import ConfigError, NumericalFailureError, ParseError, ShapeError
 from hssfl.numkit import (
     RngStream,
     as_matrix,
     check_finite,
     lipschitz_ratios,
+    load_arrays,
     matrix_from_csv,
     matrix_to_csv,
+    save_arrays,
 )
 
 
@@ -59,6 +61,52 @@ class TestCsv:
         with pytest.raises(ParseError) as exc:
             matrix_from_csv("1.0,2.0\n1.0,oops\n")
         assert exc.value.line == 2
+
+
+class TestArrayFiles:
+    def test_round_trip_exact(self, tmp_path):
+        path = str(tmp_path / "a.npz")
+        m = RngStream(12, purpose="npz").generator().normal(size=(5, 3)) * 1e-7
+        save_arrays(path, {"m": m, "v": m[0]}, {"round": 3, "name": "x"})
+        meta, arrays = load_arrays(path)
+        assert meta == {"round": 3, "name": "x"}
+        assert arrays["m"].tobytes() == m.tobytes()
+        assert arrays["v"].tobytes() == m[0].tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz"]
+
+    def test_object_array_rejected_without_unpickling(self, tmp_path, monkeypatch):
+        import pickle
+
+        path = tmp_path / "o.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array("{}"), a=np.array([{"x": 1}], dtype=object))
+
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("load_arrays unpickled an entry")
+
+        monkeypatch.setattr(pickle, "load", no_unpickling)
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        with pytest.raises(ParseError, match="o.npz"):
+            load_arrays(str(path))
+
+    @pytest.mark.parametrize("bad", [np.array([[1.0, np.inf]]), np.array([1, 2])],
+                             ids=["non_finite", "int64"])
+    def test_bad_tensor_rejected(self, tmp_path, bad):
+        path = str(tmp_path / "b.npz")
+        save_arrays(path, {"ok": np.ones(2), "bad": bad}, {})
+        with pytest.raises(ParseError, match="entry 'bad'"):
+            load_arrays(path)
+
+    @pytest.mark.parametrize("content", [b"hello", b"PK\x03\x04 torn"], ids=["text", "torn_zip"])
+    def test_not_an_array_file(self, tmp_path, content):
+        path = tmp_path / "x.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="x.npz"):
+            load_arrays(str(path))
+
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="nothere.npz"):
+            load_arrays(str(tmp_path / "nothere.npz"))
 
 
 class TestRngStream:

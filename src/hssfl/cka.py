@@ -9,6 +9,17 @@ The similarity score between two L x L Gram matrices is
 which for linear Grams K = A @ A.T equals ||Aj.T @ Ai||_F^2 divided by
 ||Ai.T @ Ai||_F * ||Aj.T @ Aj||_F. Gram matrices are uncentered.
 
+The proximal term never builds the client's own L x L Gram K = phi @ phi.T.
+With the reference Kbar (L x L) and phi (L x d) it uses
+
+    trace(K @ Kbar) = sum(phi * (Kbar @ phi))
+    ||K||_F         = ||phi.T @ phi||_F
+    K @ phi         = phi @ (phi.T @ phi)
+
+so a step costs one L^2 d product Kbar @ phi plus O(L d^2), and ||Kbar||_F
+is computed once per GramMatrix object. Gram matrices are still built for
+uploads (gram_linear).
+
 Sign convention of the proximal penalty: the prose intent is a *distance*
 penalty, so the default training form is ONE_MINUS_CKA (penalize
 dissimilarity). The literal ``+ mu * CKA`` reading is kept available as
@@ -22,7 +33,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +72,11 @@ class GramMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def norm(self) -> float:
+        """||entries||_F, computed on first use and kept with the object."""
+        return float(np.linalg.norm(self.entries))
+
 
 class ProximalForm(enum.Enum):
     ONE_MINUS_CKA = "one_minus_cka"
@@ -93,12 +110,10 @@ def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
 
 def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
     """trace(Ki @ Kj) / (||Ki||_F ||Kj||_F), in [0, 1] for PSD inputs."""
-    _same_size(ki, kj)
-    ni = float(np.linalg.norm(ki.entries))
-    nj = float(np.linalg.norm(kj.entries))
-    if ni == 0.0 or nj == 0.0:
+    t = trace_alignment(ki, kj)
+    if ki.norm == 0.0 or kj.norm == 0.0:
         raise DegenerateInputError("similarity undefined for a zero-norm gram matrix")
-    return float(np.sum(ki.entries * kj.entries)) / (ni * nj)
+    return t / (ki.norm * kj.norm)
 
 
 def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
@@ -174,61 +189,80 @@ def _expect_matrix(reference: Reference, form: ProximalForm, phi: Matrix) -> Mat
     return phibar
 
 
+def _kernel_distance(
+    phi: Matrix, kbar: GramMatrix, form: ProximalForm, want_grad: bool
+) -> Tuple[float, Optional[Matrix]]:
+    """d(phi, Kbar) for a kernel form, and its gradient when wanted, from one
+    Kbar @ phi product; see the module docstring."""
+    if kbar.size != phi.shape[0]:
+        raise ShapeError(f"reference size {kbar.size} != phi rows {phi.shape[0]}")
+    kphi = check_finite(kbar.entries @ phi, "reference kernel product")
+    t = check_finite(float(np.sum(phi * kphi)), "trace alignment")
+    if form is ProximalForm.TRACE_ALIGNMENT:
+        return t, check_finite(2.0 * kphi, "trace-alignment gradient") if want_grad else None
+    g = check_finite(phi.T @ phi, "feature gram")
+    n = check_finite(float(np.linalg.norm(g)), "gram norm")
+    m = kbar.norm
+    if n == 0.0 or m == 0.0:
+        raise DegenerateInputError("similarity undefined for a zero-norm gram matrix")
+    nm = check_finite(n * m, "gram norm product")
+    raw = form is ProximalForm.RAW_CKA
+    distance = t / nm if raw else 1.0 - t / nm
+    if not want_grad:
+        return distance, None
+    n2 = check_finite(n * n, "gram norm square")
+    grad = (2.0 / nm) * (kphi - (t / n2) * (phi @ g))
+    return distance, check_finite(grad if raw else -grad, "similarity gradient")
+
+
+def _distance(
+    phi: Matrix, reference: Reference, form: ProximalForm, want_grad: bool
+) -> Tuple[float, Optional[Matrix]]:
+    """The distance term and, when wanted, its gradient with respect to phi."""
+    phi = as_matrix(phi, "phi")
+    if form is not ProximalForm.L2_REP:
+        return _kernel_distance(phi, _expect_gram(reference, form), form, want_grad)
+    diff = phi - _expect_matrix(reference, form, phi)
+    dist = float(np.linalg.norm(diff))
+    if not want_grad:
+        return dist, None
+    if dist <= EPS_GRAD:
+        return dist, np.zeros_like(phi)
+    return dist, diff / dist
+
+
 def proximal_value(
     phi: Matrix, reference: Reference, form: ProximalForm, mu: float
 ) -> float:
-    """mu-weighted penalty d(phi, reference) under the chosen form."""
+    """mu-weighted penalty mu * d(phi, reference) under the chosen form."""
     form = ProximalForm.parse(form)
     if mu < 0:
         raise ConfigError(f"mu must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    phi = as_matrix(phi, "phi")
-    if form is ProximalForm.L2_REP:
-        phibar = _expect_matrix(reference, form, phi)
-        return mu * float(np.linalg.norm(phi - phibar))
-    kbar = _expect_gram(reference, form)
-    k = gram_linear(phi)
-    if form is ProximalForm.TRACE_ALIGNMENT:
-        return mu * trace_alignment(k, kbar)
-    score = linear_cka(k, kbar)
-    if form is ProximalForm.RAW_CKA:
-        return mu * score
-    return mu * (1.0 - score)
+    return mu * _distance(phi, reference, form, want_grad=False)[0]
 
 
-def proximal_grad(phi: Matrix, reference: Reference, form: ProximalForm) -> Matrix:
-    """Gradient of the distance term d(phi, reference) with respect to phi.
+def proximal_grad(
+    phi: Matrix, reference: Reference, form: ProximalForm
+) -> Tuple[float, Matrix]:
+    """The distance term d(phi, reference) and its gradient with respect to
+    phi, as (distance, grad).
 
-    The mu factor is applied by the caller. With K = phi @ phi.T,
-    T = trace(K @ Kbar), N = ||K||_F, M = ||Kbar||_F:
+    The mu factor is applied by the caller: mu * distance is the float
+    proximal_value returns. With Kbar phi = Kbar @ phi, t = sum(phi * Kbar phi)
+    (= trace(K @ Kbar) for K = phi @ phi.T), G = phi.T @ phi, N = ||G||_F
+    (= ||K||_F) and M = ||Kbar||_F:
 
-        TRACE_ALIGNMENT:  2 Kbar phi
-        RAW_CKA:          (2/(N M)) (Kbar phi - (T/N^2) K phi)
-        ONE_MINUS_CKA:    negation of the RAW_CKA gradient
-        L2_REP:           (phi - phibar)/||phi - phibar||_F, zero subgradient
+        TRACE_ALIGNMENT:  distance t,           gradient 2 Kbar phi
+        RAW_CKA:          distance t/(N M),     gradient (2/(N M)) (Kbar phi - (t/N^2) phi G)
+        ONE_MINUS_CKA:    distance 1 - t/(N M), gradient the negated RAW_CKA one
+        L2_REP:           distance ||phi - phibar||_F, gradient
+                          (phi - phibar)/||phi - phibar||_F, zero subgradient
                           when the distance is <= EPS_GRAD
+
+    A kernel form costs one L^2 d product and O(L d^2) more, with no L x L
+    allocation; M is cached on the reference. A non-finite Kbar phi, t, G,
+    N or normalizer raises NumericalFailureError.
     """
-    form = ProximalForm.parse(form)
-    phi = as_matrix(phi, "phi")
-    if form is ProximalForm.L2_REP:
-        diff = phi - _expect_matrix(reference, form, phi)
-        dist = float(np.linalg.norm(diff))
-        if dist <= EPS_GRAD:
-            return np.zeros_like(phi)
-        return diff / dist
-    kbar = _expect_gram(reference, form)
-    if kbar.size != phi.shape[0]:
-        raise ShapeError(f"reference size {kbar.size} != phi rows {phi.shape[0]}")
-    if form is ProximalForm.TRACE_ALIGNMENT:
-        return check_finite(2.0 * (kbar.entries @ phi), "trace-alignment gradient")
-    k = gram_linear(phi)
-    n = float(np.linalg.norm(k.entries))
-    m = float(np.linalg.norm(kbar.entries))
-    if n == 0.0 or m == 0.0:
-        raise DegenerateInputError("similarity gradient undefined for a zero-norm gram")
-    t = trace_alignment(k, kbar)
-    grad = (2.0 / (n * m)) * (kbar.entries @ phi - (t / (n * n)) * (k.entries @ phi))
-    if form is ProximalForm.ONE_MINUS_CKA:
-        grad = -grad
-    return check_finite(grad, "similarity gradient")
+    return _distance(phi, reference, ProximalForm.parse(form), want_grad=True)

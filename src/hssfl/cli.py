@@ -18,7 +18,7 @@ import time
 from typing import List, Optional
 
 from . import __version__, datahub, evaluation, federation, sslnet, theory
-from .errors import HssflError
+from .errors import ConfigError, HssflError, ParseError
 from .federation import FedConfig
 from .numkit import RngStream
 from .sslnet import MlpSpec
@@ -58,6 +58,18 @@ def _parse_arch(text: str) -> MlpSpec:
     return MlpSpec(tuple(int(w) for w in widths.split(",")), activation)
 
 
+def _read_json(path: str, what: str, parse=json.loads):
+    """The parsed contents of a JSON file (``parse`` reads JSON lines); a
+    missing or unreadable file is a ConfigError, bad JSON a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -94,10 +106,7 @@ def cmd_gen_data(args) -> int:
 
 def _resolve_config(args) -> FedConfig:
     base = dict(DESK_DEFAULTS)
-    file_cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+    file_cfg = _read_json(args.config, "config file") if args.config else {}
     if args.paper_defaults:
         base.update(PAPER_DEFAULTS)
     base.update(file_cfg)
@@ -191,11 +200,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
-    cfg_path = os.path.join(run_dir, "config.resolved.json")
-    if not os.path.exists(cfg_path):
-        raise HssflError(f"no resolved config under {run_dir}; was the run completed?")
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        cfg = FedConfig.from_dict(json.load(fh))
+    cfg = FedConfig.from_dict(
+        _read_json(os.path.join(run_dir, "config.resolved.json"), "resolved config"))
     models = [sslnet.load_model(os.path.join(run_dir, "models", f"client_{k}"))
               for k in range(cfg.num_clients)]
     data = datahub.load_csv(args.data)
@@ -230,11 +236,10 @@ def cmd_eval(args) -> int:
 
 def cmd_check_theory(args) -> int:
     run_dir = args.run_dir
-    with open(os.path.join(run_dir, "config.resolved.json"), "r", encoding="utf-8") as fh:
-        cfg = FedConfig.from_dict(json.load(fh))
-    log_path = os.path.join(run_dir, "log.jsonl")
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log = federation.RoundLog.from_jsonl(fh.read())
+    cfg = FedConfig.from_dict(
+        _read_json(os.path.join(run_dir, "config.resolved.json"), "resolved config"))
+    log = _read_json(os.path.join(run_dir, "log.jsonl"), "run log",
+                     federation.RoundLog.from_jsonl)
     if not any(r.get("probe") for r in log.client_records()):
         raise HssflError(
             "log has no theory probes; rerun training with --theory-probes"

@@ -410,12 +410,14 @@ def _objective(want_grad: bool, model, local_batch, rad, reference, mu, form, rn
             phi, over, norms = _clip_rows(phi_raw, clip_radius)
         else:
             phi = phi_raw
-        loss_prox = cka.proximal_value(phi, reference, form, mu)
-        d_phi = cka.proximal_grad(phi, reference, form) if want_grad else None
         if want_grad:
+            distance, d_phi = cka.proximal_grad(phi, reference, form)
+            loss_prox = mu * distance
             if clip_radius is not None:
                 d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, clip_radius)
             grads = _add_grads(grads, _backprop(model, rad_tape, d_phi), mu)
+        else:
+            loss_prox = cka.proximal_value(phi, reference, form, mu)
 
     loss_total = loss_ssl + loss_prox
     if not np.isfinite(loss_total):

@@ -185,6 +185,26 @@ class TestAggregation:
             )
 
 
+KERNEL_FORMS = [
+    ProximalForm.TRACE_ALIGNMENT,
+    ProximalForm.RAW_CKA,
+    ProximalForm.ONE_MINUS_CKA,
+]
+
+# A diverged phi: Kbar phi and t overflow (1e200 against the identity), or,
+# for the normalized forms, only ||phi.T phi||_F does (1e100 against a tiny
+# reference), which without a check would make the similarity silently 0.
+OVERFLOW_CASES = [
+    pytest.param(form, np.full((2, 2), 1e200), GramMatrix(np.eye(2)),
+                 id=f"{form.value}-product")
+    for form in KERNEL_FORMS
+] + [
+    pytest.param(form, np.full((2, 2), 1e100), GramMatrix(1e-250 * np.eye(2)),
+                 id=f"{form.value}-norm")
+    for form in (ProximalForm.RAW_CKA, ProximalForm.ONE_MINUS_CKA)
+]
+
+
 class TestProximalValue:
     def test_mu_zero_all_forms(self):
         phi = random_activations(23, 4, 3)
@@ -203,6 +223,12 @@ class TestProximalValue:
         val = proximal_value(phi, gram_linear(phi), ProximalForm.ONE_MINUS_CKA, 1.0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("form, phi, kbar", OVERFLOW_CASES)
+    def test_overflow_is_numerical_failure(self, form, phi, kbar):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite values in"):
+                proximal_value(phi, kbar, form, 1.0)
+
     def test_form_reference_mismatch(self):
         phi = random_activations(27, 4, 3)
         with pytest.raises(ConfigError):
@@ -214,19 +240,15 @@ class TestProximalValue:
 class TestProximalGrad:
     def test_trace_alignment_zero_reference(self):
         phi = random_activations(28, 3, 2)
-        g = proximal_grad(phi, GramMatrix(np.zeros((3, 3))), ProximalForm.TRACE_ALIGNMENT)
+        _, g = proximal_grad(phi, GramMatrix(np.zeros((3, 3))), ProximalForm.TRACE_ALIGNMENT)
         assert np.array_equal(g, np.zeros_like(phi))
 
-    @pytest.mark.parametrize("form", [
-        ProximalForm.TRACE_ALIGNMENT,
-        ProximalForm.RAW_CKA,
-        ProximalForm.ONE_MINUS_CKA,
-    ])
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
     def test_finite_difference_oracle_kernel_forms(self, form):
         for seed in range(20):
             phi = random_activations(100 + seed, 3, 2)
             kbar = random_psd_gram(300 + seed, 3)
-            analytic = proximal_grad(phi, kbar, form)
+            _, analytic = proximal_grad(phi, kbar, form)
             numeric = fd_grad(lambda p: proximal_value(p, kbar, form, 1.0), phi)
             assert rel_err(analytic, numeric) < 1e-6
 
@@ -234,15 +256,43 @@ class TestProximalGrad:
         for seed in range(20):
             phi = random_activations(500 + seed, 3, 2)
             phibar = random_activations(700 + seed, 3, 2)
-            analytic = proximal_grad(phi, phibar, ProximalForm.L2_REP)
+            _, analytic = proximal_grad(phi, phibar, ProximalForm.L2_REP)
             numeric = fd_grad(
                 lambda p: proximal_value(p, phibar, ProximalForm.L2_REP, 1.0), phi
             )
             assert rel_err(analytic, numeric) < 1e-6
 
+    @pytest.mark.parametrize("form, phi, kbar", OVERFLOW_CASES)
+    def test_overflow_is_numerical_failure(self, form, phi, kbar):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite values in"):
+                proximal_grad(phi, kbar, form)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    def test_explicit_gram_oracle(self, form, d):
+        phi = random_activations(40 + d, 300, d)
+        kbar = random_psd_gram(60 + d, 300)
+        k = phi @ phi.T
+        t = np.sum(k * kbar.entries)
+        nm = np.linalg.norm(k) * np.linalg.norm(kbar.entries)
+        if form is ProximalForm.TRACE_ALIGNMENT:
+            want_value, want_grad = t, 2.0 * kbar.entries @ phi
+        else:
+            want_value = t / nm
+            want_grad = (2.0 / nm) * (kbar.entries @ phi
+                                      - (t / np.linalg.norm(k) ** 2) * (k @ phi))
+            if form is ProximalForm.ONE_MINUS_CKA:
+                want_value, want_grad = 1.0 - want_value, -want_grad
+        distance, grad = proximal_grad(phi, kbar, form)
+        assert abs(distance - want_value) <= 1e-12 * abs(want_value)
+        assert rel_err(grad, want_grad) <= 1e-12
+        for mu in (0.5, 1.0, 3.7):
+            assert proximal_value(phi, kbar, form, mu) == mu * distance
+
     def test_l2_subgradient_at_zero(self):
         phi = random_activations(29, 3, 2)
-        g = proximal_grad(phi, phi.copy(), ProximalForm.L2_REP)
+        _, g = proximal_grad(phi, phi.copy(), ProximalForm.L2_REP)
         assert np.array_equal(g, np.zeros_like(phi))
 
     def test_scale_direction_orthogonality(self):
@@ -251,7 +301,7 @@ class TestProximalGrad:
         for seed in range(10):
             phi = random_activations(900 + seed, 4, 3)
             kbar = GramMatrix(0.5 * gram_linear(phi).entries)
-            g = proximal_grad(phi, kbar, ProximalForm.RAW_CKA)
+            _, g = proximal_grad(phi, kbar, ProximalForm.RAW_CKA)
             assert abs(np.sum(g * phi)) < 1e-8
 
 
@@ -259,6 +309,26 @@ class TestGramMatrixType:
     def test_symmetry_enforced(self):
         with pytest.raises(ShapeError):
             GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_norm_cached_once(self, monkeypatch):
+        k = random_psd_gram(31, 5)
+        other = random_psd_gram(32, 5)
+        phi = random_activations(33, 5, 3)
+        seen = []
+        real_norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            seen.append(x is k.entries)
+            return real_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert k.norm == real_norm(k.entries)
+        linear_cka(k, other)
+        for form in KERNEL_FORMS:
+            proximal_grad(phi, k, form)
+            proximal_value(phi, k, form, 1.0)
+        assert k.norm == real_norm(k.entries)
+        assert sum(seen) == 1
 
     def test_square_enforced(self):
         with pytest.raises(ShapeError):

@@ -207,6 +207,32 @@ class TestBadInput:
         assert rc == 2
         assert "num_client" in capsys.readouterr().err
 
+    def test_missing_config_file(self, tmp_path, data_csv, capsys):
+        missing = str(tmp_path / "missing.json")
+        rc = run_cli(*run_args(data_csv, str(tmp_path / "run")), "--config", missing)
+        assert rc == 2
+        assert missing in capsys.readouterr().err
+
+    def test_config_file_not_json(self, tmp_path, data_csv, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{bad")
+        rc = run_cli(*run_args(data_csv, str(tmp_path / "run")), "--config", str(cfg_path))
+        assert rc == 2
+        assert str(cfg_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        ("check-theory", "config.resolved.json"),
+        ("check-theory", "log.jsonl"),
+        ("eval", "config.resolved.json"),
+    ])
+    def test_run_dir_without_file(self, tmp_path, data_csv, capsys, command, name):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        os.remove(os.path.join(out, name))
+        extra = ("--data", data_csv) if command == "eval" else ()
+        assert run_cli(command, "--run-dir", out, *extra) == 2
+        assert os.path.join(out, name) in capsys.readouterr().err
+
     def test_eval_without_model_file(self, tmp_path, data_csv, capsys):
         out = str(tmp_path / "run")
         assert run_cli(*run_args(data_csv, out)) == 0

@@ -1,3 +1,4 @@
+import collections
 import os
 import sys
 
@@ -279,6 +280,42 @@ class TestRunTraining:
         assert counts["_transmit"] == (
             1 + cfg.num_clients + 1 + cfg.rounds * (cfg.sample_size + 1)
         )
+
+    def test_no_gram_built_on_the_step_path(self, monkeypatch):
+        from hssfl import cka, sslnet
+        counts = collections.Counter()
+        inside_loss = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                if name == "proximal_value" and not any(inside_loss):
+                    counts["proximal_value outside combined_loss"] += 1
+                inside_loss.append(name == "combined_loss")
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside_loss.pop()
+            return call
+
+        for owners, name in (((cka, federation), "gram_linear"),
+                             ((cka,), "proximal_grad"),
+                             ((cka,), "proximal_value"),
+                             ((sslnet,), "combined_step"),
+                             ((sslnet,), "combined_loss")):
+            wrapped = counted(name, getattr(owners[0], name))
+            for owner in owners:
+                monkeypatch.setattr(owner, name, wrapped)
+        cfg = small_cfg(rounds=3, sample_size=2)
+        run_training(cfg, dataset())
+        # bootstrap uploads, then each round's uploads
+        assert counts["gram_linear"] == cfg.num_clients + cfg.rounds * cfg.sample_size
+        assert counts["combined_step"] > 0
+        assert counts["proximal_grad"] == counts["combined_step"]
+        # start, end and swap evaluation of every sampled client
+        assert counts["combined_loss"] == 3 * cfg.rounds * cfg.sample_size
+        assert counts["proximal_value"] == counts["combined_loss"]
+        assert counts["proximal_value outside combined_loss"] == 0
 
     def test_jsonl_round_trip(self):
         cfg = small_cfg()

@@ -133,14 +133,17 @@ def _check_weights(weights: Sequence[float]) -> None:
         raise ConfigError(f"weights must sum to 1, got {total!r}")
 
 
-def _order_invariant_sum(stack: np.ndarray) -> np.ndarray:
-    # Entrywise ascending-sorted fold: permuting the inputs cannot change
-    # the float summation order, so the reduction is bit-stable.
-    return np.add.reduce(np.sort(stack, axis=0), axis=0)
+def _weighted_sum(pairs: Sequence[Tuple[float, Matrix]]) -> Matrix:
+    """sum_k w_k M_k as one running sum, folded in the order given."""
+    total = pairs[0][0] * pairs[0][1]
+    for w, m in pairs[1:]:
+        total += w * m
+    return total
 
 
 def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
-    """Entrywise weighted sum of Gram matrices; weights must sum to 1."""
+    """Entrywise weighted sum of Gram matrices, folded in the order given,
+    so equal inputs in equal order give equal bits; weights must sum to 1."""
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("nothing to aggregate")
@@ -150,12 +153,13 @@ def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
     for _, k in pairs:
         if k.size != size:
             raise ShapeError(f"gram sizes differ: {k.size} vs {size}")
-    stack = np.stack([w * k.entries for w, k in pairs], axis=0)
-    return GramMatrix(check_finite(_order_invariant_sum(stack), "aggregated gram"))
+    total = _weighted_sum([(w, k.entries) for w, k in pairs])
+    return GramMatrix(check_finite(total, "aggregated gram"))
 
 
 def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
-    """Entrywise weighted sum of representation matrices of equal shape."""
+    """Entrywise weighted sum of representation matrices of equal shape,
+    folded in the order given."""
     pairs = [(w, as_matrix(p, "representations")) for w, p in pairs]
     if not pairs:
         raise ConfigError("nothing to aggregate")
@@ -167,8 +171,7 @@ def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
                 f"representation widths differ ({p.shape} vs {shape}); "
                 "aggregate kernel matrices instead"
             )
-    stack = np.stack([w * p for w, p in pairs], axis=0)
-    return check_finite(_order_invariant_sum(stack), "aggregated representations")
+    return check_finite(_weighted_sum(pairs), "aggregated representations")
 
 
 Reference = Union[GramMatrix, Matrix]

@@ -46,7 +46,12 @@ DESK_DEFAULTS = {
 
 def _env_seed() -> Optional[int]:
     raw = os.environ.get("HSSFL_SEED")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"HSSFL_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_arch(text: str) -> MlpSpec:
@@ -55,7 +60,7 @@ def _parse_arch(text: str) -> MlpSpec:
         widths, activation = text.split(":", 1)
     else:
         widths, activation = text, "relu"
-    return MlpSpec(tuple(int(w) for w in widths.split(",")), activation)
+    return MlpSpec(tuple(widths.split(",")), activation)
 
 
 def _read_json(path: str, what: str, parse=json.loads):
@@ -107,6 +112,9 @@ def cmd_gen_data(args) -> int:
 def _resolve_config(args) -> FedConfig:
     base = dict(DESK_DEFAULTS)
     file_cfg = _read_json(args.config, "config file") if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                          f"not {type(file_cfg).__name__}")
     if args.paper_defaults:
         base.update(PAPER_DEFAULTS)
     base.update(file_cfg)
@@ -123,7 +131,6 @@ def _resolve_config(args) -> FedConfig:
         "rad_size": args.rad_size,
         "sample_size": args.sample_size,
         "partition": args.partition,
-        "payload": args.payload,
         "proximal_form": args.form,
         "noise_std": args.aug_noise,
         "mask_prob": args.aug_mask,
@@ -310,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rad-size", type=int, default=None)
     r.add_argument("--sample-size", type=int, default=None)
     r.add_argument("--partition", choices=["iid", "noniid"], default=None)
-    r.add_argument("--payload", choices=["kernel", "representation"], default=None)
     r.add_argument("--form", default=None,
                    choices=["one_minus_cka", "raw_cka", "trace_alignment", "l2_rep"])
     r.add_argument("--aug-noise", type=float, default=None)

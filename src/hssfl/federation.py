@@ -1,12 +1,14 @@
 """Server loop, client workers, simulated transport, and trace logging.
 
 Each global round: the server broadcasts the alignment rows and the current
-aggregated reference (kernel matrix by default, representation matrix in
-l2_rep mode), a sampled subset of clients runs local epochs against that
+aggregated reference (kernel matrix by default, representation matrix under
+the l2_rep form), a sampled subset of clients runs local epochs against that
 fixed reference, the clients report their fresh alignment payloads, and the
 server aggregates the new reference, which scores the round's clients and
 is the next round's reference. Unsampled clients keep their last reported
-payload, so the weighted aggregate always covers all clients.
+payload, so the weighted aggregate always covers all clients. The scoring
+(the swap evaluation) holds the weights fixed, so it reuses the round's end
+regression loss and the uploaded representations and makes no forward pass.
 
 Each reference is aggregated and transmitted once: before round 1, from the
 bootstrap uploads or the loaded checkpoint, and at the end of every round.
@@ -33,7 +35,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +49,7 @@ from .cka import (
     aggregate_grams,
     aggregate_representations,
     gram_linear,
+    proximal_value,
 )
 from .datahub import Dataset, PartitionPlan, RadSet, partition_iid, partition_noniid, sample_rad
 from .errors import ConfigError, NumericalFailureError, ProtocolError
@@ -54,6 +57,7 @@ from .numkit import (
     Matrix,
     RngStream,
     as_matrix,
+    check_finite,
     lipschitz_ratios,
     load_arrays,
     save_arrays,
@@ -82,7 +86,6 @@ class FedConfig:
     client_weights: Optional[Tuple[float, ...]] = None
     sample_size: Optional[int] = None
     partition: str = "noniid"
-    payload: str = KERNEL
     noise_std: float = 0.0
     mask_prob: float = 0.0
     normalize_loss: bool = False
@@ -119,12 +122,6 @@ class FedConfig:
         object.__setattr__(self, "proximal_form", ProximalForm.parse(self.proximal_form))
         if self.partition not in ("iid", "noniid"):
             raise ConfigError(f"unknown partition mode {self.partition!r}")
-        if self.payload not in (KERNEL, REPRESENTATION):
-            raise ConfigError(f"unknown payload mode {self.payload!r}")
-        if (self.proximal_form is ProximalForm.L2_REP) != (self.payload == REPRESENTATION):
-            raise ConfigError(
-                "l2_rep form requires representation payloads and vice versa"
-            )
         if self.client_weights is None:
             weights = tuple(1.0 / self.num_clients for _ in range(self.num_clients))
         else:
@@ -143,6 +140,11 @@ class FedConfig:
     def augment_cfg(self) -> AugmentConfig:
         return AugmentConfig(self.noise_std, self.mask_prob)
 
+    @property
+    def payload_kind(self) -> str:
+        """What clients upload: representations under l2_rep, else kernels."""
+        return REPRESENTATION if self.proximal_form is ProximalForm.L2_REP else KERNEL
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["proximal_form"] = self.proximal_form.value
@@ -158,6 +160,8 @@ class FedConfig:
         if unknown or missing:
             raise ConfigError(f"config has unknown keys {unknown} and lacks keys {missing}")
         d = dict(d)
+        if not isinstance(d["client_specs"], (list, tuple)):
+            raise ConfigError(f"client_specs must be a list, got {d['client_specs']!r}")
         d["client_specs"] = tuple(MlpSpec.from_dict(s) for s in d["client_specs"])
         d["client_weights"] = tuple(d["client_weights"]) if d.get("client_weights") else None
         d["proximal_form"] = ProximalForm.parse(d["proximal_form"])
@@ -187,12 +191,6 @@ class RoundLog:
 
     def client_records(self) -> List[dict]:
         return [r for r in self.records if r["type"] == "client"]
-
-    def server_records(self) -> List[dict]:
-        return [r for r in self.records if r["type"] == "server"]
-
-    def to_jsonl(self) -> str:
-        return "".join(_jsonl_line(r) for r in self.records)
 
     @staticmethod
     def from_jsonl(text: str) -> "RoundLog":
@@ -237,14 +235,13 @@ def select_clients(
 def server_aggregate(
     reports: Sequence[Tuple[int, Payload]],
     weights: Sequence[float],
-    mode: str,
     registry: Dict[int, Payload],
 ) -> Payload:
     """Fold fresh reports into the registry, then aggregate over all clients.
 
     The registry holds every client's latest known payload; unsampled
-    clients contribute their stale entries. Reduction order is fixed by
-    client index, so arrival order cannot change the result.
+    clients contribute their stale entries. The payloads are summed in
+    client-id order, so arrival order cannot change the result.
     """
     seen = set()
     for client_id, payload in reports:
@@ -256,7 +253,7 @@ def server_aggregate(
     if missing:
         raise ProtocolError(f"no payload known for client {missing[0]}")
     pairs = [(weights[k], registry[k]) for k in sorted(registry)]
-    if mode == KERNEL:
+    if isinstance(pairs[0][1], GramMatrix):
         return aggregate_grams(pairs)
     return aggregate_representations(pairs)
 
@@ -285,14 +282,16 @@ def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, i
     """The client's alignment payload as the server receives it, its wire
     size, and the representations it was built from."""
     phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
-    received, nbytes = _transmit(gram_linear(phi) if cfg.payload == KERNEL else phi)
+    received, nbytes = _transmit(gram_linear(phi) if cfg.payload_kind == KERNEL else phi)
     return received, nbytes, phi
 
 
-def _loss_options(cfg: FedConfig) -> dict:
-    """The objective's keyword options, as every client-side call passes them."""
-    return dict(augment_cfg=cfg.augment_cfg, normalize=cfg.normalize_loss,
-                clip_radius=cfg.clip_radius, symmetrize=cfg.symmetrize_loss)
+def _client_objective(
+    cfg: FedConfig, mu: float, rad: Optional[Matrix], reference: Optional[Payload]
+) -> sslnet.Objective:
+    """The objective of one client round, as every client-side call evaluates it."""
+    return sslnet.Objective(mu, cfg.proximal_form, rad, reference, cfg.augment_cfg,
+                            cfg.normalize_loss, cfg.clip_radius, cfg.symmetrize_loss)
 
 
 def _epoch_batches(
@@ -305,8 +304,7 @@ def _epoch_batches(
 def local_training(
     model: ClientModel,
     shard: Matrix,
-    rad: Matrix,
-    reference: Optional[Payload],
+    obj: sslnet.Objective,
     cfg: FedConfig,
     round_index: int,
     rng: RngStream,
@@ -326,16 +324,7 @@ def local_training(
         for b, idx in enumerate(batches):
             try:
                 step = sslnet.combined_step(
-                    model,
-                    shard[idx],
-                    rad,
-                    reference,
-                    cfg.mu,
-                    cfg.proximal_form,
-                    cfg.eta,
-                    cfg.momentum,
-                    erng.sub(f"step{b}"),
-                    **_loss_options(cfg),
+                    model, shard[idx], obj, cfg.eta, cfg.momentum, erng.sub(f"step{b}")
                 )
             except NumericalFailureError as exc:
                 raise exc.within(f"epoch {epoch} batch {b}") from exc
@@ -354,31 +343,11 @@ def local_training(
     }
 
 
-def _eval_losses(
-    model: ClientModel,
-    shard: Matrix,
-    rad: Matrix,
-    reference: Optional[Payload],
-    cfg: FedConfig,
-    rng: RngStream,
-) -> Tuple[float, float, float]:
-    return sslnet.combined_loss(
-        model, shard, rad, reference, cfg.mu, cfg.proximal_form, rng, **_loss_options(cfg)
-    )
-
-
 def _probe_checkpoint(
-    model: ClientModel,
-    shard: Matrix,
-    rad: Matrix,
-    reference: Optional[Payload],
-    cfg: FedConfig,
-    prng: RngStream,
+    model: ClientModel, shard: Matrix, obj: sslnet.Objective, prng: RngStream
 ) -> dict:
-    total, _, _, grads = sslnet.loss_and_grad(
-        model, shard, rad, reference, cfg.mu, cfg.proximal_form, prng, **_loss_options(cfg)
-    )
-    phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
+    total, _, _, grads = sslnet.loss_and_grad(model, shard, obj, prng)
+    phi = sslnet.representations(model, obj.rad, clip_radius=obj.clip_radius)
     return {
         "loss": total,
         "grad": sslnet.flatten_grads(grads),
@@ -390,8 +359,7 @@ def _probe_checkpoint(
 def _probe_sigma2(
     model: ClientModel,
     shard: Matrix,
-    rad: Matrix,
-    reference: Optional[Payload],
+    obj: sslnet.Objective,
     cfg: FedConfig,
     round_index: int,
     crng: RngStream,
@@ -404,10 +372,7 @@ def _probe_sigma2(
         return 0.0
     grads = []
     for b, idx in enumerate(batches):
-        _, _, _, g = sslnet.loss_and_grad(
-            model, shard[idx], rad, reference, cfg.mu, cfg.proximal_form,
-            erng.sub(f"sigma{b}"), **_loss_options(cfg),
-        )
+        _, _, _, g = sslnet.loss_and_grad(model, shard[idx], obj, erng.sub(f"sigma{b}"))
         grads.append(sslnet.flatten_grads(g))
     stack = np.stack(grads)
     mean = stack.mean(axis=0)
@@ -437,28 +402,28 @@ def _train_one_client(
 ) -> dict:
     """Full client-side work for one round; pure function, safe to run in
     any worker thread. The returned payload is the server's decoded copy of
-    the upload, with its wire size."""
+    the upload, with its wire size; ``phi`` is the representations it was
+    built from."""
     crng = RngStream(cfg.seed, client=client_id)
     eval_rng = crng.child(round=round_index, purpose="eval")
+    obj = _client_objective(cfg, cfg.mu, rad, reference)
     probe = None
     checkpoints: List[dict] = []
     hook = None
     sigma2 = 0.0
     with _client_work(client_id, round_index):
-        start = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
+        start = sslnet.combined_loss(model, shard, obj, eval_rng)
         if cfg.theory_probes:
             prng = crng.child(round=round_index, purpose="probe")
-            checkpoints.append(_probe_checkpoint(model, shard, rad, reference, cfg, prng))
-            sigma2 = _probe_sigma2(model, shard, rad, reference, cfg, round_index, crng)
+            checkpoints.append(_probe_checkpoint(model, shard, obj, prng))
+            sigma2 = _probe_sigma2(model, shard, obj, cfg, round_index, crng)
 
             def hook(epoch: int, m: ClientModel) -> None:
-                checkpoints.append(_probe_checkpoint(m, shard, rad, reference, cfg, prng))
+                checkpoints.append(_probe_checkpoint(m, shard, obj, prng))
 
-        result = local_training(
-            model, shard, rad, reference, cfg, round_index, crng, epoch_hook=hook
-        )
+        result = local_training(model, shard, obj, cfg, round_index, crng, epoch_hook=hook)
         model = result["model"]
-        end = _eval_losses(model, shard, rad, reference, cfg, eval_rng)
+        end = sslnet.combined_loss(model, shard, obj, eval_rng)
         upload, upload_bytes, phi = _upload(model, rad, cfg)
         rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
 
@@ -480,6 +445,7 @@ def _train_one_client(
         "model": model,
         "payload": upload,
         "upload_bytes": upload_bytes,
+        "phi": phi,
         "record": {
             "type": "client",
             "round": round_index,
@@ -500,17 +466,19 @@ def _train_one_client(
 
 def _swap_eval(
     client_id: int,
-    model: ClientModel,
-    shard: Matrix,
-    rad: Matrix,
+    phi: Matrix,
+    loss_ssl_end: float,
     new_reference: Payload,
     cfg: FedConfig,
     round_index: int,
 ) -> Tuple[float, float, float]:
-    """End-of-round losses against the next round's reference."""
-    eval_rng = RngStream(cfg.seed, client=client_id).child(round=round_index, purpose="eval")
+    """End-of-round losses against the next round's reference, weights held
+    fixed. The regression loss does not depend on the reference, so it is
+    the end loss; the penalty is taken on the uploaded representations."""
     with _client_work(client_id, round_index):
-        return _eval_losses(model, shard, rad, new_reference, cfg, eval_rng)
+        prox = check_finite(proximal_value(phi, new_reference, cfg.proximal_form, cfg.mu),
+                            "swap penalty")
+        return loss_ssl_end + prox, loss_ssl_end, prox
 
 
 def init_models(cfg: FedConfig) -> List[ClientModel]:
@@ -586,7 +554,7 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
         entries = arrays[f"payload_{k}"]
-        registry[k] = GramMatrix(entries) if cfg.payload == KERNEL else entries
+        registry[k] = GramMatrix(entries) if cfg.payload_kind == KERNEL else entries
     return state["round"], models, registry
 
 
@@ -637,7 +605,7 @@ def run_training(
             registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
-            log.messages.append(RoundMessage("client->server", 0, k, cfg.payload, nbytes))
+            log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))
         record = {
             "type": "server",
             "round": 0,
@@ -646,7 +614,7 @@ def run_training(
         }
         log.records.append(record)
         writer.write([record])
-    server.reference = server_aggregate([], weights, cfg.payload, registry)
+    server.reference = server_aggregate([], weights, registry)
     received_ref, ref_bytes = _transmit(server.reference)
 
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -678,24 +646,20 @@ def run_training(
                 reports.append((k, out["payload"]))
                 out["record"]["downstream_bytes"] = rad_bytes + ref_bytes
                 out["record"]["upstream_bytes"] = nbytes
-                log.messages.append(RoundMessage("client->server", t, k, cfg.payload, nbytes))
+                log.messages.append(
+                    RoundMessage("client->server", t, k, cfg.payload_kind, nbytes))
                 log.timings[(t, k)] = out["wall"]
 
             # The new reference scores this round's clients, then serves as
             # the next round's reference.
-            reference = server_aggregate(reports, weights, cfg.payload, registry)
+            reference = server_aggregate(reports, weights, registry)
             received_ref, ref_bytes = _transmit(reference)
 
-            def swap_task(out: dict) -> Tuple[float, float, float]:
-                k = out["client"]
-                return _swap_eval(k, models[k], shards[k], rad_rows, received_ref, cfg, t)
-
             new_records = []
-            for out, swap in zip(outs, pool.map(swap_task, outs)):
+            for out in outs:
                 rec = out["record"]
-                rec["loss_total_swap"] = swap[0]
-                rec["loss_ssl_swap"] = swap[1]
-                rec["loss_prox_swap"] = swap[2]
+                rec["loss_total_swap"], rec["loss_ssl_swap"], rec["loss_prox_swap"] = _swap_eval(
+                    out["client"], out["phi"], rec["loss_ssl_end"], received_ref, cfg, t)
                 new_records.append(rec)
             server_record = {
                 "type": "server",
@@ -725,14 +689,12 @@ def standalone_training(
     """Local-only training for one client: same shard, same streams, no
     reference and no proximal branch. With mu == 0 the federated run must
     produce bit-identical weights to this path."""
-    rad, plan = prepare_data(cfg, data)
+    _, plan = prepare_data(cfg, data)
     shard = data.features[list(plan.client_indices[client_id])]
     model = init_models(cfg)[client_id]
     crng = RngStream(cfg.seed, client=client_id)
-    local_cfg = replace(cfg, mu=0.0,
-                        proximal_form=ProximalForm.ONE_MINUS_CKA,
-                        payload=KERNEL)
+    obj = _client_objective(cfg, 0.0, None, None)
     for t in range(1, cfg.rounds + 1):
-        result = local_training(model, shard, rad.features, None, local_cfg, t, crng)
+        result = local_training(model, shard, obj, cfg, t, crng)
         model = result["model"]
     return model

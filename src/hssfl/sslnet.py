@@ -46,7 +46,13 @@ class MlpSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        bad = ConfigError(f"layer widths must be integers, got {self.layer_widths!r}")
+        if isinstance(self.layer_widths, str):
+            raise bad
+        try:
+            widths = tuple(int(w) for w in self.layer_widths)
+        except (TypeError, ValueError):
+            raise bad from None
         if len(widths) < 2:
             raise ConfigError("layer_widths needs at least input and output entries")
         if any(w < 1 for w in widths):
@@ -68,7 +74,10 @@ class MlpSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "MlpSpec":
-        return MlpSpec(tuple(d["layer_widths"]), d["activation"])
+        if not isinstance(d, dict) or set(d) != {"layer_widths", "activation"}:
+            raise ConfigError("a client spec must be an object with keys "
+                              f"'layer_widths' and 'activation', got {d!r}")
+        return MlpSpec(d["layer_widths"], d["activation"])
 
 
 @dataclass
@@ -149,6 +158,33 @@ class StepResult:
     loss_ssl: float
     loss_prox: float
     grad_norm: float
+
+
+@dataclass(frozen=True, eq=False)
+class Objective:
+    """What a client minimizes for a round: the regression loss between the
+    online branch on one augmented view and the target branch on the other
+    (on L2-normalized rows with ``normalize``, in both directions with
+    ``symmetrize``), plus ``mu * d(phi, reference)``. ``phi`` is the
+    predictor output on the alignment rows ``rad``, radially clipped to
+    ``clip_radius`` when set, and the reference is held fixed.
+    """
+
+    mu: float = 0.0
+    form: cka.ProximalForm = cka.ProximalForm.ONE_MINUS_CKA
+    rad: Optional[Matrix] = None
+    reference: Optional[cka.Reference] = None
+    augment: AugmentConfig = AugmentConfig()
+    normalize: bool = False
+    clip_radius: Optional[float] = None
+    symmetrize: bool = False
+
+    def __post_init__(self):
+        if not self.mu >= 0.0:
+            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+        object.__setattr__(self, "form", cka.ProximalForm.parse(self.form))
+        if self.mu > 0.0 and (self.rad is None or self.reference is None):
+            raise ConfigError("mu > 0 requires an alignment batch and a reference")
 
 
 def init_client_model(
@@ -376,117 +412,96 @@ def _backprop(
     return g_w, g_b, g_pred_w, g_pred_b
 
 
-def _objective(want_grad: bool, model, local_batch, rad, reference, mu, form, rng,
-               augment_cfg, normalize, clip_radius, symmetrize):
-    """The combined objective with the backward pass optional; the arguments
-    are those of loss_and_grad.
+def _stacked(model: ClientModel, blocks: List[Matrix]) -> Matrix:
+    """The blocks' rows as one encoder input; a single block as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate([_encoder_input(model, b) for b in blocks])
+
+
+def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
+               obj: Objective, rng: RngStream):
+    """The combined objective in one online pass, with the backward pass
+    optional.
+
+    The online branch runs once on [v1; v2 if symmetrize; rad if mu > 0],
+    the target branch once on [v2; v1 if symmetrize], and the backward pass
+    once on [d_ssl; mu d_phi]. Each regression direction is a mean over the
+    batch, so the mean over the stacked directions is scaled by their
+    number (1 or 2, an exact scaling).
 
     Returns (loss_total, loss_ssl, loss_prox, grads); grads is
     (g_w, g_b, g_pred_w, g_pred_b), or None when want_grad is False.
     """
-    v1, v2 = augment(local_batch, augment_cfg, rng.sub("aug"))
-    directions = [(v1, v2)]
-    if symmetrize:
-        directions.append((v2, v1))
-    loss_ssl = None
-    grads = None
-    for online_in, target_in in directions:
-        pred, tape = forward_online(model, online_in)
-        target = forward_target(model, target_in)
-        _check_forward(pred, target)
-        loss, d_pred = _ssl_loss_grad(pred, target, normalize, want_grad)
-        loss_ssl = loss if loss_ssl is None else loss_ssl + loss
+    v1, v2 = augment(local_batch, obj.augment, rng.sub("aug"))
+    online_in, target_in = [v1], [v2]
+    if obj.symmetrize:
+        online_in.append(v2)
+        target_in.append(v1)
+    directions = len(target_in)
+    if obj.mu > 0.0:
+        online_in.append(obj.rad)
+    pred, tape = forward_online(model, _stacked(model, online_in))
+    target = forward_target(model, _stacked(model, target_in))
+    rows = target.shape[0]
+    _check_forward(pred[:rows], target)
+    loss_ssl, d_pred = _ssl_loss_grad(pred[:rows], target, obj.normalize, want_grad)
+    if directions > 1:
+        loss_ssl *= directions
         if want_grad:
-            grads = _add_grads(grads, _backprop(model, tape, d_pred))
+            d_pred = directions * d_pred
 
     loss_prox = 0.0
-    if mu > 0.0:
-        if rad is None or reference is None:
-            raise ConfigError("mu > 0 requires an alignment batch and a reference")
-        phi_raw, rad_tape = forward_online(model, rad)
+    if obj.mu > 0.0:
+        phi_raw = pred[rows:]
         if not np.all(np.isfinite(phi_raw)):
             raise NumericalFailureError("representations")
-        if clip_radius is not None:
-            phi, over, norms = _clip_rows(phi_raw, clip_radius)
+        if obj.clip_radius is not None:
+            phi, over, norms = _clip_rows(phi_raw, obj.clip_radius)
         else:
             phi = phi_raw
         if want_grad:
-            distance, d_phi = cka.proximal_grad(phi, reference, form)
-            loss_prox = mu * distance
-            if clip_radius is not None:
-                d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, clip_radius)
-            grads = _add_grads(grads, _backprop(model, rad_tape, d_phi), mu)
+            distance, d_phi = cka.proximal_grad(phi, obj.reference, obj.form)
+            loss_prox = obj.mu * distance
+            if obj.clip_radius is not None:
+                d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, obj.clip_radius)
+            d_pred = np.concatenate([d_pred, obj.mu * d_phi])
         else:
-            loss_prox = cka.proximal_value(phi, reference, form, mu)
+            loss_prox = cka.proximal_value(phi, obj.reference, obj.form, obj.mu)
 
     loss_total = loss_ssl + loss_prox
     if not np.isfinite(loss_total):
         raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
-    if want_grad:
-        g_w, g_b, g_pw, g_pb = grads
-        for name, arrs in (("encoder gradient", g_w + g_b),
-                           ("predictor gradient", [g_pw, g_pb])):
-            if not all(np.all(np.isfinite(a)) for a in arrs):
-                raise NumericalFailureError(name)
+    if not want_grad:
+        return loss_total, loss_ssl, loss_prox, None
+    grads = _backprop(model, tape, d_pred)
+    g_w, g_b, g_pw, g_pb = grads
+    for name, arrs in (("encoder gradient", g_w + g_b),
+                       ("predictor gradient", [g_pw, g_pb])):
+        if not all(np.all(np.isfinite(a)) for a in arrs):
+            raise NumericalFailureError(name)
     return loss_total, loss_ssl, loss_prox, grads
 
 
-def _add_grads(grads, extra, scale: float = 1.0):
-    """grads + scale * extra, tensor by tensor; extra itself when grads is None."""
-    if grads is None:
-        return extra
-    g_w, g_b, g_pw, g_pb = grads
-    e_w, e_b, e_pw, e_pb = extra
-    return ([g + scale * e for g, e in zip(g_w, e_w)],
-            [g + scale * e for g, e in zip(g_b, e_b)],
-            g_pw + scale * e_pw, g_pb + scale * e_pb)
-
-
 def combined_loss(
-    model: ClientModel,
-    local_batch: Matrix,
-    rad: Optional[Matrix],
-    reference,
-    mu: float,
-    form,
-    rng: RngStream,
-    augment_cfg: AugmentConfig = AugmentConfig(),
-    normalize: bool = False,
-    clip_radius: Optional[float] = None,
-    symmetrize: bool = False,
+    model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream
 ) -> Tuple[float, float, float]:
     """Forward-only evaluation of the combined objective.
 
     Returns (loss_total, loss_ssl, loss_prox); identical values to
     loss_and_grad with the backward pass skipped.
     """
-    return _objective(False, model, local_batch, rad, reference, mu, form, rng,
-                      augment_cfg, normalize, clip_radius, symmetrize)[:3]
+    return _objective(False, model, local_batch, obj, rng)[:3]
 
 
-def loss_and_grad(
-    model: ClientModel,
-    local_batch: Matrix,
-    rad: Optional[Matrix],
-    reference,
-    mu: float,
-    form,
-    rng: RngStream,
-    augment_cfg: AugmentConfig = AugmentConfig(),
-    normalize: bool = False,
-    clip_radius: Optional[float] = None,
-    symmetrize: bool = False,
-):
+def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream):
     """Losses and analytic gradients of the combined objective, no update.
 
     Returns (loss_total, loss_ssl, loss_prox, (g_w, g_b, g_pred_w, g_pred_b)).
     The proximal branch treats the reference as a constant and is skipped
-    entirely when mu == 0 so that path is bit-identical to plain SSL. The
-    one-directional regression loss is the default; ``symmetrize`` adds the
-    view-swapped direction.
+    entirely when mu == 0 so that path is bit-identical to plain SSL.
     """
-    return _objective(True, model, local_batch, rad, reference, mu, form, rng,
-                      augment_cfg, normalize, clip_radius, symmetrize)
+    return _objective(True, model, local_batch, obj, rng)
 
 
 def flatten_grads(grads) -> np.ndarray:
@@ -529,32 +544,19 @@ def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
 def combined_step(
     model: ClientModel,
     local_batch: Matrix,
-    rad: Optional[Matrix],
-    reference,
-    mu: float,
-    form,
+    obj: Objective,
     eta: float,
     momentum: float,
     rng: RngStream,
-    augment_cfg: AugmentConfig = AugmentConfig(),
-    normalize: bool = False,
-    clip_radius: Optional[float] = None,
-    symmetrize: bool = False,
 ) -> StepResult:
     """One SGD-with-momentum step on the online branch.
 
     The target branch is untouched. Reported losses and the gradient norm
     are the pre-step values.
     """
-    if mu < 0:
-        raise ConfigError(f"mu must be >= 0, got {mu}")
     if eta < 0:
         raise ConfigError(f"eta must be >= 0, got {eta}")
-    loss_total, loss_ssl, loss_prox, grads = loss_and_grad(
-        model, local_batch, rad, reference, mu, form, rng,
-        augment_cfg=augment_cfg, normalize=normalize, clip_radius=clip_radius,
-        symmetrize=symmetrize,
-    )
+    loss_total, loss_ssl, loss_prox, grads = loss_and_grad(model, local_batch, obj, rng)
     g_w, g_b, g_pw, g_pb = grads
     grad_norm = float(np.linalg.norm(flatten_grads(grads)))
 

@@ -192,8 +192,14 @@ def eta_max_lemma1(
     return 2.0 * s / denom
 
 
+def _coupling(est: AssumptionEstimates, rad_size: int, factor: float = 1.0) -> float:
+    """factor * 2 L2 P R^3 Lrad^2, multiplied left to right: the order each
+    bound has always used, so reported values keep their bits."""
+    return 2.0 * factor * est.l2.value * est.p.value * est.r.value ** 3 * rad_size ** 2
+
+
 def lemma2_rhs(mu: float, eta: float, est: AssumptionEstimates, rad_size: int) -> float:
-    return 2.0 * mu * eta * est.l2.value * est.p.value * est.r.value ** 3 * rad_size ** 2
+    return _coupling(est, rad_size, mu * eta)
 
 
 def lemma2_check(
@@ -219,7 +225,7 @@ def mu_max_theorem(
     grad_norm_sq_sum: float, est: AssumptionEstimates, rad_size: int
 ) -> float:
     """Coupling-weight threshold S / (2 L2 P R^3 Lrad^2)."""
-    denom = 2.0 * est.l2.value * est.p.value * est.r.value ** 3 * rad_size ** 2
+    denom = _coupling(est, rad_size)
     if denom <= 0.0:
         raise DegenerateInputError("coupling threshold undefined: zero constants")
     return float(grad_norm_sq_sum) / denom
@@ -242,10 +248,11 @@ def theorem_check(
     lhs = float(loss_after_swap)
     rhs = base.rhs + coupling
     s = base.inputs["grad_norm_sq_sum"]
-    denom_mu = 2.0 * est.l2.value * est.p.value * est.r.value ** 3 * rad_size ** 2
-    mu_ok = bool(denom_mu > 0 and mu < s / denom_mu)
-    eta_num = 2.0 * (s - 2.0 * mu * est.l2.value * est.p.value
-                     * est.r.value ** 3 * rad_size ** 2)
+    try:
+        mu_ok = bool(mu < mu_max_theorem(s, est, rad_size))
+    except DegenerateInputError:
+        mu_ok = False
+    eta_num = 2.0 * (s - _coupling(est, rad_size, mu))
     eta_den = est.l1.value * (s + num_epochs * est.sigma2.value)
     eta_ok = bool(eta_den > 0 and eta < eta_num / eta_den)
     inputs = dict(base.inputs)

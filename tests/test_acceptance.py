@@ -144,17 +144,14 @@ def test_c02_combined_gradient_oracle():
                         spec, form, normalize, seed
                     )
 
+                    obj = sslnet.Objective(mu, form, rad, ref, aug, normalize)
+
                     def value(vec):
-                        loss, _, _ = sslnet.combined_loss(
-                            set_params(model, vec), batch, rad, ref, mu, form,
-                            rng, augment_cfg=aug, normalize=normalize,
-                        )
+                        loss, _, _ = sslnet.combined_loss(set_params(model, vec), batch,
+                                                          obj, rng)
                         return loss
 
-                    _, _, _, grads = loss_and_grad(
-                        model, batch, rad, ref, mu, form, rng,
-                        augment_cfg=aug, normalize=normalize,
-                    )
+                    _, _, _, grads = loss_and_grad(model, batch, obj, rng)
                     analytic = flatten_grads(grads)
                     x0 = flatten_params(model)
                     numeric = np.empty_like(x0)
@@ -401,8 +398,8 @@ def test_c09_heterogeneity_and_scale():
         isinstance(p, GramMatrix) for p in res.server.registry.values()
     )
     counts = np.zeros(20)
-    for rec in res.log.server_records():
-        if rec["round"] >= 1:
+    for rec in res.log.records:
+        if rec["type"] == "server" and rec["round"] >= 1:
             for k in rec["selected"]:
                 counts[k] += 1
     freqs = counts / cfg.rounds

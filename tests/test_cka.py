@@ -147,12 +147,15 @@ class TestAggregation:
         agg = aggregate_grams([(0.5, k1), (0.5, k2)])
         assert np.array_equal(agg.entries, 2.0 * np.eye(3))
 
-    def test_permutation_bit_identical(self):
-        pairs = [(0.2, random_psd_gram(s)) for s in range(14, 19)]
-        pairs[0] = (0.2, pairs[0][1])
-        a = aggregate_grams(pairs).entries
-        b = aggregate_grams(list(reversed(pairs))).entries
-        assert a.tobytes() == b.tobytes()
+    def test_folds_in_the_order_given(self):
+        pairs = [(w, random_psd_gram(s)) for w, s in zip((0.1, 0.2, 0.3, 0.4), range(14, 18))]
+        expected = 0.1 * pairs[0][1].entries
+        for w, k in pairs[1:]:
+            expected = expected + w * k.entries
+        assert aggregate_grams(pairs).entries.tobytes() == expected.tobytes()
+        phis = [(w, random_activations(s)) for w, s in zip((0.5, 0.25, 0.25), range(3))]
+        expected = (0.5 * phis[0][1] + 0.25 * phis[1][1]) + 0.25 * phis[2][1]
+        assert aggregate_representations(phis).tobytes() == expected.tobytes()
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ConfigError):

@@ -239,3 +239,28 @@ class TestBadInput:
         os.remove(os.path.join(out, "models", "client_1", "model.npz"))
         assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 2
         assert os.path.join("client_1", "model.npz") in capsys.readouterr().err
+
+    def test_arch_width_not_an_integer(self, tmp_path, data_csv, capsys):
+        rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
+                     "--arch", "6,x", "--rad-size", "10")
+        assert rc == 2
+        assert "'x'" in capsys.readouterr().err
+
+    def test_env_seed_not_an_integer(self, tmp_path, data_csv, capsys, monkeypatch):
+        monkeypatch.setenv("HSSFL_SEED", "abc")
+        args = [a for a in run_args(data_csv, str(tmp_path / "run")) if a not in ("--seed", "5")]
+        assert run_cli(*args) == 2
+        assert "HSSFL_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, named", [
+        ([{"num_clients": 2}], "list"),
+        ({"client_specs": "8,6"}, "'8,6'"),
+        ({"client_specs": [{"layer_widths": [8, 6]}]}, "'activation'"),
+    ], ids=["top-level-list", "specs-string", "spec-without-activation"])
+    def test_config_file_of_wrong_shape(self, tmp_path, data_csv, capsys, content, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(content))
+        rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path), "--rad-size", "10")
+        assert rc == 2
+        assert named in capsys.readouterr().err

@@ -12,6 +12,7 @@ from hssfl.errors import ConfigError, ProtocolError
 from hssfl.federation import (
     FedConfig,
     RoundLog,
+    _client_objective,
     _transmit,
     local_training,
     run_training,
@@ -82,32 +83,48 @@ class TestServerAggregate:
     def test_identical_payloads(self):
         k = gram_linear(RngStream(3, purpose="a").generator().normal(size=(4, 2)))
         registry = {}
-        out = server_aggregate([(0, k), (1, k)], [0.5, 0.5], "kernel", registry)
+        out = server_aggregate([(0, k), (1, k)], [0.5, 0.5], registry)
         assert np.allclose(out.entries, k.entries)
 
     def test_weighted_oracle(self):
         k1, k2 = GramMatrix(np.eye(3)), GramMatrix(3.0 * np.eye(3))
-        out = server_aggregate([(0, k1), (1, k2)], [0.5, 0.5], "kernel", {})
+        out = server_aggregate([(0, k1), (1, k2)], [0.5, 0.5], {})
         assert np.array_equal(out.entries, 2.0 * np.eye(3))
 
     def test_arrival_order_irrelevant(self):
         ks = [gram_linear(RngStream(s, purpose="k").generator().normal(size=(4, 2)))
               for s in range(3)]
         w = [1 / 3] * 3
-        a = server_aggregate(list(enumerate(ks)), w, "kernel", {})
-        b = server_aggregate(list(enumerate(ks))[::-1], w, "kernel", {})
+        a = server_aggregate(list(enumerate(ks)), w, {})
+        b = server_aggregate(list(enumerate(ks))[::-1], w, {})
         assert a.entries.tobytes() == b.entries.tobytes()
+
+    @pytest.mark.parametrize("kind", ["kernel", "representation"])
+    def test_shuffled_arrival_bit_identical(self, kind):
+        # the aggregate is summed in client-id order, whatever order the
+        # reports arrive in
+        weights = [0.1, 0.3, 0.2, 0.15, 0.25]
+        phis = [RngStream(s, purpose="phi").generator().normal(size=(6, 3))
+                for s in range(5)]
+        payloads = [gram_linear(p) if kind == "kernel" else p for p in phis]
+        reports = list(enumerate(payloads))
+        expected = federation._entries(server_aggregate(reports, weights, {}))
+        for seed in range(4):
+            order = RngStream(seed, purpose="arrival").generator().permutation(5)
+            shuffled = [reports[i] for i in order]
+            out = federation._entries(server_aggregate(shuffled, weights, {}))
+            assert out.tobytes() == expected.tobytes()
 
     def test_stale_payload_reuse(self):
         k_old = GramMatrix(np.eye(2))
         k_new = GramMatrix(2.0 * np.eye(2))
         registry = {0: k_old, 1: k_old}
-        out = server_aggregate([(1, k_new)], [0.5, 0.5], "kernel", registry)
+        out = server_aggregate([(1, k_new)], [0.5, 0.5], registry)
         assert np.array_equal(out.entries, 1.5 * np.eye(2))
 
     def test_missing_report_names_client(self):
         with pytest.raises(ProtocolError, match="client 1"):
-            server_aggregate([(0, GramMatrix(np.eye(2)))], [0.5, 0.5], "kernel", {})
+            server_aggregate([(0, GramMatrix(np.eye(2)))], [0.5, 0.5], {})
 
 
 class TestLocalTraining:
@@ -118,8 +135,8 @@ class TestLocalTraining:
         rad = ds.features[30:40]
         from hssfl.federation import init_models
         model = init_models(cfg)[0]
-        ref = gram_linear(np.ones((10, 8)))
-        out = local_training(model, shard, rad, ref, cfg, 1, RngStream(cfg.seed, client=0))
+        obj = _client_objective(cfg, cfg.mu, rad, gram_linear(np.ones((10, 8))))
+        out = local_training(model, shard, obj, cfg, 1, RngStream(cfg.seed, client=0))
         assert len(out["epoch_losses"]) == 1
         for a, b in zip(out["model"].online_w, model.online_w):
             assert np.array_equal(a, b)
@@ -132,8 +149,9 @@ class TestLocalTraining:
         from hssfl.federation import init_models
         model = init_models(cfg)[0]
         ref = gram_linear(RngStream(5, purpose="r").generator().normal(size=(20, 8)))
-        first = local_training(model, shard, rad, ref, cfg, 2, RngStream(cfg.seed, client=0))
-        second = local_training(model, shard, rad, ref, cfg, 2, RngStream(cfg.seed, client=0))
+        obj = _client_objective(cfg, cfg.mu, rad, ref)
+        first = local_training(model, shard, obj, cfg, 2, RngStream(cfg.seed, client=0))
+        second = local_training(model, shard, obj, cfg, 2, RngStream(cfg.seed, client=0))
         assert first["epoch_losses"] == second["epoch_losses"]
         assert first["epoch_grad_norms"] == second["epoch_grad_norms"]
         for a, b in zip(first["model"].online_w, second["model"].online_w):
@@ -164,11 +182,11 @@ class TestRunTraining:
                 assert a.tobytes() == b.tobytes()
             assert model.pred_w.tobytes() == alone.pred_w.tobytes()
 
-    def test_workers_do_not_change_log(self):
+    def test_workers_do_not_change_log(self, tmp_path):
         cfg = small_cfg(rounds=3)
-        a = run_training(cfg, dataset(), workers=1)
-        b = run_training(cfg, dataset(), workers=4)
-        assert a.log.to_jsonl() == b.log.to_jsonl()
+        a = run_training(cfg, dataset(), workers=1, log_path=str(tmp_path / "a.jsonl"))
+        b = run_training(cfg, dataset(), workers=4, log_path=str(tmp_path / "b.jsonl"))
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         for ma, mb in zip(a.models, b.models):
             for x, y in zip(ma.online_w, mb.online_w):
                 assert x.tobytes() == y.tobytes()
@@ -224,7 +242,7 @@ class TestRunTraining:
         res = run_training(cfg, ds)
         from hssfl.federation import init_models
         fresh = init_models(cfg)
-        selected = res.log.server_records()[-1]["selected"]
+        selected = res.log.records[-1]["selected"]
         for k in range(cfg.num_clients):
             same = all(
                 a.tobytes() == b.tobytes()
@@ -243,14 +261,14 @@ class TestRunTraining:
             assert len(rec["epoch_losses"]) == cfg.local_epochs
         selected = {
             (r["round"], c)
-            for r in res.log.server_records() if r["round"] >= 1
+            for r in res.log.records if r["type"] == "server" and r["round"] >= 1
             for c in r["selected"]
         }
         logged = {(r["round"], r["client"]) for r in res.log.client_records()}
         assert logged == selected
 
     def test_l2rep_mode_equal_widths(self):
-        cfg = small_cfg(proximal_form="l2_rep", payload="representation")
+        cfg = small_cfg(proximal_form="l2_rep")
         res = run_training(cfg, dataset())
         assert all(not isinstance(p, GramMatrix) for p in res.server.registry.values())
         rec = res.log.client_records()[0]
@@ -259,8 +277,7 @@ class TestRunTraining:
     def test_l2rep_mixed_widths_rejected(self):
         specs = (MlpSpec((16, 8), "relu"), MlpSpec((16, 4), "relu"),
                  MlpSpec((16, 8), "relu"), MlpSpec((16, 8), "relu"))
-        cfg = small_cfg(proximal_form="l2_rep", payload="representation",
-                        client_specs=specs)
+        cfg = small_cfg(proximal_form="l2_rep", client_specs=specs)
         from hssfl.errors import UnsupportedCombinationError
         with pytest.raises(UnsupportedCombinationError):
             run_training(cfg, dataset())
@@ -284,43 +301,69 @@ class TestRunTraining:
     def test_no_gram_built_on_the_step_path(self, monkeypatch):
         from hssfl import cka, sslnet
         counts = collections.Counter()
-        inside_loss = []
+        active = []  # the counted calls in progress, outermost first
 
         def counted(name, real):
             def call(*args, **kwargs):
                 counts[name] += 1
-                if name == "proximal_value" and not any(inside_loss):
-                    counts["proximal_value outside combined_loss"] += 1
-                inside_loss.append(name == "combined_loss")
+                for outer in ("combined_loss", "_swap_eval"):
+                    if outer in active:
+                        counts[f"{name} inside {outer}"] += 1
+                active.append(name)
                 try:
                     return real(*args, **kwargs)
                 finally:
-                    inside_loss.pop()
+                    active.pop()
             return call
 
         for owners, name in (((cka, federation), "gram_linear"),
                              ((cka,), "proximal_grad"),
-                             ((cka,), "proximal_value"),
+                             ((cka, federation), "proximal_value"),
+                             ((sslnet,), "forward_online"),
                              ((sslnet,), "combined_step"),
-                             ((sslnet,), "combined_loss")):
+                             ((sslnet,), "combined_loss"),
+                             ((federation,), "_swap_eval")):
             wrapped = counted(name, getattr(owners[0], name))
             for owner in owners:
                 monkeypatch.setattr(owner, name, wrapped)
         cfg = small_cfg(rounds=3, sample_size=2)
         run_training(cfg, dataset())
+        client_rounds = cfg.rounds * cfg.sample_size
         # bootstrap uploads, then each round's uploads
-        assert counts["gram_linear"] == cfg.num_clients + cfg.rounds * cfg.sample_size
+        assert counts["gram_linear"] == cfg.num_clients + client_rounds
         assert counts["combined_step"] > 0
         assert counts["proximal_grad"] == counts["combined_step"]
-        # start, end and swap evaluation of every sampled client
-        assert counts["combined_loss"] == 3 * cfg.rounds * cfg.sample_size
-        assert counts["proximal_value"] == counts["combined_loss"]
-        assert counts["proximal_value outside combined_loss"] == 0
+        # start and end evaluation of every sampled client
+        assert counts["combined_loss"] == 2 * client_rounds
+        assert counts["proximal_value inside combined_loss"] == counts["combined_loss"]
+        # the swap evaluation: one penalty on the uploaded representations,
+        # and no forward pass
+        assert counts["_swap_eval"] == client_rounds
+        outside = counts["proximal_value"] - counts["proximal_value inside combined_loss"]
+        assert outside == counts["proximal_value inside _swap_eval"] == client_rounds
+        assert counts["forward_online inside _swap_eval"] == 0
 
-    def test_jsonl_round_trip(self):
-        cfg = small_cfg()
+    def test_swap_losses_oracle(self):
+        # the last round's swap evaluation against the final reference,
+        # recomputed from the final weights with a fresh forward pass
+        from hssfl import cka, sslnet
+        cfg = small_cfg(rounds=2, sample_size=3, clip_radius=2.0)
         res = run_training(cfg, dataset())
-        back = RoundLog.from_jsonl(res.log.to_jsonl())
+        last = [r for r in res.log.client_records() if r["round"] == cfg.rounds]
+        assert len(last) == cfg.sample_size
+        for rec in last:
+            phi = sslnet.representations(res.models[rec["client"]], res.rad.features,
+                                         clip_radius=cfg.clip_radius)
+            prox = cka.proximal_value(phi, res.server.reference, cfg.proximal_form, cfg.mu)
+            assert rec["loss_prox_swap"] == prox > 0.0
+            assert rec["loss_ssl_swap"] == rec["loss_ssl_end"]
+            assert rec["loss_total_swap"] == rec["loss_ssl_end"] + prox
+
+    def test_jsonl_round_trip(self, tmp_path):
+        cfg = small_cfg()
+        log_path = tmp_path / "log.jsonl"
+        res = run_training(cfg, dataset(), log_path=str(log_path))
+        back = RoundLog.from_jsonl(log_path.read_text(encoding="utf-8"))
         assert back.records == res.log.records
 
 
@@ -478,10 +521,15 @@ class TestFedConfig:
         assert cfg.client_weights == (0.25, 0.25, 0.25, 0.25)
 
     def test_form_payload_consistency(self):
-        with pytest.raises(ConfigError):
-            small_cfg(proximal_form="l2_rep")
-        with pytest.raises(ConfigError):
-            small_cfg(payload="representation")
+        # the payload follows the form; a config cannot name it
+        assert small_cfg(proximal_form="l2_rep").payload_kind == "representation"
+        for form in ("one_minus_cka", "raw_cka", "trace_alignment"):
+            assert small_cfg(proximal_form=form).payload_kind == "kernel"
+        d = small_cfg().to_dict()
+        assert "payload" not in d
+        d["payload"] = "kernel"
+        with pytest.raises(ConfigError, match=r"unknown keys \['payload'\]"):
+            FedConfig.from_dict(d)
 
     @pytest.mark.parametrize("overrides", [
         dict(mu=float("nan")),

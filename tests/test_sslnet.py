@@ -9,6 +9,7 @@ from hssfl.sslnet import (
     _ssl_loss_grad,
     combined_loss,
     MlpSpec,
+    Objective,
     augment,
     combined_step,
     ema_update,
@@ -136,8 +137,7 @@ class TestForward:
         m = make_model()
         x = batch_for(RELU)
         before = forward_target(m, x)
-        step = combined_step(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                             0.05, 0.9, RngStream(9))
+        step = combined_step(m, x, Objective(), 0.05, 0.9, RngStream(9))
         assert np.array_equal(forward_target(step.model, x), before)
 
     def test_shape_mismatch(self):
@@ -187,8 +187,8 @@ class TestSslLoss:
         m = make_model()
         m.pred_w[:] = 0.0
         x = batch_for(RELU)
-        _, _, _, grads = loss_and_grad(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                                       RngStream(3, purpose="step"), normalize=True)
+        _, _, _, grads = loss_and_grad(m, x, Objective(normalize=True),
+                                       RngStream(3, purpose="step"))
         assert not np.any(flatten_grads(grads))
 
 
@@ -219,10 +219,8 @@ class TestRepresentations:
         assert np.all(np.sqrt(np.sum(phi * phi, axis=1)) <= 1.0 + 1e-12)
 
 
-def total_loss_fn(model, batch, rad, ref, mu, form, rng, aug, normalize, clip):
-    loss, _, _ = combined_loss(model, batch, rad, ref, mu, form, rng,
-                               augment_cfg=aug, normalize=normalize,
-                               clip_radius=clip)
+def total_loss_fn(model, batch, obj, rng):
+    loss, _, _ = combined_loss(model, batch, obj, rng)
     return loss
 
 
@@ -245,10 +243,10 @@ class TestCombinedStep:
         rad = batch_for(RELU, seed=4, rows=5)
         kbar = gram_linear(np.ones((5, 3)))
         rng = RngStream(11, client=2, round=3, epoch=1)
-        with_ref = combined_step(m, x, rad, kbar, 0.0, ProximalForm.ONE_MINUS_CKA,
-                                 0.05, 0.9, rng, augment_cfg=AugmentConfig(0.2, 0.1))
-        without = combined_step(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                                0.05, 0.9, rng, augment_cfg=AugmentConfig(0.2, 0.1))
+        aug = AugmentConfig(0.2, 0.1)
+        with_ref = combined_step(m, x, Objective(0.0, rad=rad, reference=kbar, augment=aug),
+                                 0.05, 0.9, rng)
+        without = combined_step(m, x, Objective(augment=aug), 0.05, 0.9, rng)
         for a, b in zip(with_ref.model.online_w, without.model.online_w):
             assert a.tobytes() == b.tobytes()
         assert with_ref.model.pred_w.tobytes() == without.model.pred_w.tobytes()
@@ -257,8 +255,7 @@ class TestCombinedStep:
     def test_eta_zero_keeps_weights(self):
         m = make_model()
         x = batch_for(RELU)
-        step = combined_step(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                             0.0, 0.9, RngStream(12))
+        step = combined_step(m, x, Objective(), 0.0, 0.9, RngStream(12))
         for a, b in zip(step.model.online_w, m.online_w):
             assert np.array_equal(a, b)
         assert np.array_equal(step.model.pred_w, m.pred_w)
@@ -268,10 +265,8 @@ class TestCombinedStep:
     def test_gradient_norm_matches_flattened(self):
         m = make_model()
         x = batch_for(RELU)
-        _, _, _, grads = loss_and_grad(m, x, None, None, 0.0,
-                                       ProximalForm.ONE_MINUS_CKA, RngStream(13))
-        step = combined_step(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                             0.01, 0.0, RngStream(13))
+        _, _, _, grads = loss_and_grad(m, x, Objective(), RngStream(13))
+        step = combined_step(m, x, Objective(), 0.01, 0.0, RngStream(13))
         assert step.grad_norm == pytest.approx(np.linalg.norm(flatten_grads(grads)))
 
     @pytest.mark.parametrize("form,normalize", [
@@ -290,14 +285,12 @@ class TestCombinedStep:
         else:
             ref = gram_linear(RngStream(24, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(25)
-        aug = AugmentConfig(0.0, 0.0)
+        obj = Objective(0.7, form, rad, ref, AugmentConfig(0.0, 0.0), normalize)
 
         def value(vec):
-            return total_loss_fn(set_params(m, vec), x, rad, ref, 0.7, form, rng,
-                                 aug, normalize, None)
+            return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, rad, ref, 0.7, form, rng,
-                                       augment_cfg=aug, normalize=normalize)
+        _, _, _, grads = loss_and_grad(m, x, obj, rng)
         analytic = flatten_grads(grads)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
@@ -310,16 +303,13 @@ class TestCombinedStep:
         rad = 3.0 * batch_for(spec, seed=33, rows=5)
         ref = gram_linear(RngStream(34, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(35)
-        aug = AugmentConfig(0.0, 0.0)
-        clip = 0.8
+        obj = Objective(0.5, ProximalForm.TRACE_ALIGNMENT, rad, ref,
+                        AugmentConfig(0.0, 0.0), clip_radius=0.8)
 
         def value(vec):
-            return total_loss_fn(set_params(m, vec), x, rad, ref, 0.5,
-                                 ProximalForm.TRACE_ALIGNMENT, rng, aug, False, clip)
+            return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, rad, ref, 0.5,
-                                       ProximalForm.TRACE_ALIGNMENT, rng,
-                                       augment_cfg=aug, clip_radius=clip)
+        _, _, _, grads = loss_and_grad(m, x, obj, rng)
         analytic = flatten_grads(grads)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
@@ -327,19 +317,16 @@ class TestCombinedStep:
 
     def test_small_step_decreases_loss(self):
         # deterministic full-batch mode: one tiny step must descend
-        aug = AugmentConfig(0.0, 0.0)
+        obj = Objective(augment=AugmentConfig(0.0, 0.0))
         failures = 0
         for seed in range(50):
             spec = MlpSpec((3, 4, 2), "tanh" if seed % 2 else "relu")
             m = make_model(spec, seed=seed)
             x = batch_for(spec, seed=seed + 1000, rows=6)
             rng = RngStream(seed + 2000)
-            before = total_loss_fn(m, x, None, None, 0.0,
-                                   ProximalForm.ONE_MINUS_CKA, rng, aug, False, None)
-            step = combined_step(m, x, None, None, 0.0, ProximalForm.ONE_MINUS_CKA,
-                                 1e-4, 0.0, rng, augment_cfg=aug)
-            after = total_loss_fn(step.model, x, None, None, 0.0,
-                                  ProximalForm.ONE_MINUS_CKA, rng, aug, False, None)
+            before = total_loss_fn(m, x, obj, rng)
+            step = combined_step(m, x, obj, 1e-4, 0.0, rng)
+            after = total_loss_fn(step.model, x, obj, rng)
             if after >= before:
                 failures += 1
         assert failures == 0
@@ -351,11 +338,8 @@ class TestSymmetrized:
         x = batch_for(RELU)
         aug = AugmentConfig(0.0, 0.0)
         rng = RngStream(60)
-        one, _, _ = combined_loss(m, x, None, None, 0.0,
-                                  ProximalForm.ONE_MINUS_CKA, rng, augment_cfg=aug)
-        both, _, _ = combined_loss(m, x, None, None, 0.0,
-                                   ProximalForm.ONE_MINUS_CKA, rng,
-                                   augment_cfg=aug, symmetrize=True)
+        one, _, _ = combined_loss(m, x, Objective(augment=aug), rng)
+        both, _, _ = combined_loss(m, x, Objective(augment=aug, symmetrize=True), rng)
         assert both == pytest.approx(2.0 * one)
 
     def test_gradient_finite_differences(self):
@@ -365,21 +349,61 @@ class TestSymmetrized:
         rad = batch_for(spec, seed=63, rows=5)
         ref = gram_linear(RngStream(64, purpose="ref").generator().normal(size=(5, 2)))
         rng = RngStream(65)
-        aug = AugmentConfig(0.1, 0.0)
+        obj = Objective(0.5, ProximalForm.ONE_MINUS_CKA, rad, ref, AugmentConfig(0.1, 0.0),
+                        symmetrize=True)
 
         def value(vec):
-            loss, _, _ = combined_loss(set_params(m, vec), x, rad, ref, 0.5,
-                                       ProximalForm.ONE_MINUS_CKA, rng,
-                                       augment_cfg=aug, symmetrize=True)
-            return loss
+            return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, rad, ref, 0.5,
-                                       ProximalForm.ONE_MINUS_CKA, rng,
-                                       augment_cfg=aug, symmetrize=True)
+        _, _, _, grads = loss_and_grad(m, x, obj, rng)
         analytic = flatten_grads(grads)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
+
+
+    def test_gradient_with_clipping_and_normalize(self):
+        # every block of the stacked pass at once: both directions, the
+        # normalized loss and clipped alignment rows
+        spec = MlpSpec((3, 4, 2), "tanh")
+        m = make_model(spec, seed=66)
+        x = batch_for(spec, seed=67, rows=4)
+        rad = 3.0 * batch_for(spec, seed=68, rows=5)
+        ref = gram_linear(RngStream(69, purpose="ref").generator().normal(size=(5, 2)))
+        rng = RngStream(70)
+        obj = Objective(0.5, ProximalForm.RAW_CKA, rad, ref, AugmentConfig(0.1, 0.0),
+                        normalize=True, clip_radius=0.8, symmetrize=True)
+        assert np.any(np.linalg.norm(representations(m, rad), axis=1) > 0.8)
+
+        def value(vec):
+            return total_loss_fn(set_params(m, vec), x, obj, rng)
+
+        _, _, _, grads = loss_and_grad(m, x, obj, rng)
+        analytic = flatten_grads(grads)
+        numeric = fd_param_grad(m, value)
+        scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
+        assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
+
+
+class TestObjective:
+    @pytest.mark.parametrize("mu", [-0.1, float("nan")])
+    def test_mu_must_be_nonnegative(self, mu):
+        with pytest.raises(ConfigError, match="mu must be >= 0"):
+            Objective(mu)
+
+    def test_form_parsed(self):
+        assert Objective(form="raw_cka").form is ProximalForm.RAW_CKA
+        with pytest.raises(ConfigError, match="unknown proximal form"):
+            Objective(form="cosine")
+
+    def test_coupling_needs_rows_and_reference(self):
+        rad = batch_for(RELU, rows=5)
+        ref = gram_linear(np.ones((5, 3)))
+        for missing in (dict(rad=rad), dict(reference=ref), {}):
+            with pytest.raises(ConfigError, match="requires an alignment batch"):
+                Objective(0.5, **missing)
+        Objective(0.5, rad=rad, reference=ref)
+        Objective(0.0)
 
 
 class TestEma:
@@ -416,8 +440,8 @@ class TestEma:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = make_model(seed=50)
-        step = combined_step(m, batch_for(RELU, seed=51), None, None, 0.0,
-                             ProximalForm.ONE_MINUS_CKA, 0.05, 0.9, RngStream(52))
+        step = combined_step(m, batch_for(RELU, seed=51), Objective(), 0.05, 0.9,
+                             RngStream(52))
         save_model(step.model, str(tmp_path / "ckpt"), round_index=3)
         loaded = load_model(str(tmp_path / "ckpt"))
         assert loaded.spec == step.model.spec

@@ -178,7 +178,7 @@ class TestTheorem:
         assert rep_ok.inputs["mu_ok"] and not rep_bad.inputs["mu_ok"]
 
 
-def theory_run(seed=0, mu=0.5, rounds=2, epochs=2, clients=3, eta=0.002):
+def theory_run(seed=0, mu=0.5, rounds=2, epochs=2, clients=3, eta=0.002, log_path=None):
     ds = synth_mixture(6, 8, 30, 4.0, 0.5, RngStream(seed, purpose="synth"))
     cfg = FedConfig(
         num_clients=clients, rounds=rounds, local_epochs=epochs, eta=eta,
@@ -187,7 +187,7 @@ def theory_run(seed=0, mu=0.5, rounds=2, epochs=2, clients=3, eta=0.002):
         rad_size=8, seed=seed, partition="iid", clip_radius=1.0,
         theory_probes=True,
     )
-    return cfg, run_training(cfg, ds)
+    return cfg, run_training(cfg, ds, log_path=log_path)
 
 
 class TestRunLevel:
@@ -210,11 +210,12 @@ class TestRunLevel:
         est = estimate_constants(res.log)
         assert est.sigma2.value > 0.0
 
-    def test_reports_recomputable_from_jsonl(self):
-        cfg, res = theory_run()
+    def test_reports_recomputable_from_jsonl(self, tmp_path):
+        log_path = tmp_path / "log.jsonl"
+        cfg, res = theory_run(log_path=str(log_path))
         direct = check_round_log(res.log, cfg.eta, cfg.mu, cfg.local_epochs,
                                  cfg.rad_size)
-        parsed = RoundLog.from_jsonl(res.log.to_jsonl())
+        parsed = RoundLog.from_jsonl(log_path.read_text(encoding="utf-8"))
         replayed = check_round_log(parsed, cfg.eta, cfg.mu, cfg.local_epochs,
                                    cfg.rad_size)
         assert [r.to_dict() for r in direct] == [r.to_dict() for r in replayed]

@@ -2,23 +2,36 @@
 representation aggregation, and the proximal penalty forms with analytic
 gradients with respect to the activation matrix.
 
+Every kernel is held, sent and stored as an exact factor when that is
+smaller: a client's linear Gram K = phi @ phi.T (phi is L x d) is held as the
+L x d factor U = phi @ V, with V the eigenvectors of the d x d matrix
+phi.T @ phi, so U @ U.T = K, and the sign of each column of U is fixed so that
+its largest-magnitude entry is positive. U is then fixed by K alone (for
+distinct eigenvalues): the factor carries the kernel and nothing more. The
+weighted aggregate sum_k w_k K_k is the factor F = [sqrt(w_1) U_1, ...,
+sqrt(w_N) U_N] with D = sum_k d_k columns, in the order given. The rank rule
+is automatic: a kernel is held densely, as its L x L entries, when its
+factor would have at least L columns, and an aggregate is dense when any
+input is.
+
 The similarity score between two L x L Gram matrices is
 
     score(Ki, Kj) = trace(Ki @ Kj) / (||Ki||_F * ||Kj||_F)
 
-which for linear Grams K = A @ A.T equals ||Aj.T @ Ai||_F^2 divided by
-||Ai.T @ Ai||_F * ||Aj.T @ Aj||_F. Gram matrices are uncentered.
+which for factors is ||Fi.T @ Fj||_F^2 / (||Fi.T @ Fi||_F ||Fj.T @ Fj||_F),
+the feature-space form of linear CKA. Gram matrices are uncentered.
 
-The proximal term never builds the client's own L x L Gram K = phi @ phi.T.
-With the reference Kbar (L x L) and phi (L x d) it uses
+The proximal term never builds an L x L matrix. With the reference Kbar and
+phi (L x d) it uses
 
+    Kbar @ phi      = F @ (F.T @ phi)      (Kbar @ phi when Kbar is dense)
     trace(K @ Kbar) = sum(phi * (Kbar @ phi))
     ||K||_F         = ||phi.T @ phi||_F
     K @ phi         = phi @ (phi.T @ phi)
 
-so a step costs one L^2 d product Kbar @ phi plus O(L d^2), and ||Kbar||_F
-is computed once per GramMatrix object. Gram matrices are still built for
-uploads (gram_linear).
+so a step costs 2 L D d flops for Kbar @ phi (L^2 d for a dense Kbar) plus
+O(L d^2), and ||Kbar||_F = ||F.T @ F||_F is computed once per GramMatrix
+object.
 
 Sign convention of the proximal penalty: the prose intent is a *distance*
 penalty, so the default training form is ONE_MINUS_CKA (penalize
@@ -56,26 +69,63 @@ EPS_GRAD = 1e-12
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """L x L symmetric kernel matrix over the alignment rows."""
+    """Symmetric PSD L x L kernel over the alignment rows, held as it is sent
+    and stored: an L x D factor F with K = F @ F.T when D < L, else the
+    L x L entries. The column count tells the two apart."""
 
-    entries: Matrix
+    data: Matrix
 
     def __post_init__(self):
-        m = as_matrix(self.entries, "gram entries")
-        if m.shape[0] != m.shape[1]:
-            raise ShapeError(f"gram matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
-            raise ShapeError("gram matrix is not symmetric")
-        object.__setattr__(self, "entries", m)
+        m = np.asarray(self.data, dtype=np.float64)
+        if m.ndim != 2 or m.shape[1] > m.shape[0]:
+            raise ShapeError("gram data must be L x L entries or an L x D factor "
+                             f"with D < L, got shape {m.shape}")
+        if m.shape[1] == m.shape[0]:
+            m = as_matrix(m, "gram entries")
+            if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
+                raise ShapeError("gram matrix is not symmetric")
+        object.__setattr__(self, "data", m)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.data.shape[0]
+
+    @property
+    def factor(self) -> Optional[Matrix]:
+        """The L x D factor, or None when the kernel is held densely."""
+        return self.data if self.data.shape[1] < self.data.shape[0] else None
+
+    @cached_property
+    def entries(self) -> Matrix:
+        """The L x L entries; for a factor, built on first use."""
+        f = self.factor
+        return self.data if f is None else _outer(f)
 
     @cached_property
     def norm(self) -> float:
-        """||entries||_F, computed on first use and kept with the object."""
-        return float(np.linalg.norm(self.entries))
+        """||K||_F (= ||F.T @ F||_F for a factor), computed on first use and
+        kept with the object."""
+        f = self.factor
+        return float(np.linalg.norm(self.data if f is None else f.T @ f))
+
+    def times(self, x: Matrix) -> Matrix:
+        """K @ x, as F @ (F.T @ x) for a factor."""
+        f = self.factor
+        return self.data @ x if f is None else f @ (f.T @ x)
+
+
+def _outer(f: Matrix) -> Matrix:
+    """F @ F.T, symmetrized exactly against roundoff."""
+    k = f @ f.T
+    return (k + k.T) / 2.0
+
+
+def _kernel(f: Matrix, name: str) -> GramMatrix:
+    """The kernel F @ F.T, held as F unless F has at least as many columns
+    as rows (the rank rule)."""
+    if f.shape[1] < f.shape[0]:
+        return GramMatrix(f)
+    return GramMatrix(check_finite(_outer(f), name))
 
 
 class ProximalForm(enum.Enum):
@@ -96,11 +146,15 @@ class ProximalForm(enum.Enum):
 
 
 def gram_linear(a: Matrix) -> GramMatrix:
-    """K = A @ A.T, symmetrized exactly against roundoff."""
+    """K = A @ A.T, held as the canonical factor U = A @ V when A has fewer
+    columns than rows (see the module docstring), else densely."""
     a = as_matrix(a, "activations")
-    k = a @ a.T
-    k = (k + k.T) / 2.0
-    return GramMatrix(check_finite(k, "linear gram"))
+    if a.shape[1] < a.shape[0]:
+        _, v = np.linalg.eigh(check_finite(a.T @ a, "linear gram"))
+        a = a @ v
+        peak = a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
+        a = a * np.where(peak < 0.0, -1.0, 1.0)
+    return _kernel(a, "linear gram")
 
 
 def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
@@ -117,8 +171,17 @@ def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
 
 
 def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
-    """sum_pq Ki[p,q] * Kbar[p,q]; trace of the product for symmetric inputs."""
+    """sum_pq Ki[p,q] * Kbar[p,q], the trace of the product: ||Fi.T @ Fbar||_F^2
+    for two factors, sum(F * (K @ F)) when one is dense."""
     _same_size(ki, kbar)
+    fi, fbar = ki.factor, kbar.factor
+    if fi is not None and fbar is not None:
+        c = fi.T @ fbar
+        return float(np.sum(c * c))
+    if fi is not None:
+        return float(np.sum(fi * kbar.times(fi)))
+    if fbar is not None:
+        return float(np.sum(fbar * ki.times(fbar)))
     return float(np.sum(ki.entries * kbar.entries))
 
 
@@ -142,8 +205,10 @@ def _weighted_sum(pairs: Sequence[Tuple[float, Matrix]]) -> Matrix:
 
 
 def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
-    """Entrywise weighted sum of Gram matrices, folded in the order given,
-    so equal inputs in equal order give equal bits; weights must sum to 1."""
+    """sum_k w_k K_k; weights must sum to 1. For factors it is the factor
+    [sqrt(w_1) F_1, ..., sqrt(w_N) F_N], held densely under the rank rule;
+    with any dense input it is the entrywise sum, folded in the order given.
+    Either way equal inputs in equal order give equal bits."""
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("nothing to aggregate")
@@ -153,6 +218,9 @@ def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
     for _, k in pairs:
         if k.size != size:
             raise ShapeError(f"gram sizes differ: {k.size} vs {size}")
+    if all(k.factor is not None for _, k in pairs):
+        return _kernel(np.concatenate([np.sqrt(w) * k.factor for w, k in pairs], axis=1),
+                       "aggregated gram")
     total = _weighted_sum([(w, k.entries) for w, k in pairs])
     return GramMatrix(check_finite(total, "aggregated gram"))
 
@@ -199,7 +267,7 @@ def _kernel_distance(
     Kbar @ phi product; see the module docstring."""
     if kbar.size != phi.shape[0]:
         raise ShapeError(f"reference size {kbar.size} != phi rows {phi.shape[0]}")
-    kphi = check_finite(kbar.entries @ phi, "reference kernel product")
+    kphi = check_finite(kbar.times(phi), "reference kernel product")
     t = check_finite(float(np.sum(phi * kphi)), "trace alignment")
     if form is ProximalForm.TRACE_ALIGNMENT:
         return t, check_finite(2.0 * kphi, "trace-alignment gradient") if want_grad else None
@@ -264,7 +332,8 @@ def proximal_grad(
                           (phi - phibar)/||phi - phibar||_F, zero subgradient
                           when the distance is <= EPS_GRAD
 
-    A kernel form costs one L^2 d product and O(L d^2) more, with no L x L
+    A kernel form costs one Kbar @ phi product (2 L D d flops for a factored
+    reference, L^2 d for a dense one) and O(L d^2) more, with no L x L
     allocation; M is cached on the reference. A non-finite Kbar phi, t, G,
     N or normalizer raises NumericalFailureError.
     """

@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import __version__, datahub, evaluation, federation, sslnet, theory
 from .errors import ConfigError, HssflError, ParseError
 from .federation import FedConfig
-from .numkit import RngStream
+from .numkit import RngStream, as_int
 from .sslnet import MlpSpec
 
 PAPER_DEFAULTS = {
@@ -60,7 +60,12 @@ def _parse_arch(text: str) -> MlpSpec:
         widths, activation = text.split(":", 1)
     else:
         widths, activation = text, "relu"
-    return MlpSpec(tuple(widths.split(",")), activation)
+    parts = tuple(widths.split(","))
+    try:
+        parsed = tuple(int(w) for w in parts)
+    except ValueError:
+        raise ConfigError(f"layer widths must be integers, got {parts!r}") from None
+    return MlpSpec(parsed, activation)
 
 
 def _read_json(path: str, what: str, parse=json.loads):
@@ -156,7 +161,7 @@ def _resolve_config(args) -> FedConfig:
 
     if args.arch:
         specs = [_parse_arch(a) for a in args.arch]
-        n = base.get("num_clients") or len(specs)
+        n = as_int(base.get("num_clients") or len(specs), "num_clients")
         base["num_clients"] = n
         base["client_specs"] = [specs[i % len(specs)].to_dict() for i in range(n)]
     if "client_specs" not in base:

@@ -12,10 +12,15 @@ regression loss and the uploaded representations and makes no forward pass.
 
 Each reference is aggregated and transmitted once: before round 1, from the
 bootstrap uploads or the loaded checkpoint, and at the end of every round.
-Payloads cross a real serialization boundary even though transport is
-in-process: every matrix sent (the alignment rows, the reference, client
-uploads) is encoded as npy, counted and decoded once. One atomically
-replaced ``checkpoint.npz`` holds each round's client tensors and payloads;
+Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
+an upload is L x d_k and a reference L x D with D = sum_k d_k, so a round
+sends O(L d_k) up per client and O(L D) down; a kernel whose factor would
+have at least L columns goes as its L x L entries. Payloads cross a real
+serialization boundary even though transport is in-process: every matrix
+sent (the alignment rows, the reference, client uploads) is encoded as npy,
+counted, decoded and checked for finiteness once. One atomically replaced
+``checkpoint.npz`` holds each round's client tensors and payloads, each in
+the form it is held;
 a resume cuts ``log.jsonl`` back to the rounds it holds, so a run killed at
 any point resumes to the uninterrupted result. One thread pool runs the
 clients for every worker count. All
@@ -56,6 +61,7 @@ from .errors import ConfigError, NumericalFailureError, ProtocolError
 from .numkit import (
     Matrix,
     RngStream,
+    as_int,
     as_matrix,
     check_finite,
     lipschitz_ratios,
@@ -67,6 +73,12 @@ from .sslnet import AugmentConfig, ClientModel, MlpSpec
 KERNEL = "kernel"
 REPRESENTATION = "representation"
 CHECKPOINT_FILE = "checkpoint.npz"
+
+
+# Integral config fields: a bool or a non-integral number is refused, and an
+# integral float is stored as an int, so to_dict() round-trips.
+_INT_FIELDS = ("num_clients", "rounds", "local_epochs", "batch_size", "rad_size",
+               "seed", "sample_size")
 
 
 @dataclass(frozen=True)
@@ -95,6 +107,9 @@ class FedConfig:
     rad_shift: float = 0.0
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            if name != "sample_size" or self.sample_size is not None:
+                object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.num_clients < 1:
             raise ConfigError("need at least one client")
         if self.rounds < 0:
@@ -262,14 +277,18 @@ def _jsonl_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _entries(payload: Payload) -> Matrix:
-    return payload.entries if isinstance(payload, GramMatrix) else payload
+def _held(payload: Payload) -> Matrix:
+    """The array a payload is sent and stored as: a kernel's factor or
+    entries (GramMatrix.data), or a representation matrix."""
+    return payload.data if isinstance(payload, GramMatrix) else payload
 
 
 def _transmit(payload: Payload) -> Tuple[Payload, int]:
-    """Encode as npy, count bytes, decode: the receiver's copy and the wire size."""
+    """Encode as npy, count bytes, decode: the receiver's copy and the wire
+    size. The received array is checked for finiteness here, so a received
+    factor needs no other check."""
     wire = io.BytesIO()
-    np.save(wire, _entries(payload), allow_pickle=False)
+    np.save(wire, _held(payload), allow_pickle=False)
     nbytes = wire.tell()
     wire.seek(0)
     received = as_matrix(np.load(wire, allow_pickle=False), "received payload")
@@ -536,7 +555,7 @@ def _save_checkpoint(
     registry: Dict[int, Payload],
     cfg: FedConfig,
 ) -> None:
-    arrays = {f"payload_{k}": _entries(p) for k, p in sorted(registry.items())}
+    arrays = {f"payload_{k}": _held(p) for k, p in sorted(registry.items())}
     for k, m in enumerate(models):
         arrays.update((f"client_{k}/{name}", a) for name, a in sslnet.model_arrays(m).items())
     os.makedirs(directory, exist_ok=True)
@@ -553,8 +572,8 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
     }) for k, spec in enumerate(cfg.client_specs)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        entries = arrays[f"payload_{k}"]
-        registry[k] = GramMatrix(entries) if cfg.payload_kind == KERNEL else entries
+        held = arrays[f"payload_{k}"]
+        registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return state["round"], models, registry
 
 
@@ -665,7 +684,8 @@ def run_training(
                 "type": "server",
                 "round": t,
                 "selected": selected,
-                "reference_norm": float(np.linalg.norm(_entries(reference))),
+                "reference_norm": (reference.norm if isinstance(reference, GramMatrix)
+                                   else float(np.linalg.norm(reference))),
             }
             new_records.append(server_record)
             log.records.extend(new_records)

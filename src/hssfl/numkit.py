@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, replace
@@ -47,6 +48,15 @@ def check_finite(m: Matrix, name: str = "result") -> Matrix:
     if not np.all(np.isfinite(m)):
         raise NumericalFailureError(name)
     return m
+
+
+def as_int(value, name: str) -> int:
+    """value as an int. An integral float becomes its int; a bool, a
+    non-integral number or a non-number raises ConfigError."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def lipschitz_ratios(

@@ -26,6 +26,7 @@ from .errors import ConfigError, NumericalFailureError, ShapeError
 from .numkit import (
     Matrix,
     RngStream,
+    as_int,
     as_matrix,
     load_arrays,
     save_arrays,
@@ -46,13 +47,9 @@ class MlpSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        bad = ConfigError(f"layer widths must be integers, got {self.layer_widths!r}")
-        if isinstance(self.layer_widths, str):
-            raise bad
-        try:
-            widths = tuple(int(w) for w in self.layer_widths)
-        except (TypeError, ValueError):
-            raise bad from None
+        if isinstance(self.layer_widths, str) or not hasattr(self.layer_widths, "__iter__"):
+            raise ConfigError(f"layer widths must be a list, got {self.layer_widths!r}")
+        widths = tuple(as_int(w, "each layer width") for w in self.layer_widths)
         if len(widths) < 2:
             raise ConfigError("layer_widths needs at least input and output entries")
         if any(w < 1 for w in widths):

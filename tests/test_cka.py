@@ -336,3 +336,110 @@ class TestGramMatrixType:
     def test_square_enforced(self):
         with pytest.raises(ShapeError):
             GramMatrix(np.ones((2, 3)))
+
+
+def rel_close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+class TestFactoredOracle:
+    """Factored kernels against the same calls on their dense L x L entries,
+    at L = 300, to 1e-12 relative."""
+
+    L = 300
+
+    def factored(self, seed, d):
+        k = gram_linear(random_activations(seed, self.L, d))
+        assert k.factor is not None and k.factor.shape == (self.L, d)
+        return k
+
+    def test_entries_equal_the_explicit_gram(self):
+        phi = random_activations(1, self.L, 8)
+        k = gram_linear(phi)
+        assert k.factor.shape == (self.L, 8)
+        assert rel_err(k.entries, phi @ phi.T) <= 1e-12
+        assert np.array_equal(k.entries, k.entries.T)
+        assert rel_close(k.norm, np.linalg.norm(phi @ phi.T))
+
+    def test_similarity_and_alignment(self):
+        ki, kj = self.factored(2, 8), self.factored(3, 16)
+        di, dj = GramMatrix(ki.entries), GramMatrix(kj.entries)
+        assert di.factor is None and dj.factor is None
+        for a, b in ((ki, kj), (ki, dj), (di, kj)):
+            assert rel_close(trace_alignment(a, b), trace_alignment(di, dj))
+            assert rel_close(linear_cka(a, b), linear_cka(di, dj))
+
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    def test_proximal_value_and_grad(self, form):
+        phi = random_activations(4, self.L, 16)
+        kbar = aggregate_grams([(0.5, self.factored(5, 8)), (0.5, self.factored(6, 16))])
+        assert kbar.factor.shape == (self.L, 24)
+        dense = GramMatrix(kbar.entries)
+        distance, grad = proximal_grad(phi, kbar, form)
+        want_distance, want_grad = proximal_grad(phi, dense, form)
+        assert rel_close(distance, want_distance)
+        assert rel_err(grad, want_grad) <= 1e-12
+        assert rel_close(proximal_value(phi, kbar, form, 0.5),
+                         proximal_value(phi, dense, form, 0.5))
+
+    def test_aggregate_is_the_weighted_sum(self):
+        weights = (0.1, 0.2, 0.3, 0.4)
+        ks = [self.factored(10 + i, d) for i, d in enumerate((8, 8, 16, 4))]
+        agg = aggregate_grams(list(zip(weights, ks)))
+        assert agg.factor.shape == (self.L, 36)
+        want = sum(w * k.entries for w, k in zip(weights, ks))
+        assert rel_err(agg.entries, want) <= 1e-12
+
+
+class TestRankRule:
+    def test_factor_depends_on_the_kernel_only(self):
+        a = random_activations(20, 300, 8)
+        q, _ = np.linalg.qr(random_activations(21, 8, 8))
+        u, v = gram_linear(a).factor, gram_linear(a @ q).factor
+        assert rel_err(u, v) <= 1e-12
+
+    def test_sign_rule(self):
+        u = gram_linear(random_activations(22, 50, 6)).factor
+        peak = u[np.argmax(np.abs(u), axis=0), np.arange(6)]
+        assert np.all(peak > 0)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 5), (5, 7)])
+    def test_upload_dense_when_d_at_least_l(self, rows, cols):
+        a = random_activations(23, rows, cols)
+        k = gram_linear(a)
+        assert k.factor is None and k.data.shape == (rows, rows)
+        assert np.array_equal(k.entries, (a @ a.T + (a @ a.T).T) / 2.0)
+
+    def test_aggregate_dense_when_d_sum_at_least_l(self):
+        # 20 clients with d = 6 at L = 24 (D = 120), as in the fleet workload
+        ks = [gram_linear(random_activations(30 + i, 24, 6)) for i in range(20)]
+        assert all(k.factor is not None for k in ks)
+        agg = aggregate_grams([(0.05, k) for k in ks])
+        assert agg.factor is None and agg.data.shape == (24, 24)
+        assert rel_err(agg.entries, sum(0.05 * k.entries for k in ks)) <= 1e-12
+        # D = L is dense too: the factor would be no smaller
+        assert aggregate_grams([(0.25, k) for k in ks[:4]]).factor is None
+
+    def test_aggregate_factored_below_l(self):
+        ks = [gram_linear(random_activations(60 + i, 24, 6)) for i in range(3)]
+        agg = aggregate_grams([(w, k) for w, k in zip((0.5, 0.25, 0.25), ks)])
+        assert agg.factor.shape == (24, 18)
+        assert np.array_equal(agg.factor[:, :6], np.sqrt(0.5) * ks[0].factor)
+
+    def test_aggregate_dense_when_any_input_dense(self):
+        factored = gram_linear(random_activations(70, 24, 6))
+        dense = gram_linear(random_activations(71, 24, 30))
+        agg = aggregate_grams([(0.5, factored), (0.5, dense)])
+        assert agg.factor is None
+        assert rel_err(agg.entries, 0.5 * factored.entries + 0.5 * dense.entries) <= 1e-12
+
+    def test_factor_overflow_is_numerical_failure(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite values in linear gram"):
+                gram_linear(np.full((3, 2), 1e200))
+
+    def test_shape_tells_factor_from_entries(self):
+        assert GramMatrix(np.ones((3, 2))).factor is not None
+        assert GramMatrix(np.eye(3)).factor is None
+        with pytest.raises(ShapeError):
+            GramMatrix(np.ones(3))

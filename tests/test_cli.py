@@ -246,6 +246,23 @@ class TestBadInput:
         assert rc == 2
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, named", [
+        ({"batch_size": 2.5}, "batch_size must be an integer"),
+        ({"rad_size": 8.5}, "rad_size must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"num_clients": "2"}, "num_clients must be an integer"),
+        ({"client_specs": [{"layer_widths": [8.7, 6], "activation": "relu"}] * 2},
+         "layer width must be an integer, got 8.7"),
+    ], ids=["fractional", "fractional-rad", "bool", "string", "fractional-width"])
+    def test_config_integer_not_an_integer(self, tmp_path, data_csv, capsys, content, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"num_clients": 2, "rad_size": 10, **content}))
+        args = ("--arch", "8,6") if "client_specs" not in content else ()
+        rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path), *args)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_env_seed_not_an_integer(self, tmp_path, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("HSSFL_SEED", "abc")
         args = [a for a in run_args(data_csv, str(tmp_path / "run")) if a not in ("--seed", "5")]

@@ -108,11 +108,11 @@ class TestServerAggregate:
                 for s in range(5)]
         payloads = [gram_linear(p) if kind == "kernel" else p for p in phis]
         reports = list(enumerate(payloads))
-        expected = federation._entries(server_aggregate(reports, weights, {}))
+        expected = federation._held(server_aggregate(reports, weights, {}))
         for seed in range(4):
             order = RngStream(seed, purpose="arrival").generator().permutation(5)
             shuffled = [reports[i] for i in order]
-            out = federation._entries(server_aggregate(shuffled, weights, {}))
+            out = federation._held(server_aggregate(shuffled, weights, {}))
             assert out.tobytes() == expected.tobytes()
 
     def test_stale_payload_reuse(self):
@@ -367,6 +367,66 @@ class TestRunTraining:
         assert back.records == res.log.records
 
 
+# Heterogeneous widths d = 8, 4, 8, 4 (D = 24) at a RAD of 40 rows, so every
+# upload and every reference travels as a factor.
+FACTORED_SPECS = tuple(MlpSpec((16, 8), "relu") if k % 2 == 0 else MlpSpec((16, 12, 4), "tanh")
+                       for k in range(4))
+
+
+class TestFactoredPayloads:
+    def test_bytes_are_the_factor_sizes(self):
+        cfg = small_cfg(rounds=3, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
+        res = run_training(cfg, dataset())
+        widths = [s.output_width for s in cfg.client_specs]
+        rad_bytes = 8 * cfg.rad_size * 16 + 128  # the dataset has 16 features
+        ref_bytes = 8 * cfg.rad_size * sum(widths) + 128
+        boot = res.log.records[0]["bootstrap_payload_bytes"]
+        assert boot == [8 * cfg.rad_size * d + 128 for d in widths]
+        records = res.log.client_records()
+        assert len(records) == cfg.rounds * cfg.sample_size
+        for rec in records:
+            assert rec["upstream_bytes"] == 8 * cfg.rad_size * widths[rec["client"]] + 128
+            assert rec["downstream_bytes"] == rad_bytes + ref_bytes
+        assert res.server.reference.factor.shape == (cfg.rad_size, sum(widths))
+
+    def test_no_l_by_l_array_on_the_run_path(self, tmp_path, monkeypatch):
+        from hssfl import cka
+        builds = collections.Counter()
+        real_outer = cka._outer
+
+        def outer(f):
+            builds["outer"] += 1
+            return real_outer(f)
+
+        def entries(self):
+            builds["entries"] += 1
+            return real_outer(self.data) if self.factor is not None else self.data
+
+        monkeypatch.setattr(cka, "_outer", outer)
+        monkeypatch.setattr(GramMatrix, "entries", property(entries))
+        cfg = small_cfg(rounds=3, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
+        ck = str(tmp_path / "ck")
+        log = str(tmp_path / "log.jsonl")
+        run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck, stop_after_round=2)
+        res = run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck, resume=True)
+        assert res.server.round == cfg.rounds
+        assert all(p.factor is not None for p in res.server.registry.values())
+        assert builds == {}
+
+    def test_checkpoint_keeps_factors_byte_identical(self, tmp_path):
+        cfg = small_cfg(rad_size=40, client_specs=FACTORED_SPECS)
+        models = federation.init_models(cfg)
+        gen = RngStream(5, purpose="phi").generator()
+        registry = {k: gram_linear(gen.normal(size=(cfg.rad_size, s.output_width)))
+                    for k, s in enumerate(cfg.client_specs)}
+        federation._save_checkpoint(str(tmp_path), 2, models, registry, cfg)
+        round_index, _, loaded = federation.load_checkpoint(str(tmp_path), cfg)
+        assert round_index == 2
+        for k, payload in registry.items():
+            assert loaded[k].factor.shape == payload.factor.shape
+            assert loaded[k].factor.tobytes() == payload.factor.tobytes()
+
+
 class TestRadShift:
     def test_shift_offsets_alignment_rows(self):
         from hssfl.federation import prepare_data
@@ -549,6 +609,37 @@ class TestFedConfig:
         with pytest.raises(ConfigError):
             small_cfg(**overrides)
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 2.5),
+        ("rad_size", 8.5),
+        ("rounds", float("nan")),
+        ("seed", True),
+        ("num_clients", "4"),
+        ("local_epochs", None),
+        ("sample_size", 1.5),
+    ], ids=lambda v: repr(v))
+    def test_integer_fields_reject_non_integers(self, key, value):
+        d = small_cfg().to_dict()
+        d[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            FedConfig.from_dict(d)
+
+    @pytest.mark.parametrize("widths", [[16, 8.7], [16, True], ["16", 8], 16, "16,8"])
+    def test_layer_widths_reject_non_integers(self, widths):
+        d = small_cfg().to_dict()
+        d["client_specs"][0]["layer_widths"] = widths
+        with pytest.raises(ConfigError, match="layer width"):
+            FedConfig.from_dict(d)
+
+    def test_integral_floats_become_ints(self):
+        d = small_cfg().to_dict()
+        d.update(rounds=2.0, seed=11.0, sample_size=4.0)
+        d["client_specs"][0]["layer_widths"] = [16.0, 8.0]
+        cfg = FedConfig.from_dict(d)
+        assert cfg == small_cfg()
+        assert type(cfg.rounds) is int and cfg.client_specs[0].layer_widths == (16, 8)
+        assert FedConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
     def test_from_dict_names_unknown_and_missing_keys(self):
         d = small_cfg().to_dict()
         d["num_client"] = d.pop("num_clients")
@@ -566,8 +657,14 @@ class TestPayloadCodec:
         k = gram_linear(a)
         received, nbytes = _transmit(k)
         assert isinstance(received, GramMatrix)
+        assert np.array_equal(received.factor, k.factor)
         assert np.array_equal(received.entries, k.entries)
-        assert nbytes == 8 * 4 * 4 + 128
+        assert nbytes == 8 * 4 * 3 + 128  # the 4 x 3 factor
+        dense = gram_linear(a.T)  # 3 rows, 4 columns: sent as its 3 x 3 entries
+        received, nbytes = _transmit(dense)
+        assert received.factor is None
+        assert np.array_equal(received.entries, dense.entries)
+        assert nbytes == 8 * 3 * 3 + 128
         received, nbytes = _transmit(a)
         assert np.array_equal(received, a)
         assert nbytes == 8 * 4 * 3 + 128

@@ -217,6 +217,7 @@ def cmd_eval(args) -> int:
     models = [sslnet.load_model(os.path.join(run_dir, "models", f"client_{k}"))
               for k in range(cfg.num_clients)]
     data = datahub.load_csv(args.data)
+    federation.check_input_widths([m.spec for m in models], data.dim)
     probe_cfg = evaluation.ProbeConfig(
         epochs=args.probe_epochs, lr=args.probe_lr, batch=args.probe_batch,
         seed=cfg.seed,

@@ -57,7 +57,7 @@ from .cka import (
     proximal_value,
 )
 from .datahub import Dataset, PartitionPlan, RadSet, partition_iid, partition_noniid, sample_rad
-from .errors import ConfigError, NumericalFailureError, ProtocolError
+from .errors import ConfigError, NumericalFailureError, ParseError, ProtocolError
 from .numkit import (
     Matrix,
     RngStream,
@@ -504,11 +504,26 @@ def init_models(cfg: FedConfig) -> List[ClientModel]:
     models = []
     for k, spec in enumerate(cfg.client_specs):
         rng = RngStream(cfg.seed, client=k, purpose="init")
-        models.append(sslnet.init_client_model(spec, spec.output_width, cfg.tau, rng))
+        models.append(sslnet.init_client_model(spec, cfg.tau, rng))
     return models
 
 
+def check_input_widths(specs: Sequence[MlpSpec], dim: int) -> None:
+    """Every encoder reads rows of width ``dim``; a ConfigError names the
+    first client whose encoder does not."""
+    for k, spec in enumerate(specs):
+        if spec.input_width != dim:
+            raise ConfigError(f"client {k}: encoder input width {spec.input_width} "
+                              f"!= dataset width {dim}")
+
+
 def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[RadSet, PartitionPlan]:
+    """The alignment rows and the client shards. The alignment rows are
+    reserved in ``data``, so a dataset serves one call only."""
+    if data.reserved:
+        raise ConfigError(f"the dataset already has {len(data.reserved)} rows reserved "
+                          "by an earlier run; load or build it afresh for each run")
+    check_input_widths(cfg.client_specs, data.dim)
     root = RngStream(cfg.seed)
     rad = sample_rad(data, cfg.rad_size, root.with_purpose("rad"))
     if cfg.rad_shift != 0.0:
@@ -564,17 +579,21 @@ def _save_checkpoint(
 
 
 def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientModel], Dict[int, Payload]]:
-    state, arrays = load_arrays(os.path.join(directory, CHECKPOINT_FILE))
-    if state["config"] != cfg.to_dict():
+    path = os.path.join(directory, CHECKPOINT_FILE)
+    state, arrays = load_arrays(path)
+    if state.get("config") != cfg.to_dict():
         raise ConfigError("checkpoint was produced by a different configuration")
     models = [sslnet.model_from_arrays(spec, cfg.tau, {
         name.split("/", 1)[1]: a for name, a in arrays.items() if name.startswith(f"client_{k}/")
-    }) for k, spec in enumerate(cfg.client_specs)]
+    }, source=f"{path}, client {k}") for k, spec in enumerate(cfg.client_specs)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        held = arrays[f"payload_{k}"]
+        held = arrays.get(f"payload_{k}")
+        if held is None or held.ndim != 2 or held.shape[0] != cfg.rad_size:
+            raise ParseError(f"{path}: entry 'payload_{k}' is missing or does not have "
+                             f"{cfg.rad_size} rows")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
-    return state["round"], models, registry
+    return as_int(state.get("round"), f"{path} round"), models, registry
 
 
 def run_training(

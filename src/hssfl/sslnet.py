@@ -9,28 +9,23 @@ proximal penalty coupling the client's representations of a shared
 alignment batch to a fixed reference received from the server.
 
 All models are updated functionally: operations return new ClientModel
-values and never mutate their inputs, so models can be shared across
-parallel workers safely.
+values and never write a tensor in place, so models can be shared across
+parallel workers safely. Inputs are checked where they enter the simulator
+(``FedConfig``, ``Dataset``, received payloads, model files); the step path
+checks only for numerical failure.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cka
-from .errors import ConfigError, NumericalFailureError, ShapeError
-from .numkit import (
-    Matrix,
-    RngStream,
-    as_int,
-    as_matrix,
-    load_arrays,
-    save_arrays,
-)
+from .errors import ConfigError, NumericalFailureError, ParseError, ShapeError
+from .numkit import Matrix, RngStream, as_int, load_arrays, save_arrays
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -77,49 +72,65 @@ class MlpSpec:
         return MlpSpec(d["layer_widths"], d["activation"])
 
 
-@dataclass
+Params = Tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class ClientModel:
-    """Online encoder + predictor, EMA target encoder, momentum buffers."""
+    """Online encoder + predictor, EMA target encoder, momentum buffers.
+
+    ``online`` is ``(W0, b0, ..., W_{n-1}, b_{n-1}, Wp, bp)``: the encoder
+    layers, then the predictor. ``target`` is the encoder part of that
+    layout, updated only by EMA; ``velocity`` holds one momentum buffer per
+    entry of ``online``.
+    """
 
     spec: MlpSpec
-    online_w: List[Matrix]
-    online_b: List[np.ndarray]
-    pred_w: Matrix
-    pred_b: np.ndarray
-    target_w: List[Matrix]
-    target_b: List[np.ndarray]
     tau: float
-    mom_w: List[Matrix] = field(default_factory=list)
-    mom_b: List[np.ndarray] = field(default_factory=list)
-    mom_pred_w: Optional[Matrix] = None
-    mom_pred_b: Optional[np.ndarray] = None
-
-    def copy(self) -> "ClientModel":
-        return model_from_arrays(
-            self.spec, self.tau, {k: a.copy() for k, a in model_arrays(self).items()}
-        )
+    online: Params
+    target: Params
+    velocity: Params
 
 
-# The one list of a model's tensors, shared by copying, model files and run
-# checkpoints: one entry per encoder layer for these fields ...
-_LAYER_TENSORS = ("online_w", "online_b", "target_w", "target_b", "mom_w", "mom_b")
-# ... and one entry for each of these.
-_HEAD_TENSORS = ("pred_w", "pred_b", "mom_pred_w", "mom_pred_b")
+_PARTS = ("online", "target", "velocity")
+
+
+def _online_shapes(spec: MlpSpec) -> List[Tuple[int, ...]]:
+    """The shapes of ``online``, in order."""
+    shapes = []
+    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return shapes + [(spec.output_width, spec.output_width), (spec.output_width,)]
+
+
+def _entry_shapes(spec: MlpSpec) -> Dict[str, Tuple[int, ...]]:
+    """The shape of every tensor of a model by its ``model_arrays`` name."""
+    online = _online_shapes(spec)
+    parts = zip(_PARTS, (online, online[:-2], online))
+    return {f"{part}{i}": s for part, shapes in parts for i, s in enumerate(shapes)}
 
 
 def model_arrays(model: ClientModel) -> Dict[str, np.ndarray]:
-    """Every tensor of the model by name (``online_w0``, ``pred_b``, ...)."""
-    arrays = {f"{n}{i}": a for n in _LAYER_TENSORS for i, a in enumerate(getattr(model, n))}
-    arrays.update((n, getattr(model, n)) for n in _HEAD_TENSORS)
-    return arrays
+    """Every tensor of the model by name (``online0``, ``target1``, ...)."""
+    return {f"{part}{i}": a for part in _PARTS for i, a in enumerate(getattr(model, part))}
 
 
-def model_from_arrays(spec: MlpSpec, tau: float, arrays: Dict[str, np.ndarray]) -> ClientModel:
-    """Inverse of ``model_arrays``; the model holds the given arrays."""
-    layers = range(len(spec.layer_widths) - 1)
-    return ClientModel(spec=spec, tau=tau,
-                       **{n: [arrays[f"{n}{i}"] for i in layers] for n in _LAYER_TENSORS},
-                       **{n: arrays[n] for n in _HEAD_TENSORS})
+def model_from_arrays(spec: MlpSpec, tau: float, arrays: Dict[str, np.ndarray],
+                      source: str = "model") -> ClientModel:
+    """Inverse of ``model_arrays``; the model holds the given arrays. An entry
+    missing, unexpected or of the wrong shape for ``spec`` raises ParseError
+    naming ``source`` and the entry."""
+    expected = _entry_shapes(spec)
+    for what, names in (("missing", set(expected) - set(arrays)),
+                        ("unexpected", set(arrays) - set(expected))):
+        if names:
+            raise ParseError(f"{source}: {what} entries {sorted(names)}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ParseError(f"{source}: entry {name!r} has shape {arrays[name].shape}, "
+                             f"the spec needs {shape}")
+    return ClientModel(spec, tau, *(tuple(arrays[n] for n in expected if n.startswith(part))
+                                    for part in _PARTS))
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,6 @@ class ActivationTape:
     inputs: List[Matrix]      # h_0 = batch, h_1, ..., h_{depth-1}
     pre_acts: List[Matrix]    # z_i per encoder layer
     enc_out: Matrix
-    pred_out: Matrix
 
 
 @dataclass
@@ -184,42 +194,21 @@ class Objective:
             raise ConfigError("mu > 0 requires an alignment batch and a reference")
 
 
-def init_client_model(
-    spec: MlpSpec, predictor_width: int, tau: float, rng: RngStream
-) -> ClientModel:
-    """He-scaled Gaussian weights, zero biases; target starts as an exact copy
-    of the online encoder. The predictor output width must equal the encoder
-    output width so the regression target is well-formed."""
+def init_client_model(spec: MlpSpec, tau: float, rng: RngStream) -> ClientModel:
+    """He-scaled Gaussian weights, zero biases; the target starts as the
+    online encoder. The predictor maps the representation width to itself,
+    so the regression target is well-formed."""
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau must be in [0, 1], got {tau}")
-    if predictor_width != spec.output_width:
-        raise ConfigError(
-            f"predictor width {predictor_width} must equal encoder output width "
-            f"{spec.output_width}"
-        )
     gen = rng.generator()
-    online_w, online_b = [], []
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        online_w.append(gen.normal(0.0, std, size=(fan_in, fan_out)))
-        online_b.append(np.zeros(fan_out))
-    pred_w = gen.normal(0.0, np.sqrt(2.0 / spec.output_width),
-                        size=(spec.output_width, predictor_width))
-    pred_b = np.zeros(predictor_width)
-    return ClientModel(
-        spec=spec,
-        online_w=online_w,
-        online_b=online_b,
-        pred_w=pred_w,
-        pred_b=pred_b,
-        target_w=[w.copy() for w in online_w],
-        target_b=[b.copy() for b in online_b],
-        tau=tau,
-        mom_w=[np.zeros_like(w) for w in online_w],
-        mom_b=[np.zeros_like(b) for b in online_b],
-        mom_pred_w=np.zeros_like(pred_w),
-        mom_pred_b=np.zeros_like(pred_b),
-    )
+    online = []
+    for shape in _online_shapes(spec):
+        if len(shape) == 2:
+            online.append(gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape))
+        else:
+            online.append(np.zeros(shape))
+    online = tuple(online)
+    return ClientModel(spec, tau, online, online[:-2], tuple(np.zeros_like(p) for p in online))
 
 
 def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> Tuple[Matrix, Matrix]:
@@ -228,8 +217,6 @@ def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> Tuple[Matrix, 
     The views draw from independent sub-streams so repeated calls with the
     same stream reproduce the same pair.
     """
-    batch = as_matrix(batch, "batch")
-
     def one_view(tag: str) -> Matrix:
         gen = rng.sub(tag).generator()
         view = batch + gen.normal(0.0, cfg.noise_std, size=batch.shape)
@@ -238,7 +225,7 @@ def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> Tuple[Matrix, 
         return view
 
     if cfg.is_identity:
-        return batch.copy(), batch.copy()
+        return batch, batch
     return one_view("view1"), one_view("view2")
 
 
@@ -255,16 +242,15 @@ def _act_grad(z: Matrix, h: Matrix, activation: str) -> Matrix:
 
 
 def _encoder_forward(
-    weights: Sequence[Matrix],
-    biases: Sequence[np.ndarray],
-    activation: str,
-    x: Matrix,
+    encoder: Sequence[np.ndarray], activation: str, x: Matrix
 ) -> Tuple[Matrix, List[Matrix], List[Matrix]]:
+    """Run ``(W0, b0, ..., W_{n-1}, b_{n-1})`` on x: the output, the input
+    to each layer and each pre-activation."""
     inputs = [x]
     pre_acts = []
     h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    last = len(encoder) // 2 - 1
+    for i, (w, b) in enumerate(zip(encoder[0::2], encoder[1::2])):
         z = h @ w + b
         pre_acts.append(z)
         h = z if i == last else _act(z, activation)
@@ -273,30 +259,16 @@ def _encoder_forward(
     return h, inputs, pre_acts
 
 
-def _encoder_input(model: ClientModel, batch: Matrix) -> Matrix:
-    batch = as_matrix(batch, "batch")
-    if batch.shape[1] != model.spec.input_width:
-        raise ShapeError(
-            f"batch width {batch.shape[1]} != encoder input {model.spec.input_width}"
-        )
-    return batch
-
-
 def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, ActivationTape]:
     """Predictor output plus the cached activations needed for backprop."""
-    enc_out, inputs, pre_acts = _encoder_forward(
-        model.online_w, model.online_b, model.spec.activation, _encoder_input(model, batch)
-    )
-    pred_out = enc_out @ model.pred_w + model.pred_b
-    return pred_out, ActivationTape(inputs, pre_acts, enc_out, pred_out)
+    enc_out, inputs, pre_acts = _encoder_forward(model.online[:-2], model.spec.activation, batch)
+    pred_w, pred_b = model.online[-2:]
+    return enc_out @ pred_w + pred_b, ActivationTape(inputs, pre_acts, enc_out)
 
 
 def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
     """Target-encoder output; never contributes gradients."""
-    out, _, _ = _encoder_forward(
-        model.target_w, model.target_b, model.spec.activation, _encoder_input(model, batch)
-    )
-    return out
+    return _encoder_forward(model.target, model.spec.activation, batch)[0]
 
 
 def _row_norms(m: Matrix) -> np.ndarray:
@@ -308,10 +280,6 @@ def _ssl_loss_grad(
 ) -> Tuple[float, Optional[Matrix]]:
     """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows
     (a zero row normalizes to zero), and its gradient in pred when wanted."""
-    pred = as_matrix(pred, "pred")
-    target = as_matrix(target, "target")
-    if pred.shape != target.shape:
-        raise ShapeError(f"shapes differ: {pred.shape} vs {target.shape}")
     batch = pred.shape[0]
     if not normalize:
         diff = pred - target
@@ -351,14 +319,11 @@ def representations(
 
 
 def _clip_rows(m: Matrix, radius: float) -> Tuple[Matrix, np.ndarray, np.ndarray]:
-    if radius <= 0:
-        raise ConfigError(f"clip radius must be > 0, got {radius}")
     norms = _row_norms(m)
     over = norms > radius
     if not np.any(over):
         return m, over, norms
-    scale = np.ones_like(norms)
-    scale[over] = radius / norms[over]
+    scale = np.divide(radius, norms, out=np.ones_like(norms), where=over)
     return m * scale[:, None], over, norms
 
 
@@ -385,35 +350,27 @@ def _check_forward(pred: Matrix, target: Matrix) -> None:
         raise NumericalFailureError("target forward")
 
 
-def _backprop(
-    model: ClientModel, tape: ActivationTape, d_pred: Matrix
-):
-    """Gradients of a scalar loss through predictor and encoder, given
-    dLoss/d(predictor output)."""
-    g_pred_w = tape.enc_out.T @ d_pred
-    g_pred_b = d_pred.sum(axis=0)
-    dh = d_pred @ model.pred_w.T
-    g_w = [None] * len(model.online_w)
-    g_b = [None] * len(model.online_b)
-    last = len(model.online_w) - 1
+def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> Params:
+    """Gradients of a scalar loss in ``online`` order, given dLoss/d(predictor
+    output)."""
+    grads = [tape.enc_out.T @ d_pred, d_pred.sum(axis=0)]
+    dh = d_pred @ model.online[-2].T
+    weights = model.online[:-2:2]
+    last = len(weights) - 1
     for i in range(last, -1, -1):
         if i == last:
             dz = dh
         else:
-            h_i = tape.inputs[i + 1]
-            dz = dh * _act_grad(tape.pre_acts[i], h_i, model.spec.activation)
-        g_w[i] = tape.inputs[i].T @ dz
-        g_b[i] = dz.sum(axis=0)
+            dz = dh * _act_grad(tape.pre_acts[i], tape.inputs[i + 1], model.spec.activation)
+        grads[:0] = [tape.inputs[i].T @ dz, dz.sum(axis=0)]
         if i > 0:
-            dh = dz @ model.online_w[i].T
-    return g_w, g_b, g_pred_w, g_pred_b
+            dh = dz @ weights[i].T
+    return tuple(grads)
 
 
-def _stacked(model: ClientModel, blocks: List[Matrix]) -> Matrix:
+def _stacked(blocks: List[Matrix]) -> Matrix:
     """The blocks' rows as one encoder input; a single block as it is."""
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate([_encoder_input(model, b) for b in blocks])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
@@ -427,8 +384,8 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
     batch, so the mean over the stacked directions is scaled by their
     number (1 or 2, an exact scaling).
 
-    Returns (loss_total, loss_ssl, loss_prox, grads); grads is
-    (g_w, g_b, g_pred_w, g_pred_b), or None when want_grad is False.
+    Returns (loss_total, loss_ssl, loss_prox, grads); grads is in ``online``
+    order, or None when want_grad is False.
     """
     v1, v2 = augment(local_batch, obj.augment, rng.sub("aug"))
     online_in, target_in = [v1], [v2]
@@ -438,8 +395,8 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
     directions = len(target_in)
     if obj.mu > 0.0:
         online_in.append(obj.rad)
-    pred, tape = forward_online(model, _stacked(model, online_in))
-    target = forward_target(model, _stacked(model, target_in))
+    pred, tape = forward_online(model, _stacked(online_in))
+    target = forward_target(model, _stacked(target_in))
     rows = target.shape[0]
     _check_forward(pred[:rows], target)
     loss_ssl, d_pred = _ssl_loss_grad(pred[:rows], target, obj.normalize, want_grad)
@@ -472,9 +429,7 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
     if not want_grad:
         return loss_total, loss_ssl, loss_prox, None
     grads = _backprop(model, tape, d_pred)
-    g_w, g_b, g_pw, g_pb = grads
-    for name, arrs in (("encoder gradient", g_w + g_b),
-                       ("predictor gradient", [g_pw, g_pb])):
+    for name, arrs in (("encoder gradient", grads[:-2]), ("predictor gradient", grads[-2:])):
         if not all(np.all(np.isfinite(a)) for a in arrs):
             raise NumericalFailureError(name)
     return loss_total, loss_ssl, loss_prox, grads
@@ -494,48 +449,32 @@ def combined_loss(
 def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream):
     """Losses and analytic gradients of the combined objective, no update.
 
-    Returns (loss_total, loss_ssl, loss_prox, (g_w, g_b, g_pred_w, g_pred_b)).
-    The proximal branch treats the reference as a constant and is skipped
-    entirely when mu == 0 so that path is bit-identical to plain SSL.
+    Returns (loss_total, loss_ssl, loss_prox, grads), grads in ``online``
+    order. The proximal branch treats the reference as a constant and is
+    skipped entirely when mu == 0 so that path is bit-identical to plain SSL.
     """
     return _objective(True, model, local_batch, obj, rng)
 
 
-def flatten_grads(grads) -> np.ndarray:
-    g_w, g_b, g_pw, g_pb = grads
-    parts = []
-    for w, b in zip(g_w, g_b):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(g_pw.ravel())
-    parts.append(g_pb.ravel())
-    return np.concatenate(parts)
+def flatten_grads(grads: Params) -> np.ndarray:
+    """Tensors in ``online`` order as one vector."""
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def flatten_params(model: ClientModel) -> np.ndarray:
     """Trainable parameters (online encoder + predictor) as one vector, in
     the order of ``flatten_grads``."""
-    return flatten_grads((model.online_w, model.online_b, model.pred_w, model.pred_b))
+    return flatten_grads(model.online)
 
 
 def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
     """Inverse of flatten_params; returns a new model with the given
     trainable parameters (target and buffers unchanged)."""
-    out = model.copy()
-    pos = 0
-
-    def take(a: np.ndarray) -> np.ndarray:
-        nonlocal pos
-        pos += a.size
-        return vec[pos - a.size:pos].reshape(a.shape).copy()
-
-    for i in range(len(out.online_w)):
-        out.online_w[i] = take(out.online_w[i])
-        out.online_b[i] = take(out.online_b[i])
-    out.pred_w, out.pred_b = take(out.pred_w), take(out.pred_b)
-    if pos != vec.size:
-        raise ShapeError(f"parameter vector length {vec.size} != expected {pos}")
-    return out
+    sizes = [p.size for p in model.online]
+    if vec.size != sum(sizes):
+        raise ShapeError(f"parameter vector length {vec.size} != expected {sum(sizes)}")
+    parts = np.split(np.array(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
+    return replace(model, online=tuple(v.reshape(p.shape) for v, p in zip(parts, model.online)))
 
 
 def combined_step(
@@ -551,34 +490,19 @@ def combined_step(
     The target branch is untouched. Reported losses and the gradient norm
     are the pre-step values.
     """
-    if eta < 0:
-        raise ConfigError(f"eta must be >= 0, got {eta}")
     loss_total, loss_ssl, loss_prox, grads = loss_and_grad(model, local_batch, obj, rng)
-    g_w, g_b, g_pw, g_pb = grads
     grad_norm = float(np.linalg.norm(flatten_grads(grads)))
-
-    out = model.copy()
-    for i in range(len(out.online_w)):
-        out.mom_w[i] = momentum * out.mom_w[i] + g_w[i]
-        out.mom_b[i] = momentum * out.mom_b[i] + g_b[i]
-        out.online_w[i] = out.online_w[i] - eta * out.mom_w[i]
-        out.online_b[i] = out.online_b[i] - eta * out.mom_b[i]
-    out.mom_pred_w = momentum * out.mom_pred_w + g_pw
-    out.mom_pred_b = momentum * out.mom_pred_b + g_pb
-    out.pred_w = out.pred_w - eta * out.mom_pred_w
-    out.pred_b = out.pred_b - eta * out.mom_pred_b
-    return StepResult(out, loss_total, loss_ssl, loss_prox, grad_norm)
+    velocity = tuple(momentum * v + g for v, g in zip(model.velocity, grads))
+    online = tuple(p - eta * v for p, v in zip(model.online, velocity))
+    return StepResult(replace(model, online=online, velocity=velocity),
+                      loss_total, loss_ssl, loss_prox, grad_norm)
 
 
-def ema_update(model: ClientModel, tau: Optional[float] = None) -> ClientModel:
-    """Target <- tau * target + (1 - tau) * online, per weight tensor."""
-    tau = model.tau if tau is None else tau
-    if not (0.0 <= tau <= 1.0):
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
-    out = model.copy()
-    out.target_w = [tau * t + (1.0 - tau) * o for t, o in zip(out.target_w, out.online_w)]
-    out.target_b = [tau * t + (1.0 - tau) * o for t, o in zip(out.target_b, out.online_b)]
-    return out
+def ema_update(model: ClientModel) -> ClientModel:
+    """Target <- tau * target + (1 - tau) * online, per encoder tensor."""
+    tau = model.tau
+    return replace(model, target=tuple(tau * t + (1.0 - tau) * o
+                                       for t, o in zip(model.target, model.online)))
 
 
 def save_model(model: ClientModel, directory: str, round_index: Optional[int] = None) -> None:
@@ -589,5 +513,10 @@ def save_model(model: ClientModel, directory: str, round_index: Optional[int] = 
 
 
 def load_model(directory: str) -> ClientModel:
-    manifest, arrays = load_arrays(os.path.join(directory, "model.npz"))
-    return model_from_arrays(MlpSpec.from_dict(manifest["spec"]), float(manifest["tau"]), arrays)
+    path = os.path.join(directory, "model.npz")
+    manifest, arrays = load_arrays(path)
+    try:
+        spec, tau = MlpSpec.from_dict(manifest["spec"]), float(manifest["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: manifest lacks a valid spec and tau ({exc!r})") from None
+    return model_from_arrays(spec, tau, arrays, source=path)

@@ -23,6 +23,7 @@ from hssfl.sslnet import (
     flatten_params,
     init_client_model,
     loss_and_grad,
+    model_arrays,
     set_params,
 )
 from hssfl.theory import (
@@ -98,7 +99,7 @@ def _safe_random_point(spec, form, normalize, seed):
     batch_rows, rad_rows = 3, 4
     for attempt in range(50):
         gen = RngStream(seed, epoch=attempt, purpose="c2-point").generator()
-        model = init_client_model(spec, spec.output_width, 0.99,
+        model = init_client_model(spec, 0.99,
                                   RngStream(seed, epoch=attempt, purpose="c2-init"))
         vec = flatten_params(model) + 0.3 * gen.normal(size=flatten_params(model).size)
         model = set_params(model, vec)
@@ -192,11 +193,7 @@ def test_c03_mu_zero_equivalence():
     for k in range(cfg.num_clients):
         alone = standalone_training(cfg, _mixture(5), k)
         fed = res.models[k]
-        for a, b in zip(fed.online_w + fed.target_w + [fed.pred_w],
-                        alone.online_w + alone.target_w + [alone.pred_w]):
-            identical &= a.tobytes() == b.tobytes()
-        for a, b in zip(fed.online_b + fed.target_b + [fed.pred_b],
-                        alone.online_b + alone.target_b + [alone.pred_b]):
+        for a, b in zip(model_arrays(fed).values(), model_arrays(alone).values()):
             identical &= a.tobytes() == b.tobytes()
     elapsed = time.time() - t0
     report(3, "mu=0 equivalence with standalone training",

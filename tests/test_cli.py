@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hssfl.cli import main
@@ -17,6 +18,15 @@ def read_lines(*path):
 
 def read_json(*path):
     return json.loads(Path(*path).read_text(encoding="utf-8"))
+
+
+def rewrite_npz(path, change):
+    """Apply ``change`` to the named arrays of an .npz file in place."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    change(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def tree_bytes(root):
@@ -239,6 +249,49 @@ class TestBadInput:
         os.remove(os.path.join(out, "models", "client_1", "model.npz"))
         assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 2
         assert os.path.join("client_1", "model.npz") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda a: a.pop("online3"), "missing entries ['online3']"),
+        (lambda a: a.update(online0=a["online0"][:4]), "entry 'online0' has shape (4, 6)"),
+        (lambda a: a.update(momentum0=a["velocity0"]), "unexpected entries ['momentum0']"),
+        (lambda a: a.update(meta=np.array('{"spec": null}')), "manifest lacks a valid spec"),
+    ], ids=["missing", "truncated", "unexpected", "manifest"])
+    def test_eval_model_file_with_bad_entry(self, tmp_path, data_csv, capsys, change, named):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        path = os.path.join(out, "models", "client_1", "model.npz")
+        rewrite_npz(path, change)
+        assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 2
+        assert f"{path}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda a: a.pop("payload_1"), "entry 'payload_1' is missing"),
+        (lambda a: a.update(payload_0=a["payload_0"][:5]),
+         "entry 'payload_0' is missing or does not have 10 rows"),
+        (lambda a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
+         "client 0: entry 'online0' has shape (4, 6)"),
+        (lambda a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
+    ], ids=["missing-payload", "short-payload", "truncated-tensor", "missing-tensor"])
+    def test_resume_from_bad_checkpoint(self, tmp_path, data_csv, capsys, change, named):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
+        rewrite_npz(os.path.join(out, "checkpoints", "checkpoint.npz"), change)
+        assert run_cli(*run_args(data_csv, out), "--resume") == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.npz" in err and named in err
+
+    def test_encoder_width_differs_from_data(self, tmp_path, data_csv, capsys):
+        out = str(tmp_path / "run")
+        rc = run_cli(*[a if a != "8,6" else "12,6" for a in run_args(data_csv, out)])
+        assert rc == 2
+        assert "client 0: encoder input width 12 != dataset width 8" in capsys.readouterr().err
+        assert run_cli(*run_args(data_csv, out)) == 0
+        wide = str(tmp_path / "wide.csv")
+        assert run_cli("gen-data", "--classes", "4", "--dim", "12", "--per-class", "10",
+                       "--seed", "3", "--out", wide) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--run-dir", out, "--data", wide) == 2
+        assert "client 0: encoder input width 8 != dataset width 12" in capsys.readouterr().err
 
     def test_arch_width_not_an_integer(self, tmp_path, data_csv, capsys):
         rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),

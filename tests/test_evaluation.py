@@ -118,24 +118,23 @@ class TestStratifiedSplit:
 class TestProbeOnEncoder:
     def test_probe_never_mutates_encoder(self):
         spec = MlpSpec((8, 4), "relu")
-        model = init_client_model(spec, 4, 0.99, RngStream(8, purpose="init"))
+        model = init_client_model(spec, 0.99, RngStream(8, purpose="init"))
         ds = synth_mixture(4, 8, 40, 4.0, 0.5, RngStream(9, purpose="synth"))
-        before = [w.tobytes() for w in model.online_w] + [model.pred_w.tobytes()]
+        before = [p.tobytes() for p in model.online]
         train, test = stratified_split(ds.labels, 0.2, RngStream(10, purpose="split"))
         probe_accuracy_for_model(model, ds.features, ds.labels, train, test,
                                  ProbeConfig(epochs=5))
-        after = [w.tobytes() for w in model.online_w] + [model.pred_w.tobytes()]
+        after = [p.tobytes() for p in model.online]
         assert before == after
 
 
 class TestCollabReport:
     def test_identical_runs_zero_delta(self):
         specs = [MlpSpec((8, 4), "relu"), MlpSpec((8, 6), "relu")]
-        models = [init_client_model(s, s.output_width, 0.99,
-                                    RngStream(k, purpose="init"))
+        models = [init_client_model(s, 0.99, RngStream(k, purpose="init"))
                   for k, s in enumerate(specs)]
         ds = synth_mixture(4, 8, 50, 4.0, 0.5, RngStream(11, purpose="synth"))
-        rows = collab_report(models, [m.copy() for m in models],
+        rows = collab_report(models, list(models),
                              ds.features, ds.labels,
                              ProbeConfig(epochs=3), split_seed=1)
         assert len(rows) == 2
@@ -144,11 +143,10 @@ class TestCollabReport:
 
     def test_groups_by_architecture(self):
         spec_a, spec_b = MlpSpec((8, 4), "relu"), MlpSpec((8, 6), "relu")
-        models = [init_client_model(s, s.output_width, 0.99,
-                                    RngStream(k, purpose="init"))
+        models = [init_client_model(s, 0.99, RngStream(k, purpose="init"))
                   for k, s in enumerate([spec_a, spec_a, spec_b])]
         ds = synth_mixture(4, 8, 50, 4.0, 0.5, RngStream(12, purpose="synth"))
-        rows = collab_report(models, [m.copy() for m in models],
+        rows = collab_report(models, list(models),
                              ds.features, ds.labels,
                              ProbeConfig(epochs=2), split_seed=2)
         by_arch = {r["architecture"]: r for r in rows}

@@ -138,7 +138,7 @@ class TestLocalTraining:
         obj = _client_objective(cfg, cfg.mu, rad, gram_linear(np.ones((10, 8))))
         out = local_training(model, shard, obj, cfg, 1, RngStream(cfg.seed, client=0))
         assert len(out["epoch_losses"]) == 1
-        for a, b in zip(out["model"].online_w, model.online_w):
+        for a, b in zip(out["model"].online, model.online):
             assert np.array_equal(a, b)
 
     def test_replay_oracle(self):
@@ -154,7 +154,7 @@ class TestLocalTraining:
         second = local_training(model, shard, obj, cfg, 2, RngStream(cfg.seed, client=0))
         assert first["epoch_losses"] == second["epoch_losses"]
         assert first["epoch_grad_norms"] == second["epoch_grad_norms"]
-        for a, b in zip(first["model"].online_w, second["model"].online_w):
+        for a, b in zip(first["model"].online, second["model"].online):
             assert a.tobytes() == b.tobytes()
 
 
@@ -167,7 +167,7 @@ class TestRunTraining:
         fresh = init_models(cfg)
         assert res.log.records == []
         for m, f in zip(res.models, fresh):
-            for a, b in zip(m.online_w, f.online_w):
+            for a, b in zip(m.online, f.online):
                 assert np.array_equal(a, b)
 
     def test_mu_zero_equivalence(self):
@@ -176,11 +176,10 @@ class TestRunTraining:
         for k in range(cfg.num_clients):
             alone = standalone_training(cfg, dataset(), k)
             model = res.models[k]
-            for a, b in zip(model.online_w, alone.online_w):
+            for a, b in zip(model.online, alone.online):
                 assert a.tobytes() == b.tobytes()
-            for a, b in zip(model.target_w, alone.target_w):
+            for a, b in zip(model.target, alone.target):
                 assert a.tobytes() == b.tobytes()
-            assert model.pred_w.tobytes() == alone.pred_w.tobytes()
 
     def test_workers_do_not_change_log(self, tmp_path):
         cfg = small_cfg(rounds=3)
@@ -188,7 +187,7 @@ class TestRunTraining:
         b = run_training(cfg, dataset(), workers=4, log_path=str(tmp_path / "b.jsonl"))
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         for ma, mb in zip(a.models, b.models):
-            for x, y in zip(ma.online_w, mb.online_w):
+            for x, y in zip(ma.online, mb.online):
                 assert x.tobytes() == y.tobytes()
 
     def test_heterogeneous_widths_kernel_payloads(self):
@@ -246,7 +245,7 @@ class TestRunTraining:
         for k in range(cfg.num_clients):
             same = all(
                 a.tobytes() == b.tobytes()
-                for a, b in zip(res.models[k].online_w, fresh[k].online_w)
+                for a, b in zip(res.models[k].online, fresh[k].online)
             )
             assert same == (k not in selected)
 
@@ -366,6 +365,26 @@ class TestRunTraining:
         back = RoundLog.from_jsonl(log_path.read_text(encoding="utf-8"))
         assert back.records == res.log.records
 
+    def test_encoder_width_mismatch_names_the_client(self):
+        # checked once where the data enters, not on every forward pass
+        specs = tuple(MlpSpec((12 if k == 2 else 16, 8), "relu") for k in range(4))
+        cfg = small_cfg(client_specs=specs)
+        for train in (lambda ds: run_training(cfg, ds),
+                      lambda ds: standalone_training(cfg, ds, 0)):
+            with pytest.raises(ConfigError,
+                               match="client 2: encoder input width 12 != dataset width 16"):
+                train(dataset())
+
+    def test_reused_dataset_refused(self):
+        # the first run reserves the alignment rows in the dataset it is given
+        cfg = small_cfg(rounds=1)
+        ds = dataset()
+        run_training(cfg, ds)
+        for train in (lambda: run_training(cfg, ds),
+                      lambda: standalone_training(cfg, ds, 0)):
+            with pytest.raises(ConfigError, match="24 rows reserved .* afresh"):
+                train()
+
 
 # Heterogeneous widths d = 8, 4, 8, 4 (D = 24) at a RAD of 40 rows, so every
 # upload and every reference travels as a factor.
@@ -466,9 +485,8 @@ class TestCheckpointResume:
         assert (full.server.reference.entries.tobytes()
                 == resumed.server.reference.entries.tobytes())
         for a, b in zip(full.models, resumed.models):
-            for x, y in zip(a.online_w, b.online_w):
+            for x, y in zip(a.online, b.online):
                 assert x.tobytes() == y.tobytes()
-            assert a.pred_w.tobytes() == b.pred_w.tobytes()
 
     def test_no_csv_on_run_path(self, tmp_path, monkeypatch):
         def no_csv(*args, **kwargs):

@@ -1,8 +1,11 @@
+import re
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from hssfl.cka import ProximalForm, gram_linear
-from hssfl.errors import ConfigError, ShapeError
+from hssfl.errors import ConfigError, ParseError
 from hssfl.numkit import RngStream
 from hssfl.sslnet import (
     AugmentConfig,
@@ -20,6 +23,8 @@ from hssfl.sslnet import (
     init_client_model,
     load_model,
     loss_and_grad,
+    model_arrays,
+    model_from_arrays,
     representations,
     save_model,
     set_params,
@@ -30,7 +35,17 @@ TANH = MlpSpec((4, 5, 3), "tanh")
 
 
 def make_model(spec=RELU, seed=0, tau=0.99):
-    return init_client_model(spec, spec.output_width, tau, RngStream(seed, purpose="init"))
+    return init_client_model(spec, tau, RngStream(seed, purpose="init"))
+
+
+def zero_predictor(m):
+    """m with its predictor weights set to zero."""
+    return replace(m, online=m.online[:-2] + (np.zeros_like(m.online[-2]), m.online[-1]))
+
+
+def same_tensors(a, b):
+    return all(x.tobytes() == y.tobytes()
+               for x, y in zip(model_arrays(a).values(), model_arrays(b).values()))
 
 
 def batch_for(spec, seed=1, rows=6):
@@ -46,28 +61,33 @@ class TestInit:
 
     def test_same_seed_identical(self):
         a, b = make_model(seed=3), make_model(seed=3)
-        assert all(np.array_equal(x, y) for x, y in zip(a.online_w, b.online_w))
-        assert np.array_equal(a.pred_w, b.pred_w)
+        assert same_tensors(a, b)
 
     def test_he_scaling(self):
         spec = MlpSpec((256, 256), "relu")
-        m = init_client_model(spec, 256, 0.99, RngStream(5, purpose="init"))
+        m = init_client_model(spec, 0.99, RngStream(5, purpose="init"))
         expected = np.sqrt(2.0 / 256)
-        assert abs(m.online_w[0].std() - expected) < 0.1 * expected
+        assert abs(m.online[0].std() - expected) < 0.1 * expected
 
     def test_zero_biases_and_buffers(self):
         m = make_model()
-        assert all(np.all(b == 0) for b in m.online_b)
-        assert all(np.all(b == 0) for b in m.mom_w)
-        assert np.all(m.mom_pred_w == 0)
+        assert all(np.all(b == 0) for b in m.online[1::2])
+        assert len(m.velocity) == len(m.online)
+        assert all(np.all(v == 0) and v.shape == p.shape for v, p in zip(m.velocity, m.online))
 
-    def test_predictor_width_must_match(self):
-        with pytest.raises(ConfigError):
-            init_client_model(RELU, 7, 0.99, RngStream(0))
+    def test_layout(self):
+        # (W0, b0, W1, b1, Wp, bp); the target is the encoder part
+        m = make_model()
+        assert [p.shape for p in m.online] == [(4, 5), (5,), (5, 3), (3,), (3, 3), (3,)]
+        assert [p.shape for p in m.target] == [(4, 5), (5,), (5, 3), (3,)]
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            make_model().online = ()
 
     def test_tau_range(self):
         with pytest.raises(ConfigError):
-            init_client_model(RELU, 3, 1.5, RngStream(0))
+            init_client_model(RELU, 1.5, RngStream(0))
 
 
 class TestAugment:
@@ -108,19 +128,15 @@ class TestAugment:
 class TestForward:
     def test_zero_weights_zero_output(self):
         m = make_model()
-        for i in range(len(m.online_w)):
-            m.online_w[i][:] = 0.0
-        m.pred_w[:] = 0.0
+        m = replace(m, online=tuple(np.zeros_like(p) if p.ndim == 2 else p for p in m.online))
         out, _ = forward_online(m, batch_for(RELU))
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_hand_computed_affine(self):
         spec = MlpSpec((2, 2), "relu")
-        m = init_client_model(spec, 2, 0.5, RngStream(7, purpose="init"))
-        m.online_w[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m.online_b[0] = np.array([0.5, -0.5])
-        m.pred_w = np.eye(2)
-        m.pred_b = np.zeros(2)
+        m = init_client_model(spec, 0.5, RngStream(7, purpose="init"))
+        m = replace(m, online=(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]),
+                               np.eye(2), np.zeros(2)))
         out, tape = forward_online(m, np.array([[1.0, 1.0]]))
         # single encoder layer is the output layer: identity activation
         assert np.allclose(out, [[4.5, 5.5]])
@@ -128,9 +144,8 @@ class TestForward:
 
     def test_target_hand_computed(self):
         spec = MlpSpec((2, 2), "tanh")
-        m = init_client_model(spec, 2, 0.5, RngStream(8, purpose="init"))
-        m.target_w[0] = np.array([[2.0, 0.0], [0.0, 2.0]])
-        m.target_b[0] = np.array([1.0, 1.0])
+        m = init_client_model(spec, 0.5, RngStream(8, purpose="init"))
+        m = replace(m, target=(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1.0, 1.0])))
         assert np.allclose(forward_target(m, np.array([[1.0, 2.0]])), [[3.0, 5.0]])
 
     def test_target_isolated_from_steps(self):
@@ -140,17 +155,13 @@ class TestForward:
         step = combined_step(m, x, Objective(), 0.05, 0.9, RngStream(9))
         assert np.array_equal(forward_target(step.model, x), before)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            forward_online(make_model(), np.ones((2, 7)))
-
     def test_tape_replay(self):
         m = make_model()
         x = batch_for(RELU)
         out1, tape = forward_online(m, x)
         out2, _ = forward_online(m, x)
         assert np.array_equal(out1, out2)
-        assert np.array_equal(tape.pred_out, out1)
+        assert np.array_equal(tape.enc_out @ m.online[-2] + m.online[-1], out1)
 
 
 class TestSslLoss:
@@ -179,13 +190,8 @@ class TestSslLoss:
         assert np.array_equal(grad[1], row_grad[0] / 2.0)
         assert np.all(np.isfinite(grad))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            _ssl_loss_grad(np.ones((2, 2)), np.ones((2, 3)), False, want_grad=False)
-
     def test_normalized_zero_predictions_give_zero_gradient(self):
-        m = make_model()
-        m.pred_w[:] = 0.0
+        m = zero_predictor(make_model())
         x = batch_for(RELU)
         _, _, _, grads = loss_and_grad(m, x, Objective(normalize=True),
                                        RngStream(3, purpose="step"))
@@ -194,8 +200,7 @@ class TestSslLoss:
 
 class TestRepresentations:
     def test_zero_predictor(self):
-        m = make_model()
-        m.pred_w[:] = 0.0
+        m = zero_predictor(make_model())
         rad = batch_for(RELU, rows=5)
         assert np.array_equal(representations(m, rad), np.zeros((5, 3)))
 
@@ -205,11 +210,9 @@ class TestRepresentations:
 
     def test_hand_computed(self):
         spec = MlpSpec((1, 1), "relu")
-        m = init_client_model(spec, 1, 0.5, RngStream(10, purpose="init"))
-        m.online_w[0] = np.array([[2.0]])
-        m.online_b[0] = np.array([1.0])
-        m.pred_w = np.array([[3.0]])
-        m.pred_b = np.array([-1.0])
+        m = init_client_model(spec, 0.5, RngStream(10, purpose="init"))
+        m = replace(m, online=(np.array([[2.0]]), np.array([1.0]),
+                               np.array([[3.0]]), np.array([-1.0])))
         assert representations(m, np.array([[2.0]]))[0, 0] == pytest.approx(14.0)
 
     def test_clipping_bounds_rows(self):
@@ -247,18 +250,15 @@ class TestCombinedStep:
         with_ref = combined_step(m, x, Objective(0.0, rad=rad, reference=kbar, augment=aug),
                                  0.05, 0.9, rng)
         without = combined_step(m, x, Objective(augment=aug), 0.05, 0.9, rng)
-        for a, b in zip(with_ref.model.online_w, without.model.online_w):
-            assert a.tobytes() == b.tobytes()
-        assert with_ref.model.pred_w.tobytes() == without.model.pred_w.tobytes()
+        assert same_tensors(with_ref.model, without.model)
         assert with_ref.loss_prox == 0.0
 
     def test_eta_zero_keeps_weights(self):
         m = make_model()
         x = batch_for(RELU)
         step = combined_step(m, x, Objective(), 0.0, 0.9, RngStream(12))
-        for a, b in zip(step.model.online_w, m.online_w):
+        for a, b in zip(step.model.online, m.online):
             assert np.array_equal(a, b)
-        assert np.array_equal(step.model.pred_w, m.pred_w)
         assert step.loss_total > 0.0
         assert step.grad_norm > 0.0
 
@@ -408,47 +408,90 @@ class TestObjective:
 
 class TestEma:
     def test_tau_one_freezes_target(self):
-        m = make_model()
-        out = ema_update(m, 1.0)
-        assert all(np.array_equal(a, b) for a, b in zip(out.target_w, m.target_w))
+        m = make_model(tau=1.0)
+        out = ema_update(m)
+        assert all(np.array_equal(a, b) for a, b in zip(out.target, m.target))
 
     def test_tau_zero_copies_online(self):
-        m = make_model()
-        m.online_w[0][:] += 1.0
-        out = ema_update(m, 0.0)
-        assert all(np.array_equal(a, b) for a, b in zip(out.target_w, m.online_w))
+        m = make_model(tau=0.0)
+        m = replace(m, online=(m.online[0] + 1.0,) + m.online[1:])
+        out = ema_update(m)
+        assert len(out.target) == len(m.online) - 2
+        assert all(np.array_equal(a, b) for a, b in zip(out.target, m.online))
 
     def test_scalar_average(self):
         spec = MlpSpec((1, 1), "relu")
-        m = init_client_model(spec, 1, 0.5, RngStream(40, purpose="init"))
-        m.target_w[0] = np.array([[2.0]])
-        m.online_w[0] = np.array([[4.0]])
-        assert ema_update(m, 0.5).target_w[0][0, 0] == 3.0
+        m = init_client_model(spec, 0.5, RngStream(40, purpose="init"))
+        m = replace(m, target=(np.array([[2.0]]), m.target[1]),
+                    online=(np.array([[4.0]]),) + m.online[1:])
+        assert ema_update(m).target[0][0, 0] == 3.0
 
     def test_drift_decreases_when_online_frozen(self):
-        m = make_model(seed=41)
-        m.online_w[0][:] += 0.5
+        m = make_model(seed=41, tau=0.99)
+        m = replace(m, online=(m.online[0] + 0.5,) + m.online[1:])
         dists = []
         for _ in range(10):
             d = sum(np.linalg.norm(t - o)
-                    for t, o in zip(m.target_w, m.online_w))
+                    for t, o in zip(m.target, m.online))
             dists.append(d)
-            m = ema_update(m, 0.99)
+            m = ema_update(m)
         assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def stepped_model(seed=50):
+    return combined_step(make_model(seed=seed), batch_for(RELU, seed=seed + 1), Objective(),
+                         0.05, 0.9, RngStream(seed + 2)).model
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        m = make_model(seed=50)
-        step = combined_step(m, batch_for(RELU, seed=51), Objective(), 0.05, 0.9,
-                             RngStream(52))
-        save_model(step.model, str(tmp_path / "ckpt"), round_index=3)
+        model = stepped_model()
+        save_model(model, str(tmp_path / "ckpt"), round_index=3)
         loaded = load_model(str(tmp_path / "ckpt"))
-        assert loaded.spec == step.model.spec
-        assert loaded.tau == step.model.tau
-        for a, b in zip(loaded.online_w, step.model.online_w):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(loaded.mom_w, step.model.mom_w):
-            assert a.tobytes() == b.tobytes()
-        assert loaded.pred_w.tobytes() == step.model.pred_w.tobytes()
-        assert loaded.target_w[0].tobytes() == step.model.target_w[0].tobytes()
+        assert loaded.spec == model.spec
+        assert loaded.tau == model.tau
+        assert list(model_arrays(loaded)) == list(model_arrays(model))
+        assert same_tensors(loaded, model)
+
+    def test_entry_names(self):
+        names = list(model_arrays(make_model()))
+        assert names == [f"online{i}" for i in range(6)] + [f"target{i}" for i in range(4)] \
+            + [f"velocity{i}" for i in range(6)]
+
+    @pytest.mark.parametrize("change,named", [
+        (lambda a: a.pop("online5"), "missing entries ['online5']"),
+        (lambda a: a.pop("target0"), "missing entries ['target0']"),
+        (lambda a: a.update(target4=np.zeros((3, 3))), "unexpected entries ['target4']"),
+        (lambda a: a.update(velocity2=np.zeros((5, 2))), "entry 'velocity2' has shape (5, 2)"),
+        (lambda a: a.update(online0=np.zeros(20)), "entry 'online0' has shape (20,)"),
+    ])
+    def test_wrong_entries_named(self, change, named):
+        arrays = model_arrays(make_model())
+        change(arrays)
+        with pytest.raises(ParseError, match=re.escape(f"model.npz: {named}")):
+            model_from_arrays(RELU, 0.99, arrays, source="model.npz")
+
+
+class TestNoWriteInPlace:
+    """A model is a value: every operation succeeds on read-only tensors."""
+
+    def read_only(self, model):
+        for a in model_arrays(model).values():
+            a.flags.writeable = False
+        return model
+
+    def test_operations_on_read_only_tensors(self, tmp_path):
+        m = self.read_only(stepped_model())
+        before = {n: a.copy() for n, a in model_arrays(m).items()}
+        for obj in (Objective(), Objective(0.5, rad=batch_for(RELU, seed=7, rows=5),
+                                           reference=gram_linear(np.ones((5, 3))),
+                                           augment=AugmentConfig(0.2, 0.1), normalize=True,
+                                           clip_radius=0.5, symmetrize=True)):
+            step = combined_step(m, batch_for(RELU), obj, 0.05, 0.9, RngStream(53))
+            self.read_only(step.model)
+            combined_step(step.model, batch_for(RELU), obj, 0.05, 0.9, RngStream(54))
+        moved = self.read_only(ema_update(m))
+        assert same_tensors(set_params(moved, flatten_params(moved)), moved)
+        save_model(m, str(tmp_path / "ro"))
+        assert same_tensors(load_model(str(tmp_path / "ro")), m)
+        assert all(np.array_equal(a, before[n]) for n, a in model_arrays(m).items())

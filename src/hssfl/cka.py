@@ -268,7 +268,7 @@ def _kernel_distance(
     if kbar.size != phi.shape[0]:
         raise ShapeError(f"reference size {kbar.size} != phi rows {phi.shape[0]}")
     kphi = check_finite(kbar.times(phi), "reference kernel product")
-    t = check_finite(float(np.sum(phi * kphi)), "trace alignment")
+    t = check_finite(float((phi * kphi).sum()), "trace alignment")
     if form is ProximalForm.TRACE_ALIGNMENT:
         return t, check_finite(2.0 * kphi, "trace-alignment gradient") if want_grad else None
     g = check_finite(phi.T @ phi, "feature gram")

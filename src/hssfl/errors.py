@@ -32,6 +32,10 @@ class NumericalFailureError(HssflError, RuntimeError):
             msg += f": {detail}"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # args holds the formatted message; rebuild from the fields instead
+        return type(self), (self.component, self.detail)
+
     def within(self, where: str) -> "NumericalFailureError":
         """The same failure with ``where`` put before its detail."""
         return NumericalFailureError(
@@ -47,10 +51,12 @@ class ParseError(HssflError, ValueError):
     """A file could not be parsed; carries the line number where known."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.message = message
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 class InsufficientProbesError(HssflError, ValueError):

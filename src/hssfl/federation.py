@@ -431,7 +431,9 @@ def _train_one_client(
     hook = None
     sigma2 = 0.0
     with _client_work(client_id, round_index):
-        start = sslnet.combined_loss(model, shard, obj, eval_rng)
+        # start and end are scored on one view pair
+        views = sslnet.objective_views(shard, obj, eval_rng)
+        start = sslnet.combined_loss(model, shard, obj, eval_rng, views)
         if cfg.theory_probes:
             prng = crng.child(round=round_index, purpose="probe")
             checkpoints.append(_probe_checkpoint(model, shard, obj, prng))
@@ -442,7 +444,7 @@ def _train_one_client(
 
         result = local_training(model, shard, obj, cfg, round_index, crng, epoch_hook=hook)
         model = result["model"]
-        end = sslnet.combined_loss(model, shard, obj, eval_rng)
+        end = sslnet.combined_loss(model, shard, obj, eval_rng, views)
         upload, upload_bytes, phi = _upload(model, rad, cfg)
         rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import numbers
 import os
 import zipfile
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, NumericalFailureError, ParseError, ShapeError
 
@@ -38,14 +40,15 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError(f"{name} contains non-finite entries")
     return m
 
 
 def check_finite(m: Matrix, name: str = "result") -> Matrix:
-    """m itself; a computed result with NaN/Inf raises NumericalFailureError."""
-    if not np.all(np.isfinite(m)):
+    """m itself; a computed result with NaN/Inf raises NumericalFailureError.
+    A Python float is tested without a trip through numpy."""
+    if not (math.isfinite(m) if isinstance(m, float) else np.isfinite(m).all()):
         raise NumericalFailureError(name)
     return m
 
@@ -103,7 +106,8 @@ class RngStream:
 
     def sub(self, tag: str) -> "RngStream":
         """Independent sub-stream scoped under the current purpose."""
-        return replace(self, purpose=f"{self.purpose}/{tag}")
+        return RngStream(self.master_seed, self.client, self.round, self.epoch,
+                         f"{self.purpose}/{tag}")
 
     def _key(self) -> int:
         raw = f"{self.master_seed}|{self.client}|{self.round}|{self.epoch}|{self.purpose}"
@@ -111,8 +115,27 @@ class RngStream:
         return int.from_bytes(digest[:16], "little")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this key; repeated calls restart the sequence."""
-        return np.random.Generator(np.random.Philox(key=self._key()))
+        """Fresh generator for this key; repeated calls restart the sequence.
+
+        The state equals ``Philox(key=self._key())``'s; handing the key over
+        as a seed sequence skips the OS-entropy ``SeedSequence`` that
+        ``Philox(key=...)`` builds and then ignores."""
+        return np.random.Generator(np.random.Philox(_PhiloxKey(self._key())))
+
+
+class _PhiloxKey(ISeedSequence):
+    """A fixed 128-bit Philox key posing as a seed sequence: Philox asks for
+    two uint64 words and uses them, low word first, as its key."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        self.words = np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return self.words
 
 
 def matrix_to_csv(m: Matrix) -> str:

@@ -17,6 +17,7 @@ checks only for numerical failure.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -272,7 +273,7 @@ def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
 
 
 def _row_norms(m: Matrix) -> np.ndarray:
-    return np.sqrt(np.sum(m * m, axis=1))
+    return np.sqrt((m * m).sum(axis=1))
 
 
 def _ssl_loss_grad(
@@ -283,24 +284,26 @@ def _ssl_loss_grad(
     batch = pred.shape[0]
     if not normalize:
         diff = pred - target
-        loss = float(np.sum(diff * diff)) / batch
+        loss = float((diff * diff).sum()) / batch
         grad = (2.0 / batch) * diff if want_grad else None
         return loss, grad
     rp = _row_norms(pred)
     p_hat = _divide_rows(pred, rp)
     t_hat = _divide_rows(target, _row_norms(target))
     diff = p_hat - t_hat
-    loss = float(np.sum(diff * diff)) / batch
+    loss = float((diff * diff).sum()) / batch
     if not want_grad:
         return loss, None
     # d/dp ||p_hat - t_hat||^2 = (2/r) (I - p_hat p_hat^T)(p_hat - t_hat);
     # a zero prediction row takes the zero subgradient.
-    proj = np.sum(p_hat * diff, axis=1)
+    proj = (p_hat * diff).sum(axis=1)
     return loss, _divide_rows((2.0 / batch) * (diff - p_hat * proj[:, None]), rp)
 
 
 def _divide_rows(m: Matrix, norms: np.ndarray) -> Matrix:
     """Row p divided by norms[p]; rows with a zero norm become zero."""
+    if (norms > 0.0).all():
+        return m / norms[:, None]
     return np.divide(m, norms[:, None], out=np.zeros_like(m), where=norms[:, None] > 0.0)
 
 
@@ -321,7 +324,7 @@ def representations(
 def _clip_rows(m: Matrix, radius: float) -> Tuple[Matrix, np.ndarray, np.ndarray]:
     norms = _row_norms(m)
     over = norms > radius
-    if not np.any(over):
+    if not over.any():
         return m, over, norms
     scale = np.divide(radius, norms, out=np.ones_like(norms), where=over)
     return m * scale[:, None], over, norms
@@ -331,22 +334,22 @@ def _clip_rows_backward(
     m_raw: Matrix, grad_clipped: Matrix, over: np.ndarray, norms: np.ndarray, radius: float
 ) -> Matrix:
     # Jacobian of r -> radius * x / ||x|| on clipped rows, identity elsewhere.
-    if not np.any(over):
+    if not over.any():
         return grad_clipped
     grad = grad_clipped.copy()
     idx = np.where(over)[0]
     x = m_raw[idx]
     g = grad_clipped[idx]
     r = norms[idx][:, None]
-    dot = np.sum(x * g, axis=1, keepdims=True)
+    dot = (x * g).sum(axis=1, keepdims=True)
     grad[idx] = (radius / r) * (g - x * (dot / (r * r)))
     return grad
 
 
 def _check_forward(pred: Matrix, target: Matrix) -> None:
-    if not np.all(np.isfinite(pred)):
+    if not np.isfinite(pred).all():
         raise NumericalFailureError("online forward")
-    if not np.all(np.isfinite(target)):
+    if not np.isfinite(target).all():
         raise NumericalFailureError("target forward")
 
 
@@ -373,10 +376,18 @@ def _stacked(blocks: List[Matrix]) -> Matrix:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
-               obj: Objective, rng: RngStream):
-    """The combined objective in one online pass, with the backward pass
-    optional.
+def objective_views(
+    local_batch: Matrix, obj: Objective, rng: RngStream
+) -> Tuple[Matrix, Matrix]:
+    """The view pair (v1, v2) on which the objective scores ``local_batch``
+    under stream ``rng``."""
+    return augment(local_batch, obj.augment, rng.sub("aug"))
+
+
+def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix],
+               obj: Objective):
+    """The combined objective on one view pair in one online pass, with the
+    backward pass optional.
 
     The online branch runs once on [v1; v2 if symmetrize; rad if mu > 0],
     the target branch once on [v2; v1 if symmetrize], and the backward pass
@@ -384,10 +395,11 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
     batch, so the mean over the stacked directions is scaled by their
     number (1 or 2, an exact scaling).
 
-    Returns (loss_total, loss_ssl, loss_prox, grads); grads is in ``online``
-    order, or None when want_grad is False.
+    Returns (loss_total, loss_ssl, loss_prox, grads, grad_norm); grads is in
+    ``online`` order and grad_norm is the 2-norm of all of them, both None
+    when want_grad is False.
     """
-    v1, v2 = augment(local_batch, obj.augment, rng.sub("aug"))
+    v1, v2 = views
     online_in, target_in = [v1], [v2]
     if obj.symmetrize:
         online_in.append(v2)
@@ -408,7 +420,7 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
     loss_prox = 0.0
     if obj.mu > 0.0:
         phi_raw = pred[rows:]
-        if not np.all(np.isfinite(phi_raw)):
+        if not np.isfinite(phi_raw).all():
             raise NumericalFailureError("representations")
         if obj.clip_radius is not None:
             phi, over, norms = _clip_rows(phi_raw, obj.clip_radius)
@@ -424,26 +436,35 @@ def _objective(want_grad: bool, model: ClientModel, local_batch: Matrix,
             loss_prox = cka.proximal_value(phi, obj.reference, obj.form, obj.mu)
 
     loss_total = loss_ssl + loss_prox
-    if not np.isfinite(loss_total):
+    if not math.isfinite(loss_total):
         raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
     if not want_grad:
-        return loss_total, loss_ssl, loss_prox, None
+        return loss_total, loss_ssl, loss_prox, None, None
     grads = _backprop(model, tape, d_pred)
-    for name, arrs in (("encoder gradient", grads[:-2]), ("predictor gradient", grads[-2:])):
-        if not all(np.all(np.isfinite(a)) for a in arrs):
-            raise NumericalFailureError(name)
-    return loss_total, loss_ssl, loss_prox, grads
+    flat = flatten_grads(grads)
+    grad_norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(flat), bit for bit
+    # A non-finite entry makes the norm NaN or inf; an inf norm of finite
+    # entries is an overflow of the sum, which is no failure.
+    if not math.isfinite(grad_norm):
+        for name, arrs in (("encoder gradient", grads[:-2]), ("predictor gradient", grads[-2:])):
+            if not all(np.isfinite(a).all() for a in arrs):
+                raise NumericalFailureError(name)
+    return loss_total, loss_ssl, loss_prox, grads, grad_norm
 
 
 def combined_loss(
-    model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream
+    model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream,
+    views: Optional[Tuple[Matrix, Matrix]] = None,
 ) -> Tuple[float, float, float]:
     """Forward-only evaluation of the combined objective.
 
     Returns (loss_total, loss_ssl, loss_prox); identical values to
-    loss_and_grad with the backward pass skipped.
+    loss_and_grad with the backward pass skipped. ``views``, when given, is
+    ``objective_views(local_batch, obj, rng)`` drawn once for several models.
     """
-    return _objective(False, model, local_batch, obj, rng)[:3]
+    if views is None:
+        views = objective_views(local_batch, obj, rng)
+    return _objective(False, model, views, obj)[:3]
 
 
 def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream):
@@ -453,7 +474,7 @@ def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: 
     order. The proximal branch treats the reference as a constant and is
     skipped entirely when mu == 0 so that path is bit-identical to plain SSL.
     """
-    return _objective(True, model, local_batch, obj, rng)
+    return _objective(True, model, objective_views(local_batch, obj, rng), obj)[:4]
 
 
 def flatten_grads(grads: Params) -> np.ndarray:
@@ -490,11 +511,11 @@ def combined_step(
     The target branch is untouched. Reported losses and the gradient norm
     are the pre-step values.
     """
-    loss_total, loss_ssl, loss_prox, grads = loss_and_grad(model, local_batch, obj, rng)
-    grad_norm = float(np.linalg.norm(flatten_grads(grads)))
+    loss_total, loss_ssl, loss_prox, grads, grad_norm = _objective(
+        True, model, objective_views(local_batch, obj, rng), obj)
     velocity = tuple(momentum * v + g for v, g in zip(model.velocity, grads))
     online = tuple(p - eta * v for p, v in zip(model.online, velocity))
-    return StepResult(replace(model, online=online, velocity=velocity),
+    return StepResult(ClientModel(model.spec, model.tau, online, model.target, velocity),
                       loss_total, loss_ssl, loss_prox, grad_norm)
 
 

@@ -342,6 +342,37 @@ class TestRunTraining:
         assert outside == counts["proximal_value inside _swap_eval"] == client_rounds
         assert counts["forward_online inside _swap_eval"] == 0
 
+    def test_views_drawn_once_per_step_and_once_for_evaluation(self, monkeypatch):
+        from hssfl import sslnet
+        counts = collections.Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("augment", "combined_step"):
+            monkeypatch.setattr(sslnet, name, counted(name, getattr(sslnet, name)))
+        cfg = small_cfg()
+        data = dataset()
+        rad, plan = federation.prepare_data(cfg, data)
+        shard = data.features[list(plan.client_indices[0])]
+        model = federation.init_models(cfg)[0]
+        reference = gram_linear(sslnet.representations(model, rad.features))
+        out = federation._train_one_client(0, model, shard, rad.features, reference, cfg, 1)
+        steps = cfg.local_epochs * -(-shard.shape[0] // cfg.batch_size)
+        assert counts["combined_step"] == steps
+        assert counts["augment"] == steps + 1
+        # the shared pair is the one each evaluation would draw for itself
+        obj = _client_objective(cfg, cfg.mu, rad.features, reference)
+        eval_rng = RngStream(cfg.seed, client=0, round=1, purpose="eval")
+        rec = out["record"]
+        for when, m in (("start", model), ("end", out["model"])):
+            own = sslnet.combined_loss(m, shard, obj, eval_rng)
+            assert own == (rec[f"loss_total_{when}"], rec[f"loss_ssl_{when}"],
+                           rec[f"loss_prox_{when}"])
+
     def test_swap_losses_oracle(self):
         # the last round's swap evaluation against the final reference,
         # recomputed from the final weights with a fresh forward pass

@@ -47,6 +47,15 @@ class TestFiniteness:
         with pytest.raises(NumericalFailureError, match="non-finite values in y"):
             check_finite(np.array([[np.inf]]), "y")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_non_finite_scalar_is_a_numerical_failure(self, value):
+        with pytest.raises(NumericalFailureError, match="non-finite values in z"):
+            check_finite(value, "z")
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(0.0), np.array([[1e308]])])
+    def test_finite_passes_through(self, value):
+        assert check_finite(value) is value
+
 
 class TestCsv:
     def test_round_trip_exact(self):
@@ -120,6 +129,33 @@ class TestRngStream:
         a = s.sub("one").generator().normal(size=(3, 3))
         b = s.sub("two").generator().normal(size=(3, 3))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1, None])
+    def test_generator_is_philox_under_the_key(self, monkeypatch, key):
+        # generator() hands Philox its key without Philox(key=...); the
+        # state and every draw must be those of Philox(key=...)
+        streams = [RngStream(5), RngStream(7, client=3, round=2, epoch=1, purpose="/aug/view1"),
+                   RngStream(2**40, purpose="eval")]
+        if key is not None:
+            monkeypatch.setattr(RngStream, "_key", lambda self: key)
+            streams = streams[:1]
+        for s in streams:
+            ours = s.generator()
+            oracle = np.random.Generator(np.random.Philox(key=s._key()))
+            assert _plain(ours.bit_generator.state) == _plain(oracle.bit_generator.state)
+            for draw in (lambda g: g.normal(0.0, 0.3, size=(5, 4)),
+                         lambda g: g.random((5, 4)),
+                         lambda g: g.permutation(50),
+                         lambda g: g.choice(50, size=10, replace=False)):
+                assert draw(ours).tobytes() == draw(oracle).tobytes()
+            assert _plain(ours.bit_generator.state) == _plain(oracle.bit_generator.state)
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, comparable by ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 class TestLipschitzRatios:

@@ -4,8 +4,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from hssfl import sslnet
 from hssfl.cka import ProximalForm, gram_linear
-from hssfl.errors import ConfigError, ParseError
+from hssfl.errors import ConfigError, NumericalFailureError, ParseError
 from hssfl.numkit import RngStream
 from hssfl.sslnet import (
     AugmentConfig,
@@ -267,7 +268,7 @@ class TestCombinedStep:
         x = batch_for(RELU)
         _, _, _, grads = loss_and_grad(m, x, Objective(), RngStream(13))
         step = combined_step(m, x, Objective(), 0.01, 0.0, RngStream(13))
-        assert step.grad_norm == pytest.approx(np.linalg.norm(flatten_grads(grads)))
+        assert step.grad_norm == float(np.linalg.norm(flatten_grads(grads)))
 
     @pytest.mark.parametrize("form,normalize", [
         (ProximalForm.ONE_MINUS_CKA, False),
@@ -330,6 +331,49 @@ class TestCombinedStep:
             if after >= before:
                 failures += 1
         assert failures == 0
+
+
+def _poison_backprop(monkeypatch, index, value):
+    """sslnet._backprop with ``value`` at the first entry of grads[index],
+    or in every entry of every tensor when index is None."""
+    real = sslnet._backprop
+
+    def poisoned(*args):
+        grads = [g.copy() for g in real(*args)]
+        if index is None:
+            for g in grads:
+                g.fill(value)
+        else:
+            grads[index].flat[0] = value
+        return tuple(grads)
+    monkeypatch.setattr(sslnet, "_backprop", poisoned)
+
+
+# Each returns the gradient norm of the step it takes.
+GRADIENT_CALLS = {
+    "combined_step": lambda m, x, obj, rng: combined_step(m, x, obj, 0.05, 0.9, rng).grad_norm,
+    "loss_and_grad": lambda m, x, obj, rng: float(
+        np.linalg.norm(flatten_grads(loss_and_grad(m, x, obj, rng)[3]))),
+}
+
+
+@pytest.mark.parametrize("call", GRADIENT_CALLS.values(), ids=GRADIENT_CALLS.keys())
+class TestGradientCheck:
+    @pytest.mark.parametrize("index,value,name", [(0, np.nan, "encoder gradient"),
+                                                  (2, -np.inf, "encoder gradient"),
+                                                  (-1, np.inf, "predictor gradient"),
+                                                  (-2, np.nan, "predictor gradient")])
+    def test_non_finite_gradient_named(self, monkeypatch, call, index, value, name):
+        _poison_backprop(monkeypatch, index, value)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalFailureError, match=f"non-finite values in {name}$"):
+            call(make_model(), batch_for(RELU), Objective(), RngStream(14))
+
+    def test_overflowing_norm_of_finite_gradients_is_no_failure(self, monkeypatch, call):
+        # every entry is finite; only the sum of their squares overflows
+        _poison_backprop(monkeypatch, None, 1e200)
+        with np.errstate(over="ignore"):
+            assert call(make_model(), batch_for(RELU), Objective(), RngStream(14)) == np.inf
 
 
 class TestSymmetrized:

@@ -2,17 +2,16 @@
 representation aggregation, and the proximal penalty forms with analytic
 gradients with respect to the activation matrix.
 
-Every kernel is held, sent and stored as an exact factor when that is
-smaller: a client's linear Gram K = phi @ phi.T (phi is L x d) is held as the
-L x d factor U = phi @ V, with V the eigenvectors of the d x d matrix
+Every kernel is held, sent and stored in one form: an exact L x D factor F
+with D <= L and K = F @ F.T. A client's linear Gram K = phi @ phi.T (phi is
+L x d) is the factor U = phi @ V, with V the eigenvectors of the d x d matrix
 phi.T @ phi, so U @ U.T = K, and the sign of each column of U is fixed so that
 its largest-magnitude entry is positive. U is then fixed by K alone (for
 distinct eigenvalues): the factor carries the kernel and nothing more. The
-weighted aggregate sum_k w_k K_k is the factor F = [sqrt(w_1) U_1, ...,
-sqrt(w_N) U_N] with D = sum_k d_k columns, in the order given. The rank rule
-is automatic: a kernel is held densely, as its L x L entries, when its
-factor would have at least L columns, and an aggregate is dense when any
-input is.
+weighted aggregate sum_k w_k K_k is the factor [sqrt(w_1) F_1, ...,
+sqrt(w_N) F_N], in the order given. A factor with more columns than rows is
+capped: with F.T = Q R it is replaced by R.T, each row of R signed so that
+its diagonal entry is nonnegative, which is the L x L Cholesky factor of K.
 
 The similarity score between two L x L Gram matrices is
 
@@ -24,14 +23,13 @@ the feature-space form of linear CKA. Gram matrices are uncentered.
 The proximal term never builds an L x L matrix. With the reference Kbar and
 phi (L x d) it uses
 
-    Kbar @ phi      = F @ (F.T @ phi)      (Kbar @ phi when Kbar is dense)
+    Kbar @ phi      = F @ (F.T @ phi)
     trace(K @ Kbar) = sum(phi * (Kbar @ phi))
     ||K||_F         = ||phi.T @ phi||_F
     K @ phi         = phi @ (phi.T @ phi)
 
-so a step costs 2 L D d flops for Kbar @ phi (L^2 d for a dense Kbar) plus
-O(L d^2), and ||Kbar||_F = ||F.T @ F||_F is computed once per GramMatrix
-object.
+so a step costs 2 L D d flops for Kbar @ phi plus O(L d^2), and
+||Kbar||_F = ||F.T @ F||_F is computed once per GramMatrix object.
 
 Sign convention of the proximal penalty: the prose intent is a *distance*
 penalty, so the default training form is ONE_MINUS_CKA (penalize
@@ -59,7 +57,6 @@ from .errors import (
 )
 from .numkit import Matrix, as_matrix, check_finite
 
-SYMMETRY_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 
 # Near Phi == Phibar the L2 distance is non-differentiable; below this
@@ -70,62 +67,47 @@ EPS_GRAD = 1e-12
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric PSD L x L kernel over the alignment rows, held as it is sent
-    and stored: an L x D factor F with K = F @ F.T when D < L, else the
-    L x L entries. The column count tells the two apart."""
+    and stored: an L x D factor F with D <= L and K = F @ F.T."""
 
     data: Matrix
 
     def __post_init__(self):
         m = np.asarray(self.data, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] > m.shape[0]:
-            raise ShapeError("gram data must be L x L entries or an L x D factor "
-                             f"with D < L, got shape {m.shape}")
-        if m.shape[1] == m.shape[0]:
-            m = as_matrix(m, "gram entries")
-            if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
-                raise ShapeError("gram matrix is not symmetric")
+            raise ShapeError("gram data must be an L x D factor with D <= L, "
+                             f"got shape {m.shape}")
         object.__setattr__(self, "data", m)
 
     @property
     def size(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def factor(self) -> Optional[Matrix]:
-        """The L x D factor, or None when the kernel is held densely."""
-        return self.data if self.data.shape[1] < self.data.shape[0] else None
-
     @cached_property
     def entries(self) -> Matrix:
-        """The L x L entries; for a factor, built on first use."""
-        f = self.factor
-        return self.data if f is None else _outer(f)
+        """The L x L entries F @ F.T, symmetrized exactly against roundoff;
+        built on first use."""
+        k = self.data @ self.data.T
+        return (k + k.T) / 2.0
 
     @cached_property
     def norm(self) -> float:
-        """||K||_F (= ||F.T @ F||_F for a factor), computed on first use and
-        kept with the object."""
-        f = self.factor
-        return float(np.linalg.norm(self.data if f is None else f.T @ f))
+        """||K||_F = ||F.T @ F||_F, computed on first use and kept with the
+        object."""
+        return float(np.linalg.norm(self.data.T @ self.data))
 
     def times(self, x: Matrix) -> Matrix:
-        """K @ x, as F @ (F.T @ x) for a factor."""
-        f = self.factor
-        return self.data @ x if f is None else f @ (f.T @ x)
+        """K @ x as F @ (F.T @ x)."""
+        return self.data @ (self.data.T @ x)
 
 
-def _outer(f: Matrix) -> Matrix:
-    """F @ F.T, symmetrized exactly against roundoff."""
-    k = f @ f.T
-    return (k + k.T) / 2.0
-
-
-def _kernel(f: Matrix, name: str) -> GramMatrix:
-    """The kernel F @ F.T, held as F unless F has at least as many columns
-    as rows (the rank rule)."""
-    if f.shape[1] < f.shape[0]:
-        return GramMatrix(f)
-    return GramMatrix(check_finite(_outer(f), name))
+def _kernel(f: Matrix) -> GramMatrix:
+    """The kernel F @ F.T, held as F when F has at most as many columns as
+    rows, else as the sign-fixed R.T of F.T = Q R (see the module
+    docstring)."""
+    if f.shape[1] > f.shape[0]:
+        r = np.linalg.qr(f.T, mode="r")
+        f = (r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T
+    return GramMatrix(f)
 
 
 class ProximalForm(enum.Enum):
@@ -146,15 +128,13 @@ class ProximalForm(enum.Enum):
 
 
 def gram_linear(a: Matrix) -> GramMatrix:
-    """K = A @ A.T, held as the canonical factor U = A @ V when A has fewer
-    columns than rows (see the module docstring), else densely."""
+    """K = A @ A.T, held as the canonical factor U = A @ V, capped at L
+    columns (see the module docstring)."""
     a = as_matrix(a, "activations")
-    if a.shape[1] < a.shape[0]:
-        _, v = np.linalg.eigh(check_finite(a.T @ a, "linear gram"))
-        a = a @ v
-        peak = a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
-        a = a * np.where(peak < 0.0, -1.0, 1.0)
-    return _kernel(a, "linear gram")
+    _, v = np.linalg.eigh(check_finite(a.T @ a, "linear gram"))
+    u = a @ v
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return _kernel(u * np.where(peak < 0.0, -1.0, 1.0))
 
 
 def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
@@ -171,18 +151,11 @@ def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
 
 
 def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
-    """sum_pq Ki[p,q] * Kbar[p,q], the trace of the product: ||Fi.T @ Fbar||_F^2
-    for two factors, sum(F * (K @ F)) when one is dense."""
+    """sum_pq Ki[p,q] * Kbar[p,q], the trace of the product, as
+    ||Fi.T @ Fbar||_F^2."""
     _same_size(ki, kbar)
-    fi, fbar = ki.factor, kbar.factor
-    if fi is not None and fbar is not None:
-        c = fi.T @ fbar
-        return float(np.sum(c * c))
-    if fi is not None:
-        return float(np.sum(fi * kbar.times(fi)))
-    if fbar is not None:
-        return float(np.sum(fbar * ki.times(fbar)))
-    return float(np.sum(ki.entries * kbar.entries))
+    c = ki.data.T @ kbar.data
+    return float(np.sum(c * c))
 
 
 def _check_weights(weights: Sequence[float]) -> None:
@@ -196,33 +169,17 @@ def _check_weights(weights: Sequence[float]) -> None:
         raise ConfigError(f"weights must sum to 1, got {total!r}")
 
 
-def _weighted_sum(pairs: Sequence[Tuple[float, Matrix]]) -> Matrix:
-    """sum_k w_k M_k as one running sum, folded in the order given."""
-    total = pairs[0][0] * pairs[0][1]
-    for w, m in pairs[1:]:
-        total += w * m
-    return total
-
-
 def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
-    """sum_k w_k K_k; weights must sum to 1. For factors it is the factor
-    [sqrt(w_1) F_1, ..., sqrt(w_N) F_N], held densely under the rank rule;
-    with any dense input it is the entrywise sum, folded in the order given.
-    Either way equal inputs in equal order give equal bits."""
+    """sum_k w_k K_k; weights must sum to 1. It is the factor
+    [sqrt(w_1) F_1, ..., sqrt(w_N) F_N], capped at L columns, so equal inputs
+    in equal order give equal bits."""
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("nothing to aggregate")
-    weights = [w for w, _ in pairs]
-    _check_weights(weights)
-    size = pairs[0][1].size
+    _check_weights([w for w, _ in pairs])
     for _, k in pairs:
-        if k.size != size:
-            raise ShapeError(f"gram sizes differ: {k.size} vs {size}")
-    if all(k.factor is not None for _, k in pairs):
-        return _kernel(np.concatenate([np.sqrt(w) * k.factor for w, k in pairs], axis=1),
-                       "aggregated gram")
-    total = _weighted_sum([(w, k.entries) for w, k in pairs])
-    return GramMatrix(check_finite(total, "aggregated gram"))
+        _same_size(k, pairs[0][1])
+    return _kernel(np.concatenate([np.sqrt(w) * k.data for w, k in pairs], axis=1))
 
 
 def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
@@ -239,7 +196,10 @@ def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
                 f"representation widths differ ({p.shape} vs {shape}); "
                 "aggregate kernel matrices instead"
             )
-    return check_finite(_weighted_sum(pairs), "aggregated representations")
+    total = pairs[0][0] * pairs[0][1]
+    for w, p in pairs[1:]:
+        total += w * p
+    return check_finite(total, "aggregated representations")
 
 
 Reference = Union[GramMatrix, Matrix]
@@ -254,10 +214,9 @@ def _expect_gram(reference: Reference, form: ProximalForm) -> GramMatrix:
 def _expect_matrix(reference: Reference, form: ProximalForm, phi: Matrix) -> Matrix:
     if isinstance(reference, GramMatrix):
         raise ConfigError(f"form {form.value} needs a representation-matrix reference")
-    phibar = as_matrix(reference, "reference representations")
-    if phibar.shape != phi.shape:
-        raise ShapeError(f"shapes differ: {phi.shape} vs {phibar.shape}")
-    return phibar
+    if reference.shape != phi.shape:
+        raise ShapeError(f"shapes differ: {phi.shape} vs {reference.shape}")
+    return reference
 
 
 def _kernel_distance(
@@ -289,8 +248,10 @@ def _kernel_distance(
 def _distance(
     phi: Matrix, reference: Reference, form: ProximalForm, want_grad: bool
 ) -> Tuple[float, Optional[Matrix]]:
-    """The distance term and, when wanted, its gradient with respect to phi."""
-    phi = as_matrix(phi, "phi")
+    """The distance term and, when wanted, its gradient with respect to phi.
+    phi and the reference were checked where they entered: the
+    representations by the objective or the upload, the reference by its
+    transmission."""
     if form is not ProximalForm.L2_REP:
         return _kernel_distance(phi, _expect_gram(reference, form), form, want_grad)
     diff = phi - _expect_matrix(reference, form, phi)
@@ -332,9 +293,8 @@ def proximal_grad(
                           (phi - phibar)/||phi - phibar||_F, zero subgradient
                           when the distance is <= EPS_GRAD
 
-    A kernel form costs one Kbar @ phi product (2 L D d flops for a factored
-    reference, L^2 d for a dense one) and O(L d^2) more, with no L x L
-    allocation; M is cached on the reference. A non-finite Kbar phi, t, G,
-    N or normalizer raises NumericalFailureError.
+    A kernel form costs one Kbar @ phi product (2 L D d flops) and O(L d^2)
+    more, with no L x L allocation; M is cached on the reference. A
+    non-finite Kbar phi, t, G, N or normalizer raises NumericalFailureError.
     """
     return _distance(phi, reference, ProximalForm.parse(form), want_grad=True)

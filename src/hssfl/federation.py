@@ -13,20 +13,18 @@ regression loss and the uploaded representations and makes no forward pass.
 Each reference is aggregated and transmitted once: before round 1, from the
 bootstrap uploads or the loaded checkpoint, and at the end of every round.
 Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
-an upload is L x d_k and a reference L x D with D = sum_k d_k, so a round
-sends O(L d_k) up per client and O(L D) down; a kernel whose factor would
-have at least L columns goes as its L x L entries. Payloads cross a real
-serialization boundary even though transport is in-process: every matrix
-sent (the alignment rows, the reference, client uploads) is encoded as npy,
-counted, decoded and checked for finiteness once. One atomically replaced
-``checkpoint.npz`` holds each round's client tensors and payloads, each in
-the form it is held;
-a resume cuts ``log.jsonl`` back to the rounds it holds, so a run killed at
-any point resumes to the uninterrupted result. One thread pool runs the
-clients for every worker count. All
-randomness flows through value-like streams keyed by (seed, client, round,
-epoch, purpose), so runs are bit-reproducible regardless of how many workers
-execute clients in parallel. Wall-clock timings are collected separately
+an upload is L x min(d_k, L) and a reference L x min(D, L) with
+D = sum_k d_k, so a round sends O(L d_k) up per client and O(L D) down.
+Payloads cross a real serialization boundary even though transport is
+in-process: every matrix sent (the alignment rows, the reference, client
+uploads) is encoded as npy, counted, decoded and checked for finiteness
+once. One atomically replaced ``checkpoint.npz`` holds each round's client
+tensors and uploads (``upload_k``, as held); a resume cuts ``log.jsonl``
+back to the rounds it holds, so a run killed at any point resumes to the
+uninterrupted result. One thread pool runs the clients for every worker
+count. All randomness flows through value-like streams keyed by (seed,
+client, round, epoch, purpose), so runs are bit-reproducible regardless of
+how many workers execute clients in parallel. Wall-clock timings are collected separately
 from the round log and never serialized with it, keeping logs byte-comparable
 across machines and worker counts.
 """
@@ -278,8 +276,8 @@ def _jsonl_line(record: dict) -> str:
 
 
 def _held(payload: Payload) -> Matrix:
-    """The array a payload is sent and stored as: a kernel's factor or
-    entries (GramMatrix.data), or a representation matrix."""
+    """The array a payload is sent and stored as: a kernel's factor
+    (GramMatrix.data) or a representation matrix."""
     return payload.data if isinstance(payload, GramMatrix) else payload
 
 
@@ -299,8 +297,10 @@ def _transmit(payload: Payload) -> Tuple[Payload, int]:
 
 def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, int, Matrix]:
     """The client's alignment payload as the server receives it, its wire
-    size, and the representations it was built from."""
-    phi = sslnet.representations(model, rad, clip_radius=cfg.clip_radius)
+    size, and the representations it was built from. Run it inside
+    ``_client_work``, which names the client of a numerical failure."""
+    phi = check_finite(sslnet.representations(model, rad, clip_radius=cfg.clip_radius),
+                       "representations")
     received, nbytes = _transmit(gram_linear(phi) if cfg.payload_kind == KERNEL else phi)
     return received, nbytes, phi
 
@@ -572,7 +572,7 @@ def _save_checkpoint(
     registry: Dict[int, Payload],
     cfg: FedConfig,
 ) -> None:
-    arrays = {f"payload_{k}": _held(p) for k, p in sorted(registry.items())}
+    arrays = {f"upload_{k}": _held(p) for k, p in sorted(registry.items())}
     for k, m in enumerate(models):
         arrays.update((f"client_{k}/{name}", a) for name, a in sslnet.model_arrays(m).items())
     os.makedirs(directory, exist_ok=True)
@@ -590,9 +590,9 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
     }, source=f"{path}, client {k}") for k, spec in enumerate(cfg.client_specs)]
     registry: Dict[int, Payload] = {}
     for k in range(cfg.num_clients):
-        held = arrays.get(f"payload_{k}")
+        held = arrays.get(f"upload_{k}")
         if held is None or held.ndim != 2 or held.shape[0] != cfg.rad_size:
-            raise ParseError(f"{path}: entry 'payload_{k}' is missing or does not have "
+            raise ParseError(f"{path}: entry 'upload_{k}' is missing or does not have "
                              f"{cfg.rad_size} rows")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return as_int(state.get("round"), f"{path} round"), models, registry
@@ -642,7 +642,8 @@ def run_training(
     if start_round == 0:
         boot_bytes = []
         for k in range(cfg.num_clients):
-            registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
+            with _client_work(k, 0):
+                registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))

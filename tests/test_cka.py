@@ -4,6 +4,7 @@ import pytest
 from hssfl.cka import (
     GramMatrix,
     ProximalForm,
+    _kernel,
     aggregate_grams,
     aggregate_representations,
     gram_linear,
@@ -82,7 +83,7 @@ class TestLinearCka:
 
     def test_trace_norm_oracle(self):
         ki = GramMatrix(np.eye(2))
-        kj = GramMatrix(np.ones((2, 2)))
+        kj = GramMatrix(np.ones((2, 1)))
         assert linear_cka(ki, kj) == pytest.approx(2.0 / (np.sqrt(2.0) * 2.0))
 
     def test_scaling_invariance(self):
@@ -107,7 +108,7 @@ class TestLinearCka:
             kj = random_psd_gram(seed + 100, 4)
             s = linear_cka(ki, kj)
             assert 0.0 <= s <= 1.0 + 1e-12
-            prop = linear_cka(ki, GramMatrix(3.0 * ki.entries))
+            prop = linear_cka(ki, GramMatrix(np.sqrt(3.0) * ki.data))
             assert prop == pytest.approx(1.0, abs=1e-12)
             if not np.allclose(
                 ki.entries / np.linalg.norm(ki.entries),
@@ -123,7 +124,7 @@ class TestLinearCka:
 class TestTraceAlignment:
     def test_zero(self):
         k = random_psd_gram(10)
-        assert trace_alignment(k, GramMatrix(np.zeros_like(k.entries))) == 0.0
+        assert trace_alignment(k, GramMatrix(np.zeros_like(k.data))) == 0.0
 
     def test_direct_sum_oracle(self):
         assert trace_alignment(GramMatrix(np.eye(2)), GramMatrix(np.eye(2))) == 2.0
@@ -143,16 +144,15 @@ class TestAggregation:
 
     def test_weighted_mean_oracle(self):
         k1 = GramMatrix(np.eye(3))
-        k2 = GramMatrix(3.0 * np.eye(3))
+        k2 = GramMatrix(np.sqrt(3.0) * np.eye(3))
         agg = aggregate_grams([(0.5, k1), (0.5, k2)])
-        assert np.array_equal(agg.entries, 2.0 * np.eye(3))
+        assert rel_err(agg.entries, 2.0 * np.eye(3)) <= 1e-15
 
     def test_folds_in_the_order_given(self):
-        pairs = [(w, random_psd_gram(s)) for w, s in zip((0.1, 0.2, 0.3, 0.4), range(14, 18))]
-        expected = 0.1 * pairs[0][1].entries
-        for w, k in pairs[1:]:
-            expected = expected + w * k.entries
-        assert aggregate_grams(pairs).entries.tobytes() == expected.tobytes()
+        pairs = [(w, gram_linear(random_activations(s, 8, 2)))
+                 for w, s in zip((0.1, 0.2, 0.3, 0.4), range(14, 18))]
+        expected = np.concatenate([np.sqrt(w) * k.data for w, k in pairs], axis=1)
+        assert aggregate_grams(pairs).data.tobytes() == expected.tobytes()
         phis = [(w, random_activations(s)) for w, s in zip((0.5, 0.25, 0.25), range(3))]
         expected = (0.5 * phis[0][1] + 0.25 * phis[1][1]) + 0.25 * phis[2][1]
         assert aggregate_representations(phis).tobytes() == expected.tobytes()
@@ -202,7 +202,7 @@ OVERFLOW_CASES = [
                  id=f"{form.value}-product")
     for form in KERNEL_FORMS
 ] + [
-    pytest.param(form, np.full((2, 2), 1e100), GramMatrix(1e-250 * np.eye(2)),
+    pytest.param(form, np.full((2, 2), 1e100), GramMatrix(1e-125 * np.eye(2)),
                  id=f"{form.value}-norm")
     for form in (ProximalForm.RAW_CKA, ProximalForm.ONE_MINUS_CKA)
 ]
@@ -303,39 +303,45 @@ class TestProximalGrad:
         # gradient has no component along phi
         for seed in range(10):
             phi = random_activations(900 + seed, 4, 3)
-            kbar = GramMatrix(0.5 * gram_linear(phi).entries)
+            kbar = GramMatrix(np.sqrt(0.5) * gram_linear(phi).data)
             _, g = proximal_grad(phi, kbar, ProximalForm.RAW_CKA)
             assert abs(np.sum(g * phi)) < 1e-8
 
 
 class TestGramMatrixType:
-    def test_symmetry_enforced(self):
-        with pytest.raises(ShapeError):
-            GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     def test_norm_cached_once(self, monkeypatch):
         k = random_psd_gram(31, 5)
         other = random_psd_gram(32, 5)
         phi = random_activations(33, 5, 3)
+        gram = k.data.T @ k.data
         seen = []
         real_norm = np.linalg.norm
 
         def counted(x, *args, **kwargs):
-            seen.append(x is k.entries)
+            seen.append(x.shape == gram.shape and np.array_equal(x, gram))
             return real_norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counted)
-        assert k.norm == real_norm(k.entries)
+        assert k.norm == real_norm(gram)
         linear_cka(k, other)
         for form in KERNEL_FORMS:
             proximal_grad(phi, k, form)
             proximal_value(phi, k, form, 1.0)
-        assert k.norm == real_norm(k.entries)
+        assert k.norm == real_norm(gram)
         assert sum(seen) == 1
 
     def test_square_enforced(self):
         with pytest.raises(ShapeError):
             GramMatrix(np.ones((2, 3)))
+
+    def test_factor_of_at_most_l_columns(self):
+        for shape in ((3, 1), (3, 2), (3, 3)):
+            k = GramMatrix(np.ones(shape))
+            assert k.data.shape == shape
+            assert np.array_equal(k.entries, np.full((3, 3), float(shape[1])))
+        for bad in (np.ones(3), np.ones((3, 4)), np.ones((3, 2, 1))):
+            with pytest.raises(ShapeError, match="L x D factor with D <= L"):
+                GramMatrix(bad)
 
 
 def rel_close(a, b):
@@ -343,103 +349,119 @@ def rel_close(a, b):
 
 
 class TestFactoredOracle:
-    """Factored kernels against the same calls on their dense L x L entries,
-    at L = 300, to 1e-12 relative."""
+    """Factored kernels against their explicit L x L entries, or against
+    another factor of the same kernel, at L = 300, to 1e-12 relative."""
 
     L = 300
 
     def factored(self, seed, d):
         k = gram_linear(random_activations(seed, self.L, d))
-        assert k.factor is not None and k.factor.shape == (self.L, d)
+        assert k.data.shape == (self.L, d)
         return k
 
     def test_entries_equal_the_explicit_gram(self):
         phi = random_activations(1, self.L, 8)
         k = gram_linear(phi)
-        assert k.factor.shape == (self.L, 8)
+        assert k.data.shape == (self.L, 8)
         assert rel_err(k.entries, phi @ phi.T) <= 1e-12
         assert np.array_equal(k.entries, k.entries.T)
         assert rel_close(k.norm, np.linalg.norm(phi @ phi.T))
 
     def test_similarity_and_alignment(self):
         ki, kj = self.factored(2, 8), self.factored(3, 16)
-        di, dj = GramMatrix(ki.entries), GramMatrix(kj.entries)
-        assert di.factor is None and dj.factor is None
-        for a, b in ((ki, kj), (ki, dj), (di, kj)):
-            assert rel_close(trace_alignment(a, b), trace_alignment(di, dj))
-            assert rel_close(linear_cka(a, b), linear_cka(di, dj))
+        t = np.sum(ki.entries * kj.entries)
+        assert rel_close(trace_alignment(ki, kj), t)
+        assert rel_close(linear_cka(ki, kj),
+                         t / (np.linalg.norm(ki.entries) * np.linalg.norm(kj.entries)))
 
     @pytest.mark.parametrize("form", KERNEL_FORMS)
     def test_proximal_value_and_grad(self, form):
         phi = random_activations(4, self.L, 16)
         kbar = aggregate_grams([(0.5, self.factored(5, 8)), (0.5, self.factored(6, 16))])
-        assert kbar.factor.shape == (self.L, 24)
-        dense = GramMatrix(kbar.entries)
+        assert kbar.data.shape == (self.L, 24)
+        # the same kernel through another factor
+        q, _ = np.linalg.qr(random_activations(7, 24, 24))
+        rotated = GramMatrix(kbar.data @ q)
         distance, grad = proximal_grad(phi, kbar, form)
-        want_distance, want_grad = proximal_grad(phi, dense, form)
+        want_distance, want_grad = proximal_grad(phi, rotated, form)
         assert rel_close(distance, want_distance)
         assert rel_err(grad, want_grad) <= 1e-12
         assert rel_close(proximal_value(phi, kbar, form, 0.5),
-                         proximal_value(phi, dense, form, 0.5))
+                         proximal_value(phi, rotated, form, 0.5))
 
     def test_aggregate_is_the_weighted_sum(self):
         weights = (0.1, 0.2, 0.3, 0.4)
         ks = [self.factored(10 + i, d) for i, d in enumerate((8, 8, 16, 4))]
         agg = aggregate_grams(list(zip(weights, ks)))
-        assert agg.factor.shape == (self.L, 36)
+        assert agg.data.shape == (self.L, 36)
         want = sum(w * k.entries for w, k in zip(weights, ks))
         assert rel_err(agg.entries, want) <= 1e-12
 
 
 class TestRankRule:
+    """A kernel has rank at most L, and so does its factor: one with more
+    than L columns is capped to the L x L triangular factor of the kernel."""
+
     def test_factor_depends_on_the_kernel_only(self):
         a = random_activations(20, 300, 8)
         q, _ = np.linalg.qr(random_activations(21, 8, 8))
-        u, v = gram_linear(a).factor, gram_linear(a @ q).factor
+        u, v = gram_linear(a).data, gram_linear(a @ q).data
         assert rel_err(u, v) <= 1e-12
 
     def test_sign_rule(self):
-        u = gram_linear(random_activations(22, 50, 6)).factor
+        u = gram_linear(random_activations(22, 50, 6)).data
         peak = u[np.argmax(np.abs(u), axis=0), np.arange(6)]
         assert np.all(peak > 0)
 
     @pytest.mark.parametrize("rows, cols", [(5, 5), (5, 7)])
-    def test_upload_dense_when_d_at_least_l(self, rows, cols):
+    def test_upload_capped_when_d_at_least_l(self, rows, cols):
         a = random_activations(23, rows, cols)
         k = gram_linear(a)
-        assert k.factor is None and k.data.shape == (rows, rows)
-        assert np.array_equal(k.entries, (a @ a.T + (a @ a.T).T) / 2.0)
+        assert k.data.shape == (rows, rows)
+        assert rel_err(k.entries, a @ a.T) <= 1e-12
 
-    def test_aggregate_dense_when_d_sum_at_least_l(self):
+    def test_capped_factor_has_l_columns(self):
+        f = random_activations(24, 6, 10)
+        k = _kernel(f)
+        assert k.data.shape == (6, 6)
+        assert np.array_equal(k.data, np.tril(k.data))
+        assert np.all(np.diagonal(k.data) >= 0.0)
+        assert rel_err(k.entries, f @ f.T) <= 1e-12
+        assert rel_err(k.data, np.linalg.cholesky(f @ f.T)) <= 1e-12
+
+    def test_cap_depends_on_the_kernel_only(self):
+        f = random_activations(25, 6, 10)
+        q, _ = np.linalg.qr(random_activations(26, 10, 10))
+        assert rel_err(_kernel(f @ q).data, _kernel(f).data) <= 1e-12
+
+    def test_aggregate_capped_when_d_sum_above_l(self):
         # 20 clients with d = 6 at L = 24 (D = 120), as in the fleet workload
         ks = [gram_linear(random_activations(30 + i, 24, 6)) for i in range(20)]
-        assert all(k.factor is not None for k in ks)
+        assert all(k.data.shape == (24, 6) for k in ks)
         agg = aggregate_grams([(0.05, k) for k in ks])
-        assert agg.factor is None and agg.data.shape == (24, 24)
+        assert agg.data.shape == (24, 24)
         assert rel_err(agg.entries, sum(0.05 * k.entries for k in ks)) <= 1e-12
-        # D = L is dense too: the factor would be no smaller
-        assert aggregate_grams([(0.25, k) for k in ks[:4]]).factor is None
+        # D = L is held as it is: the factor fits
+        four = aggregate_grams([(0.25, k) for k in ks[:4]])
+        assert np.array_equal(four.data, np.concatenate([0.5 * k.data for k in ks[:4]], axis=1))
 
     def test_aggregate_factored_below_l(self):
         ks = [gram_linear(random_activations(60 + i, 24, 6)) for i in range(3)]
-        agg = aggregate_grams([(w, k) for w, k in zip((0.5, 0.25, 0.25), ks)])
-        assert agg.factor.shape == (24, 18)
-        assert np.array_equal(agg.factor[:, :6], np.sqrt(0.5) * ks[0].factor)
+        weights = (0.5, 0.25, 0.25)
+        agg = aggregate_grams(list(zip(weights, ks)))
+        assert agg.data.shape == (24, 18)
+        want = np.concatenate([np.sqrt(w) * k.data for w, k in zip(weights, ks)], axis=1)
+        assert agg.data.tobytes() == want.tobytes()
 
-    def test_aggregate_dense_when_any_input_dense(self):
+    def test_aggregate_capped_when_any_input_capped(self):
         factored = gram_linear(random_activations(70, 24, 6))
-        dense = gram_linear(random_activations(71, 24, 30))
-        agg = aggregate_grams([(0.5, factored), (0.5, dense)])
-        assert agg.factor is None
-        assert rel_err(agg.entries, 0.5 * factored.entries + 0.5 * dense.entries) <= 1e-12
+        capped = gram_linear(random_activations(71, 24, 30))
+        assert capped.data.shape == (24, 24)
+        agg = aggregate_grams([(0.5, factored), (0.5, capped)])
+        assert agg.data.shape == (24, 24)
+        assert rel_err(agg.entries, 0.5 * factored.entries + 0.5 * capped.entries) <= 1e-12
 
     def test_factor_overflow_is_numerical_failure(self):
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError, match="non-finite values in linear gram"):
                 gram_linear(np.full((3, 2), 1e200))
-
-    def test_shape_tells_factor_from_entries(self):
-        assert GramMatrix(np.ones((3, 2))).factor is not None
-        assert GramMatrix(np.eye(3)).factor is None
-        with pytest.raises(ShapeError):
-            GramMatrix(np.ones(3))

@@ -265,13 +265,17 @@ class TestBadInput:
         assert f"{path}: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, named", [
-        (lambda a: a.pop("payload_1"), "entry 'payload_1' is missing"),
-        (lambda a: a.update(payload_0=a["payload_0"][:5]),
-         "entry 'payload_0' is missing or does not have 10 rows"),
+        (lambda a: a.pop("upload_1"), "entry 'upload_1' is missing"),
+        (lambda a: a.update(upload_0=a["upload_0"][:5]),
+         "entry 'upload_0' is missing or does not have 10 rows"),
         (lambda a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
          "client 0: entry 'online0' has shape (4, 6)"),
         (lambda a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
-    ], ids=["missing-payload", "short-payload", "truncated-tensor", "missing-tensor"])
+        # the earlier layout, whose square payload_k held dense L x L entries
+        (lambda a: a.update({f"payload_{k}": a.pop(f"upload_{k}") for k in range(2)}),
+         "entry 'upload_0' is missing"),
+    ], ids=["missing-payload", "short-payload", "truncated-tensor", "missing-tensor",
+            "payload-entries"])
     def test_resume_from_bad_checkpoint(self, tmp_path, data_csv, capsys, change, named):
         out = str(tmp_path / "run")
         assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
@@ -279,6 +283,22 @@ class TestBadInput:
         assert run_cli(*run_args(data_csv, out), "--resume") == 2
         err = capsys.readouterr().err
         assert "checkpoint.npz" in err and named in err
+
+    @pytest.mark.parametrize("form, shift, named", [
+        ("one_minus_cka", "1e308", "non-finite values in representations: client 0 round 0"),
+        ("one_minus_cka", "1e160", "non-finite values in linear gram: client 0 round 0"),
+        ("l2_rep", "1e308", "non-finite values in representations: client 0 round 0"),
+    ], ids=["kernel-representations", "kernel-gram", "l2-representations"])
+    def test_non_finite_bootstrap_upload(self, tmp_path, data_csv, capsys, form, shift,
+                                         named):
+        # RuntimeWarning is an error under the test settings, so a leaked
+        # numpy warning would fail this before the exit code is read
+        rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
+                     "--arch", "8,6", "--clients", "2", "--rad-size", "10",
+                     "--normalize-loss", "--rad-shift", shift, "--form", form)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "RuntimeWarning" not in err
 
     def test_encoder_width_differs_from_data(self, tmp_path, data_csv, capsys):
         out = str(tmp_path / "run")

@@ -87,9 +87,9 @@ class TestServerAggregate:
         assert np.allclose(out.entries, k.entries)
 
     def test_weighted_oracle(self):
-        k1, k2 = GramMatrix(np.eye(3)), GramMatrix(3.0 * np.eye(3))
+        k1, k2 = GramMatrix(np.eye(3)), GramMatrix(np.sqrt(3.0) * np.eye(3))
         out = server_aggregate([(0, k1), (1, k2)], [0.5, 0.5], {})
-        assert np.array_equal(out.entries, 2.0 * np.eye(3))
+        assert np.allclose(out.entries, 2.0 * np.eye(3), rtol=0.0, atol=1e-15)
 
     def test_arrival_order_irrelevant(self):
         ks = [gram_linear(RngStream(s, purpose="k").generator().normal(size=(4, 2)))
@@ -117,10 +117,10 @@ class TestServerAggregate:
 
     def test_stale_payload_reuse(self):
         k_old = GramMatrix(np.eye(2))
-        k_new = GramMatrix(2.0 * np.eye(2))
+        k_new = GramMatrix(np.sqrt(2.0) * np.eye(2))
         registry = {0: k_old, 1: k_old}
         out = server_aggregate([(1, k_new)], [0.5, 0.5], registry)
-        assert np.array_equal(out.entries, 1.5 * np.eye(2))
+        assert np.allclose(out.entries, 1.5 * np.eye(2), rtol=0.0, atol=1e-15)
 
     def test_missing_report_names_client(self):
         with pytest.raises(ProtocolError, match="client 1"):
@@ -437,22 +437,16 @@ class TestFactoredPayloads:
         for rec in records:
             assert rec["upstream_bytes"] == 8 * cfg.rad_size * widths[rec["client"]] + 128
             assert rec["downstream_bytes"] == rad_bytes + ref_bytes
-        assert res.server.reference.factor.shape == (cfg.rad_size, sum(widths))
+        assert res.server.reference.data.shape == (cfg.rad_size, sum(widths))
 
     def test_no_l_by_l_array_on_the_run_path(self, tmp_path, monkeypatch):
-        from hssfl import cka
         builds = collections.Counter()
-        real_outer = cka._outer
-
-        def outer(f):
-            builds["outer"] += 1
-            return real_outer(f)
+        real_entries = GramMatrix.entries
 
         def entries(self):
             builds["entries"] += 1
-            return real_outer(self.data) if self.factor is not None else self.data
+            return real_entries.func(self)
 
-        monkeypatch.setattr(cka, "_outer", outer)
         monkeypatch.setattr(GramMatrix, "entries", property(entries))
         cfg = small_cfg(rounds=3, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
         ck = str(tmp_path / "ck")
@@ -460,7 +454,8 @@ class TestFactoredPayloads:
         run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck, stop_after_round=2)
         res = run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck, resume=True)
         assert res.server.round == cfg.rounds
-        assert all(p.factor is not None for p in res.server.registry.values())
+        held = [res.server.reference, *res.server.registry.values()]
+        assert all(p.data.shape[1] < cfg.rad_size for p in held)
         assert builds == {}
 
     def test_checkpoint_keeps_factors_byte_identical(self, tmp_path):
@@ -473,8 +468,8 @@ class TestFactoredPayloads:
         round_index, _, loaded = federation.load_checkpoint(str(tmp_path), cfg)
         assert round_index == 2
         for k, payload in registry.items():
-            assert loaded[k].factor.shape == payload.factor.shape
-            assert loaded[k].factor.tobytes() == payload.factor.tobytes()
+            assert loaded[k].data.shape == payload.data.shape
+            assert loaded[k].data.tobytes() == payload.data.tobytes()
 
 
 class TestRadShift:
@@ -706,13 +701,13 @@ class TestPayloadCodec:
         k = gram_linear(a)
         received, nbytes = _transmit(k)
         assert isinstance(received, GramMatrix)
-        assert np.array_equal(received.factor, k.factor)
+        assert np.array_equal(received.data, k.data)
         assert np.array_equal(received.entries, k.entries)
         assert nbytes == 8 * 4 * 3 + 128  # the 4 x 3 factor
-        dense = gram_linear(a.T)  # 3 rows, 4 columns: sent as its 3 x 3 entries
-        received, nbytes = _transmit(dense)
-        assert received.factor is None
-        assert np.array_equal(received.entries, dense.entries)
+        capped = gram_linear(a.T)  # 3 rows, 4 columns: sent as its 3 x 3 factor
+        received, nbytes = _transmit(capped)
+        assert np.array_equal(received.data, capped.data)
+        assert np.array_equal(received.entries, capped.entries)
         assert nbytes == 8 * 3 * 3 + 128
         received, nbytes = _transmit(a)
         assert np.array_equal(received, a)

@@ -251,11 +251,12 @@ def _distance(
     """The distance term and, when wanted, its gradient with respect to phi.
     phi and the reference were checked where they entered: the
     representations by the objective or the upload, the reference by its
-    transmission."""
+    transmission. Finite rows can still overflow the l2_rep distance, so it
+    is checked before it is returned or divided by."""
     if form is not ProximalForm.L2_REP:
         return _kernel_distance(phi, _expect_gram(reference, form), form, want_grad)
     diff = phi - _expect_matrix(reference, form, phi)
-    dist = float(np.linalg.norm(diff))
+    dist = check_finite(float(np.linalg.norm(diff)), "representation distance")
     if not want_grad:
         return dist, None
     if dist <= EPS_GRAD:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 
@@ -56,20 +56,6 @@ class Dataset:
 @dataclass(frozen=True)
 class PartitionPlan:
     client_indices: Tuple[Tuple[int, ...], ...]
-    mode: str
-    classes_per_client: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RadSet:
-    """Unlabeled alignment rows broadcast by the server each round."""
-
-    features: Matrix
-    source: str = "pool"
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
 
 
 def synth_mixture(
@@ -145,7 +131,7 @@ def partition_noniid(ds: Dataset, num_clients: int, rng: RngStream) -> Partition
         classes = set(int(x) for x in class_order[c * per:(c + 1) * per])
         rows = avail[np.isin(labels, list(classes))]
         shards.append(tuple(int(r) for r in rows))
-    return PartitionPlan(tuple(shards), "noniid", per)
+    return PartitionPlan(tuple(shards))
 
 
 def partition_iid(ds: Dataset, num_clients: int, rng: RngStream) -> PartitionPlan:
@@ -156,12 +142,13 @@ def partition_iid(ds: Dataset, num_clients: int, rng: RngStream) -> PartitionPla
     gen = rng.generator()
     order = avail[gen.permutation(len(avail))]
     shards = [tuple(int(r) for r in np.sort(part)) for part in np.array_split(order, num_clients)]
-    return PartitionPlan(tuple(shards), "iid")
+    return PartitionPlan(tuple(shards))
 
 
-def sample_rad(pool: Dataset, size: int, rng: RngStream) -> RadSet:
-    """Draw alignment rows without replacement and reserve them in the pool
-    so partitions built afterwards exclude them. Labels are discarded."""
+def sample_rad(pool: Dataset, size: int, rng: RngStream) -> Matrix:
+    """The unlabeled alignment rows, a size x dim matrix drawn without
+    replacement, in pool order. They are reserved in the pool so partitions
+    built afterwards exclude them."""
     if size < 2:
         raise ConfigError(f"alignment set needs at least 2 rows, got {size}")
     avail = pool.available_indices()
@@ -173,4 +160,4 @@ def sample_rad(pool: Dataset, size: int, rng: RngStream) -> RadSet:
     chosen = avail[gen.choice(len(avail), size=size, replace=False)]
     chosen = np.sort(chosen)
     pool.reserved.update(int(i) for i in chosen)
-    return RadSet(pool.features[chosen].copy(), source="pool")
+    return pool.features[chosen]

@@ -31,12 +31,6 @@ class ProbeConfig:
 class LinearProbe:
     weights: Matrix          # d_rep x K
     biases: np.ndarray       # K
-    epochs: int
-    lr: float
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
 
 
 def _softmax(logits: Matrix) -> Matrix:
@@ -88,7 +82,7 @@ def train_probe(reps: Matrix, labels: Sequence[int], cfg: ProbeConfig) -> Linear
             b = b - cfg.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
         raise NumericalFailureError("probe weights")
-    return LinearProbe(w, b, cfg.epochs, cfg.lr)
+    return LinearProbe(w, b)
 
 
 def test_accuracy(probe: LinearProbe, reps: Matrix, labels: Sequence[int]) -> float:

@@ -26,7 +26,9 @@ count. All randomness flows through value-like streams keyed by (seed,
 client, round, epoch, purpose), so runs are bit-reproducible regardless of
 how many workers execute clients in parallel. Wall-clock timings are collected separately
 from the round log and never serialized with it, keeping logs byte-comparable
-across machines and worker counts.
+across machines and worker counts. With ``theory_probes`` set, a
+``theory.RoundProbe`` watches each client round through the epoch hook and
+fills the record's ``probe`` entry.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import sslnet
+from . import sslnet, theory
 from .cka import (
     GramMatrix,
     ProximalForm,
@@ -54,7 +56,7 @@ from .cka import (
     gram_linear,
     proximal_value,
 )
-from .datahub import Dataset, PartitionPlan, RadSet, partition_iid, partition_noniid, sample_rad
+from .datahub import Dataset, PartitionPlan, partition_iid, partition_noniid, sample_rad
 from .errors import ConfigError, NumericalFailureError, ParseError, ProtocolError
 from .numkit import (
     Matrix,
@@ -62,7 +64,6 @@ from .numkit import (
     as_int,
     as_matrix,
     check_finite,
-    lipschitz_ratios,
     load_arrays,
     save_arrays,
 )
@@ -217,17 +218,15 @@ class RoundLog:
 @dataclass
 class ServerState:
     round: int
-    rad: RadSet
     registry: Dict[int, Payload]
     reference: Optional[Payload] = None
 
 
 @dataclass
 class RunResult:
-    config: FedConfig
     models: List[ClientModel]
     log: RoundLog
-    rad: RadSet
+    rad: Matrix
     plan: PartitionPlan
     server: ServerState
 
@@ -362,42 +361,6 @@ def local_training(
     }
 
 
-def _probe_checkpoint(
-    model: ClientModel, shard: Matrix, obj: sslnet.Objective, prng: RngStream
-) -> dict:
-    total, _, _, grads = sslnet.loss_and_grad(model, shard, obj, prng)
-    phi = sslnet.representations(model, obj.rad, clip_radius=obj.clip_radius)
-    return {
-        "loss": total,
-        "grad": sslnet.flatten_grads(grads),
-        "params": sslnet.flatten_params(model),
-        "phi": phi,
-    }
-
-
-def _probe_sigma2(
-    model: ClientModel,
-    shard: Matrix,
-    obj: sslnet.Objective,
-    cfg: FedConfig,
-    round_index: int,
-    crng: RngStream,
-) -> float:
-    """Variance of minibatch gradients about their mean at the round start,
-    over the same batch partition the first epoch will use."""
-    erng = crng.child(round=round_index, epoch=0)
-    batches = _epoch_batches(shard.shape[0], cfg.batch_size, erng.sub("order"))
-    if len(batches) <= 1:
-        return 0.0
-    grads = []
-    for b, idx in enumerate(batches):
-        _, _, _, g = sslnet.loss_and_grad(model, shard[idx], obj, erng.sub(f"sigma{b}"))
-        grads.append(sslnet.flatten_grads(g))
-    stack = np.stack(grads)
-    mean = stack.mean(axis=0)
-    return float(np.mean(np.sum((stack - mean) ** 2, axis=1)))
-
-
 @contextmanager
 def _client_work(client_id: int, round_index: int):
     """Client-side numerics: numpy float warnings are silenced, since the
@@ -427,39 +390,20 @@ def _train_one_client(
     eval_rng = crng.child(round=round_index, purpose="eval")
     obj = _client_objective(cfg, cfg.mu, rad, reference)
     probe = None
-    checkpoints: List[dict] = []
-    hook = None
-    sigma2 = 0.0
     with _client_work(client_id, round_index):
         # start and end are scored on one view pair
         views = sslnet.objective_views(shard, obj, eval_rng)
         start = sslnet.combined_loss(model, shard, obj, eval_rng, views)
         if cfg.theory_probes:
-            prng = crng.child(round=round_index, purpose="probe")
-            checkpoints.append(_probe_checkpoint(model, shard, obj, prng))
-            sigma2 = _probe_sigma2(model, shard, obj, cfg, round_index, crng)
-
-            def hook(epoch: int, m: ClientModel) -> None:
-                checkpoints.append(_probe_checkpoint(m, shard, obj, prng))
-
-        result = local_training(model, shard, obj, cfg, round_index, crng, epoch_hook=hook)
+            rrng = crng.child(round=round_index)
+            probe = theory.RoundProbe(model, shard, obj, rrng, _epoch_batches(
+                shard.shape[0], cfg.batch_size, rrng.sub("order")))
+        result = local_training(model, shard, obj, cfg, round_index, crng,
+                                epoch_hook=probe.after_epoch if probe else None)
         model = result["model"]
         end = sslnet.combined_loss(model, shard, obj, eval_rng, views)
         upload, upload_bytes, phi = _upload(model, rad, cfg)
         rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
-
-    if cfg.theory_probes:
-        params = [c["params"] for c in checkpoints]
-        probe = {
-            "losses": [c["loss"] for c in checkpoints],
-            "grad_norms": [float(np.linalg.norm(c["grad"])) for c in checkpoints],
-            "rep_norm_max": float(max(
-                np.max(np.sqrt(np.sum(c["phi"] * c["phi"], axis=1))) for c in checkpoints
-            )),
-            "l1_ratios": lipschitz_ratios(params, [c["grad"] for c in checkpoints]),
-            "l2_ratios": lipschitz_ratios(params, [c["phi"] for c in checkpoints]),
-            "sigma2": sigma2,
-        }
 
     return {
         "client": client_id,
@@ -480,7 +424,7 @@ def _train_one_client(
             "epoch_losses": result["epoch_losses"],
             "epoch_grad_norms": result["epoch_grad_norms"],
             "rep_norm_max": rep_norm_max,
-            "probe": probe,
+            "probe": probe.record() if probe else None,
         },
     }
 
@@ -519,7 +463,7 @@ def check_input_widths(specs: Sequence[MlpSpec], dim: int) -> None:
                               f"!= dataset width {dim}")
 
 
-def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[RadSet, PartitionPlan]:
+def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[Matrix, PartitionPlan]:
     """The alignment rows and the client shards. The alignment rows are
     reserved in ``data``, so a dataset serves one call only."""
     if data.reserved:
@@ -531,7 +475,7 @@ def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[RadSet, PartitionPlan]:
     if cfg.rad_shift != 0.0:
         # constant offset: alignment rows come from a mean-shifted version
         # of the pool distribution, to probe sensitivity to the choice
-        rad = RadSet(rad.features + cfg.rad_shift, source="pool+shift")
+        rad = rad + cfg.rad_shift
     if cfg.partition == "noniid":
         plan = partition_noniid(data, cfg.num_clients, root.with_purpose("partition"))
     else:
@@ -594,6 +538,9 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
         if held is None or held.ndim != 2 or held.shape[0] != cfg.rad_size:
             raise ParseError(f"{path}: entry 'upload_{k}' is missing or does not have "
                              f"{cfg.rad_size} rows")
+        if cfg.payload_kind == KERNEL and held.shape[1] > cfg.rad_size:
+            raise ParseError(f"{path}: entry 'upload_{k}' has {held.shape[1]} columns, "
+                             f"more than a kernel factor's {cfg.rad_size}")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return as_int(state.get("round"), f"{path} round"), models, registry
 
@@ -633,11 +580,11 @@ def run_training(
     # the bootstrap record, then S client records and a server record a round
     writer = _LogWriter(log_path, keep=1 + start_round * (cfg.sample_size + 1) if resume else 0)
 
-    server = ServerState(round=start_round, rad=rad, registry=registry)
+    server = ServerState(round=start_round, registry=registry)
     if cfg.rounds == 0:
-        return RunResult(cfg, models, log, rad, plan, server)
+        return RunResult(models, log, rad, plan, server)
 
-    rad_rows, rad_bytes = _transmit(rad.features)
+    rad_rows, rad_bytes = _transmit(rad)
     weights = list(cfg.client_weights)
     if start_round == 0:
         boot_bytes = []
@@ -722,7 +669,7 @@ def run_training(
     finally:
         pool.shutdown(cancel_futures=True)
 
-    return RunResult(cfg, models, log, rad, plan, server)
+    return RunResult(models, log, rad, plan, server)
 
 
 def standalone_training(

@@ -1,6 +1,5 @@
 """Float64 matrix validation, array files, the CSV matrix codec for dataset
-files, the checkpoint-pair Lipschitz estimator, and splittable, counter-based
-random streams.
+files, and splittable, counter-based random streams.
 
 Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64;
 ``as_matrix`` validates shapes and finiteness where values enter, and
@@ -11,8 +10,8 @@ purpose coordinates) from which a fresh counter-based generator is derived on
 every use, so identical keys always reproduce identical sequences no matter
 how many workers run concurrently or in what order.
 
-Every array the simulator stores goes through ``save_arrays``/``load_arrays``
-(one ``.npz`` file); ``matrix_to_csv`` and its kin serve dataset files only.
+Model files and checkpoints go through ``save_arrays``/``load_arrays`` (one
+``.npz`` file each); ``matrix_to_csv`` and its kin serve dataset files only.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numbers
 import os
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -60,24 +59,6 @@ def as_int(value, name: str) -> int:
             and float(value).is_integer()):
         return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def lipschitz_ratios(
-    points: Sequence[np.ndarray], values: Sequence[np.ndarray]
-) -> List[float]:
-    """||v_a - v_b|| / ||x_a - x_b|| for every pair a < b in order, skipping
-    pairs whose points coincide."""
-    ratios = []
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            dx = float(np.linalg.norm(np.asarray(points[a], dtype=float)
-                                      - np.asarray(points[b], dtype=float)))
-            if dx == 0.0:
-                continue
-            dv = float(np.linalg.norm(np.asarray(values[a], dtype=float)
-                                      - np.asarray(values[b], dtype=float)))
-            ratios.append(dv / dx)
-    return ratios
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
-"""Empirical estimation of the smoothness/variance/norm constants and
-checks of the descent, reference-swap, and combined per-round bounds.
+"""Per-round theory probes, empirical estimation of the smoothness/variance/
+norm constants, and checks of the descent, reference-swap, and combined
+per-round bounds.
+
+A :class:`RoundProbe` takes one client round's checkpoints during
+training; its ``record()`` is the ``probe`` entry of the client's log
+record, which is all the estimation and the checks below read.
 
 The constants are estimated as maxima over observed probe records, i.e.
 lower bounds on the true suprema. A reported "holds" is therefore evidence
@@ -23,15 +28,66 @@ with the step-size and coupling-weight conditions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
+from . import sslnet
 from .errors import DegenerateInputError, InsufficientProbesError
-from .federation import RoundLog
-from .numkit import lipschitz_ratios
+from .numkit import Matrix, RngStream
+from .sslnet import ClientModel
+
+if TYPE_CHECKING:
+    from .federation import RoundLog
 
 HOLD_TOL = 1e-9
+
+
+class RoundProbe:
+    """The probe record of one client round. A checkpoint (full-shard loss
+    and gradient, parameters, alignment representations) is taken at the
+    round start and after every local epoch, through ``after_epoch``, the
+    training loop's epoch hook. Probes draw from their own streams and never
+    change the model, so a probed run trains exactly as an unprobed one.
+
+    ``rng`` is the client's stream for the round. sigma^2 is the variance of
+    the minibatch gradients about their mean at the round start, over
+    ``batches``, the partition the first epoch will use."""
+
+    def __init__(self, model: ClientModel, shard: Matrix, obj: sslnet.Objective,
+                 rng: RngStream, batches: Sequence[np.ndarray]):
+        self._shard, self._obj = shard, obj
+        self._rng = rng.with_purpose("probe")
+        self._losses, self._grads, self._params, self._phis = [], [], [], []
+        self.after_epoch(-1, model)  # the round-start checkpoint
+        self._sigma2 = 0.0
+        if len(batches) > 1:
+            grads = [sslnet.loss_and_grad(model, shard[idx], obj, rng.sub(f"sigma{b}"))[3]
+                     for b, idx in enumerate(batches)]
+            stack = np.stack([sslnet.flatten_grads(g) for g in grads])
+            self._sigma2 = float(np.mean(np.sum((stack - stack.mean(axis=0)) ** 2, axis=1)))
+
+    def after_epoch(self, epoch: int, model: ClientModel) -> None:
+        total, _, _, grads = sslnet.loss_and_grad(model, self._shard, self._obj, self._rng)
+        self._losses.append(total)
+        self._grads.append(sslnet.flatten_grads(grads))
+        self._params.append(sslnet.flatten_params(model))
+        self._phis.append(sslnet.representations(model, self._obj.rad,
+                                                 clip_radius=self._obj.clip_radius))
+
+    def record(self) -> dict:
+        """The log entry: checkpoint losses and gradient norms, the largest
+        representation row norm, pairwise Lipschitz ratios and sigma^2."""
+        return {
+            "losses": self._losses,
+            "grad_norms": [float(np.linalg.norm(g)) for g in self._grads],
+            "rep_norm_max": float(max(
+                np.max(np.sqrt(np.sum(phi * phi, axis=1))) for phi in self._phis
+            )),
+            "l1_ratios": lipschitz_ratios(self._params, self._grads),
+            "l2_ratios": lipschitz_ratios(self._params, self._phis),
+            "sigma2": self._sigma2,
+        }
 
 
 @dataclass
@@ -96,6 +152,24 @@ def _report(which: str, lhs: float, rhs: float, inputs: dict) -> BoundReport:
         slack=rhs - lhs,
         inputs=inputs,
     )
+
+
+def lipschitz_ratios(
+    points: Sequence[np.ndarray], values: Sequence[np.ndarray]
+) -> List[float]:
+    """||v_a - v_b|| / ||x_a - x_b|| for every pair a < b in order, skipping
+    pairs whose points coincide."""
+    ratios = []
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            dx = float(np.linalg.norm(np.asarray(points[a], dtype=float)
+                                      - np.asarray(points[b], dtype=float)))
+            if dx == 0.0:
+                continue
+            dv = float(np.linalg.norm(np.asarray(values[a], dtype=float)
+                                      - np.asarray(values[b], dtype=float)))
+            ratios.append(dv / dx)
+    return ratios
 
 
 def lipschitz_ratio_max(

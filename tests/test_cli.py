@@ -268,14 +268,16 @@ class TestBadInput:
         (lambda a: a.pop("upload_1"), "entry 'upload_1' is missing"),
         (lambda a: a.update(upload_0=a["upload_0"][:5]),
          "entry 'upload_0' is missing or does not have 10 rows"),
+        (lambda a: a.update(upload_0=np.ones((10, 11))),
+         "entry 'upload_0' has 11 columns, more than a kernel factor's 10"),
         (lambda a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
          "client 0: entry 'online0' has shape (4, 6)"),
         (lambda a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
         # the earlier layout, whose square payload_k held dense L x L entries
         (lambda a: a.update({f"payload_{k}": a.pop(f"upload_{k}") for k in range(2)}),
          "entry 'upload_0' is missing"),
-    ], ids=["missing-payload", "short-payload", "truncated-tensor", "missing-tensor",
-            "payload-entries"])
+    ], ids=["missing-payload", "short-payload", "wide-payload", "truncated-tensor",
+            "missing-tensor", "payload-entries"])
     def test_resume_from_bad_checkpoint(self, tmp_path, data_csv, capsys, change, named):
         out = str(tmp_path / "run")
         assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
@@ -288,7 +290,9 @@ class TestBadInput:
         ("one_minus_cka", "1e308", "non-finite values in representations: client 0 round 0"),
         ("one_minus_cka", "1e160", "non-finite values in linear gram: client 0 round 0"),
         ("l2_rep", "1e308", "non-finite values in representations: client 0 round 0"),
-    ], ids=["kernel-representations", "kernel-gram", "l2-representations"])
+        # finite uploads, but the distance between them overflows in round 1
+        ("l2_rep", "1e160", "non-finite values in representation distance: client 0 round 1"),
+    ], ids=["kernel-representations", "kernel-gram", "l2-representations", "l2-distance"])
     def test_non_finite_bootstrap_upload(self, tmp_path, data_csv, capsys, form, shift,
                                          named):
         # RuntimeWarning is an error under the test settings, so a leaked

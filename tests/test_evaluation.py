@@ -66,18 +66,18 @@ class TestProbeLossDecreases:
 
 class TestTestAccuracy:
     def test_memorized_single_point(self):
-        probe = LinearProbe(np.array([[1.0, -1.0]]), np.zeros(2), 1, 0.1)
+        probe = LinearProbe(np.array([[1.0, -1.0]]), np.zeros(2))
         assert score(probe, np.array([[2.0]]), [0]) == 1.0
 
     def test_all_zero_probe_predicts_class_zero(self):
-        probe = LinearProbe(np.zeros((3, 4)), np.zeros(4), 0, 0.1)
+        probe = LinearProbe(np.zeros((3, 4)), np.zeros(4))
         reps = RngStream(3, purpose="z").generator().normal(size=(20, 3))
         labels = np.arange(20) % 4
         assert score(probe, reps, labels) == float(np.mean(labels == 0))
 
     def test_matches_brute_force_scorer(self):
         gen = RngStream(4, purpose="brute").generator()
-        probe = LinearProbe(gen.normal(size=(3, 5)), gen.normal(size=5), 1, 0.1)
+        probe = LinearProbe(gen.normal(size=(3, 5)), gen.normal(size=5))
         reps = gen.normal(size=(40, 3))
         labels = gen.integers(0, 5, size=40)
         correct = 0
@@ -90,7 +90,7 @@ class TestTestAccuracy:
 
     def test_row_permutation_invariant(self):
         gen = RngStream(5, purpose="perm").generator()
-        probe = LinearProbe(gen.normal(size=(2, 3)), np.zeros(3), 1, 0.1)
+        probe = LinearProbe(gen.normal(size=(2, 3)), np.zeros(3))
         reps = gen.normal(size=(30, 2))
         labels = gen.integers(0, 3, size=30)
         perm = gen.permutation(30)

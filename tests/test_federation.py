@@ -359,13 +359,13 @@ class TestRunTraining:
         rad, plan = federation.prepare_data(cfg, data)
         shard = data.features[list(plan.client_indices[0])]
         model = federation.init_models(cfg)[0]
-        reference = gram_linear(sslnet.representations(model, rad.features))
-        out = federation._train_one_client(0, model, shard, rad.features, reference, cfg, 1)
+        reference = gram_linear(sslnet.representations(model, rad))
+        out = federation._train_one_client(0, model, shard, rad, reference, cfg, 1)
         steps = cfg.local_epochs * -(-shard.shape[0] // cfg.batch_size)
         assert counts["combined_step"] == steps
         assert counts["augment"] == steps + 1
         # the shared pair is the one each evaluation would draw for itself
-        obj = _client_objective(cfg, cfg.mu, rad.features, reference)
+        obj = _client_objective(cfg, cfg.mu, rad, reference)
         eval_rng = RngStream(cfg.seed, client=0, round=1, purpose="eval")
         rec = out["record"]
         for when, m in (("start", model), ("end", out["model"])):
@@ -382,7 +382,7 @@ class TestRunTraining:
         last = [r for r in res.log.client_records() if r["round"] == cfg.rounds]
         assert len(last) == cfg.sample_size
         for rec in last:
-            phi = sslnet.representations(res.models[rec["client"]], res.rad.features,
+            phi = sslnet.representations(res.models[rec["client"]], res.rad,
                                          clip_radius=cfg.clip_radius)
             prox = cka.proximal_value(phi, res.server.reference, cfg.proximal_form, cfg.mu)
             assert rec["loss_prox_swap"] == prox > 0.0
@@ -479,8 +479,7 @@ class TestRadShift:
         cfg_shift = small_cfg(rad_shift=2.5)
         rad_plain, _ = prepare_data(cfg_plain, dataset())
         rad_shift, _ = prepare_data(cfg_shift, dataset())
-        assert np.allclose(rad_shift.features, rad_plain.features + 2.5)
-        assert rad_shift.source == "pool+shift"
+        assert np.allclose(rad_shift, rad_plain + 2.5)
         run_training(cfg_shift, dataset())  # still trains end to end
 
 

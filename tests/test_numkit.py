@@ -6,7 +6,6 @@ from hssfl.numkit import (
     RngStream,
     as_matrix,
     check_finite,
-    lipschitz_ratios,
     load_arrays,
     matrix_from_csv,
     matrix_to_csv,
@@ -157,10 +156,3 @@ def _plain(state):
         return {k: _plain(v) for k, v in state.items()}
     return state.tolist() if isinstance(state, np.ndarray) else state
 
-
-class TestLipschitzRatios:
-    def test_pair_order_and_coincident_points(self):
-        points = [np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([3.0])]
-        values = [np.array([0.0]), np.array([2.0]), np.array([5.0]), np.array([3.0])]
-        # pairs (0,1), (0,2), (0,3), (1,3), (2,3); (1,2) share a point
-        assert lipschitz_ratios(points, values) == [2.0, 5.0, 1.0, 0.5, 1.0]

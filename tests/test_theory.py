@@ -17,6 +17,7 @@ from hssfl.theory import (
     lemma1_check,
     lemma2_check,
     lipschitz_ratio_max,
+    lipschitz_ratios,
     mu_max_theorem,
     theorem_check,
 )
@@ -105,6 +106,14 @@ class TestLipschitzEstimator:
     def test_needs_two_checkpoints(self):
         with pytest.raises(InsufficientProbesError):
             lipschitz_ratio_max([np.ones(2)], [np.ones(2)])
+
+
+class TestLipschitzRatios:
+    def test_pair_order_and_coincident_points(self):
+        points = [np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([3.0])]
+        values = [np.array([0.0]), np.array([2.0]), np.array([5.0]), np.array([3.0])]
+        # pairs (0,1), (0,2), (0,3), (1,3), (2,3); (1,2) share a point
+        assert lipschitz_ratios(points, values) == [2.0, 5.0, 1.0, 0.5, 1.0]
 
 
 class TestLemma1:
@@ -255,3 +264,39 @@ class TestRunLevel:
                                   cfg.rad_size)
         lemma2 = [r for r in reports if r.which == "lemma2"]
         assert lemma2 and all(r.holds for r in lemma2)
+
+
+def observed_run(theory_probes, workers=1, log_path=None):
+    """A minibatch run with augmentation, momentum and mixed encoders, so a
+    probe that drew from a training stream or moved a tensor would show."""
+    ds = synth_mixture(6, 8, 30, 4.0, 0.5, RngStream(6, purpose="synth"))
+    cfg = FedConfig(
+        num_clients=3, rounds=2, local_epochs=2, eta=0.01, momentum=0.9,
+        batch_size=16, mu=0.5, proximal_form="one_minus_cka", tau=0.9,
+        client_specs=(MlpSpec((8, 6), "relu"), MlpSpec((8, 10, 6), "tanh"),
+                      MlpSpec((8, 12, 4), "relu")),
+        rad_size=8, seed=6, partition="iid", noise_std=0.3, mask_prob=0.1,
+        theory_probes=theory_probes,
+    )
+    return run_training(cfg, ds, workers=workers, log_path=log_path)
+
+
+class TestProbesOnlyObserve:
+    def test_probed_run_trains_and_logs_as_unprobed(self):
+        plain, probed = observed_run(False), observed_run(True)
+        for a, b in zip(plain.models, probed.models):
+            for name in ("online", "target", "velocity"):
+                assert ([t.tobytes() for t in getattr(a, name)]
+                        == [t.tobytes() for t in getattr(b, name)])
+        assert all(r["probe"]["sigma2"] > 0.0 for r in probed.log.client_records())
+
+        def without_probe(log):
+            return [{k: v for k, v in r.items() if k != "probe"} for r in log.records]
+
+        assert without_probe(probed.log) == without_probe(plain.log)
+
+    def test_probed_log_same_bytes_for_any_worker_count(self, tmp_path):
+        paths = [tmp_path / f"log{w}.jsonl" for w in (1, 2)]
+        for w, path in zip((1, 2), paths):
+            observed_run(True, workers=w, log_path=str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -1,11 +1,14 @@
 """Server loop, client workers, simulated transport, and trace logging.
 
-Each global round: the server broadcasts the alignment rows and the current
-aggregated reference (kernel matrix by default, representation matrix under
-the l2_rep form), a sampled subset of clients runs local epochs against that
-fixed reference, the clients report their fresh alignment payloads, and the
-server aggregates the new reference, which scores the round's clients and
-is the next round's reference. Unsampled clients keep their last reported
+The alignment rows (RAD) are drawn once per run and are client state: the
+server sends them to every client once, at bootstrap, and a resumed leg
+rebuilds each client's copy from the seed and the data, as it rebuilds the
+shards. Each global round: the server sends the current aggregated reference
+(kernel matrix by default, representation matrix under the l2_rep form) to
+a sampled subset of clients, which run local epochs against that fixed
+reference and report their fresh alignment payloads, and the server
+aggregates the new reference, which scores the round's clients and is the
+next round's reference. Unsampled clients keep their last reported
 payload, so the weighted aggregate always covers all clients. The scoring
 (the swap evaluation) holds the weights fixed, so it reuses the round's end
 regression loss and the uploaded representations and makes no forward pass.
@@ -14,7 +17,8 @@ Each reference is aggregated and transmitted once: before round 1, from the
 bootstrap uploads or the loaded checkpoint, and at the end of every round.
 Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
 an upload is L x min(d_k, L) and a reference L x min(D, L) with
-D = sum_k d_k, so a round sends O(L d_k) up per client and O(L D) down.
+D = sum_k d_k, so a round sends O(L d_k) up per client and O(L D) down; the
+L x dim alignment rows are sent once per client per run, not per round.
 Payloads cross a real serialization boundary even though transport is
 in-process: every matrix sent (the alignment rows, the reference, client
 uploads) is encoded as npy, counted, decoded and checked for finiteness
@@ -271,7 +275,9 @@ def server_aggregate(
 
 
 def _jsonl_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    # allow_nan=False: a non-finite value that escaped its check fails here
+    # instead of writing a line that is not JSON
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _held(payload: Payload) -> Matrix:
@@ -403,7 +409,8 @@ def _train_one_client(
         model = result["model"]
         end = sslnet.combined_loss(model, shard, obj, eval_rng, views)
         upload, upload_bytes, phi = _upload(model, rad, cfg)
-        rep_norm_max = float(np.max(np.sqrt(np.sum(phi * phi, axis=1))))
+        rep_norm_max = check_finite(float(np.max(np.sqrt(np.sum(phi * phi, axis=1)))),
+                                    "representation norm")
 
     return {
         "client": client_id,
@@ -427,6 +434,18 @@ def _train_one_client(
             "probe": probe.record() if probe else None,
         },
     }
+
+
+def _reference_norm(reference: Payload, round_index: int) -> float:
+    """||Kbar||_F of a kernel reference, ||phibar||_F of a representation
+    one; an overflow is a NumericalFailureError naming the round."""
+    try:
+        with np.errstate(all="ignore"):
+            norm = (reference.norm if isinstance(reference, GramMatrix)
+                    else float(np.linalg.norm(reference)))
+        return check_finite(norm, "reference norm")
+    except NumericalFailureError as exc:
+        raise exc.within(f"round {round_index}") from exc
 
 
 def _swap_eval(
@@ -584,20 +603,23 @@ def run_training(
     if cfg.rounds == 0:
         return RunResult(models, log, rad, plan, server)
 
+    # The clients' copy of the alignment rows. It is booked as sent only at
+    # bootstrap; a resumed leg rebuilds it from the seed and the data.
     rad_rows, rad_bytes = _transmit(rad)
     weights = list(cfg.client_weights)
     if start_round == 0:
         boot_bytes = []
         for k in range(cfg.num_clients):
+            log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             with _client_work(k, 0):
                 registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
             boot_bytes.append(nbytes)
-            log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))
         record = {
             "type": "server",
             "round": 0,
             "selected": list(range(cfg.num_clients)),
+            "bootstrap_downstream_bytes": [rad_bytes] * cfg.num_clients,
             "bootstrap_payload_bytes": boot_bytes,
         }
         log.records.append(record)
@@ -612,10 +634,7 @@ def run_training(
                 cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
             )
             for k in selected:
-                log.messages.append(RoundMessage("server->client", t, k, "rad", rad_bytes))
-                log.messages.append(
-                    RoundMessage("server->client", t, k, "reference", ref_bytes)
-                )
+                log.messages.append(RoundMessage("server->client", t, k, "reference", ref_bytes))
 
             def task(k: int) -> dict:
                 t0 = time.perf_counter()
@@ -632,7 +651,7 @@ def run_training(
                 models[k] = out["model"]
                 nbytes = out["upload_bytes"]
                 reports.append((k, out["payload"]))
-                out["record"]["downstream_bytes"] = rad_bytes + ref_bytes
+                out["record"]["downstream_bytes"] = ref_bytes
                 out["record"]["upstream_bytes"] = nbytes
                 log.messages.append(
                     RoundMessage("client->server", t, k, cfg.payload_kind, nbytes))
@@ -653,8 +672,7 @@ def run_training(
                 "type": "server",
                 "round": t,
                 "selected": selected,
-                "reference_norm": (reference.norm if isinstance(reference, GramMatrix)
-                                   else float(np.linalg.norm(reference))),
+                "reference_norm": _reference_norm(reference, t),
             }
             new_records.append(server_record)
             log.records.extend(new_records)

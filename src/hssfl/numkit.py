@@ -130,26 +130,41 @@ def matrix_to_csv(m: Matrix) -> str:
 
 
 def matrix_from_csv(text: str) -> Matrix:
-    rows = []
+    """The matrix ``matrix_to_csv`` wrote, parsed by np.loadtxt; blank lines
+    are skipped. A ParseError names the 1-based line of a bad row, blank
+    lines counted; loadtxt counts data rows instead, so that line is found
+    by a scan of the text."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("no rows found")
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_at_bad_line(text)
+        # a cell float() reads but loadtxt does not, such as 1_000
+        raise ParseError(f"unreadable cell ({exc})") from None
+    return as_matrix(table)
+
+
+def _raise_at_bad_line(text: str) -> None:
+    """A ParseError at the first line with a cell float() cannot read or a
+    width other than the first row's; nothing if there is none."""
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
         try:
-            row = [float(c) for c in cells]
+            for c in cells:
+                float(c)
         except ValueError as exc:
             raise ParseError(f"non-numeric cell ({exc})", line=lineno) from None
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = len(cells)
+        elif len(cells) != width:
             raise ParseError(
-                f"expected {width} columns, got {len(row)}", line=lineno
+                f"expected {width} columns, got {len(cells)}", line=lineno
             )
-        rows.append(row)
-    if not rows:
-        raise ParseError("no rows found")
-    return as_matrix(rows)
 
 
 def save_matrix_csv(m: Matrix, path) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hssfl.cka import (
     GramMatrix,
@@ -465,3 +467,67 @@ class TestRankRule:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError, match="non-finite values in linear gram"):
                 gram_linear(np.full((3, 2), 1e200))
+
+
+# Property tests of the factor algebra. Draws are derandomized, so every run
+# checks the same examples.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+# Entrywise error of a kernel built from factors, relative to sum_k w_k
+# ||phi_k||_F^2 (the largest a kernel entry can be): eigh and QR move an entry
+# by about d eps of that, d <= 60.
+KERNEL_RTOL = 1e-12
+# Absolute roundoff allowed on a linear CKA score, which lies in [0, 1].
+CKA_ATOL = 1e-12
+
+
+@st.composite
+def activations(draw, rows, min_exp=-100, max_exp=100):
+    """A rows x d matrix, d in 1..60 (so d > L reaches the cap), at a scale
+    10^e, with up to half its columns zero."""
+    d = draw(st.integers(1, 60))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1)), purpose="prop").generator()
+    phi = gen.normal(size=(rows, d)) * 10.0 ** draw(st.integers(min_exp, max_exp))
+    phi[:, draw(st.lists(st.integers(0, d - 1), max_size=d // 2))] = 0.0
+    return phi
+
+
+def sq_norm(phi):
+    return float(np.sum(phi * phi))
+
+
+class TestFactorProperties:
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_gram_entries_are_the_dot_products(self, data, rows):
+        phi = data.draw(activations(rows))
+        k = gram_linear(phi)
+        assert k.data.shape == (rows, min(phi.shape[1], rows))
+        err = np.max(np.abs(k.entries - phi @ phi.T))
+        assert err <= KERNEL_RTOL * sq_norm(phi)
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40),
+           st.lists(st.integers(0, 10), min_size=1, max_size=4).filter(any))
+    def test_aggregate_is_the_weighted_sum(self, data, rows, counts):
+        phis = [data.draw(activations(rows)) for _ in counts]
+        weights = [c / sum(counts) for c in counts]
+        agg = aggregate_grams([(w, gram_linear(phi)) for w, phi in zip(weights, phis)])
+        assert agg.data.shape == (rows, min(rows, sum(min(p.shape[1], rows) for p in phis)))
+        want = sum(w * (phi @ phi.T) for w, phi in zip(weights, phis))
+        scale = sum(w * sq_norm(phi) for w, phi in zip(weights, phis))
+        assert np.max(np.abs(agg.entries - want)) <= KERNEL_RTOL * scale
+
+    # The kernel form squares the kernels' entries, which are already squares
+    # of phi's, so its sums leave float64 beyond a scale of about 1e+-76;
+    # CKA is checked at 1e+-60.
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_cka_is_the_feature_space_form(self, data, rows):
+        x = data.draw(activations(rows, -60, 60))
+        y = data.draw(activations(rows, -60, 60))
+        score = linear_cka(gram_linear(x), gram_linear(y))
+        assert -CKA_ATOL <= score <= 1.0 + CKA_ATOL
+        feature = (np.linalg.norm(x.T @ y) ** 2
+                   / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))
+        assert abs(score - feature) <= CKA_ATOL

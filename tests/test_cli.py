@@ -286,20 +286,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "checkpoint.npz" in err and named in err
 
-    @pytest.mark.parametrize("form, shift, named", [
-        ("one_minus_cka", "1e308", "non-finite values in representations: client 0 round 0"),
-        ("one_minus_cka", "1e160", "non-finite values in linear gram: client 0 round 0"),
-        ("l2_rep", "1e308", "non-finite values in representations: client 0 round 0"),
+    @pytest.mark.parametrize("form, shift, options, named", [
+        ("one_minus_cka", "1e308", ("--normalize-loss",),
+         "non-finite values in representations: client 0 round 0"),
+        ("one_minus_cka", "1e160", ("--normalize-loss",),
+         "non-finite values in linear gram: client 0 round 0"),
+        ("l2_rep", "1e308", ("--normalize-loss",),
+         "non-finite values in representations: client 0 round 0"),
         # finite uploads, but the distance between them overflows in round 1
-        ("l2_rep", "1e160", "non-finite values in representation distance: client 0 round 1"),
-    ], ids=["kernel-representations", "kernel-gram", "l2-representations", "l2-distance"])
+        ("l2_rep", "1e160", ("--normalize-loss",),
+         "non-finite values in representation distance: client 0 round 1"),
+        # no penalty, so round 1 trains; the logged row norms overflow
+        ("l2_rep", "1e160", ("--rounds", "2", "--epochs", "1", "--partition", "iid",
+                             "--batch-size", "32", "--seed", "5", "--mu", "0"),
+         "non-finite values in representation norm: client 0 round 1"),
+    ], ids=["kernel-representations", "kernel-gram", "l2-representations", "l2-distance",
+            "l2-norm"])
     def test_non_finite_bootstrap_upload(self, tmp_path, data_csv, capsys, form, shift,
-                                         named):
+                                         options, named):
         # RuntimeWarning is an error under the test settings, so a leaked
         # numpy warning would fail this before the exit code is read
         rc = run_cli("run", "--data", data_csv, "--out", str(tmp_path / "run"),
                      "--arch", "8,6", "--clients", "2", "--rad-size", "10",
-                     "--normalize-loss", "--rad-shift", shift, "--form", form)
+                     "--rad-shift", shift, "--form", form, *options)
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and "RuntimeWarning" not in err

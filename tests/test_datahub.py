@@ -78,6 +78,13 @@ class TestCsvIO:
             load_csv(str(path))
         assert exc.value.line == 2
 
+    def test_non_numeric_cell_after_blank_line_names_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0,0\n\n3.0,4.0,1\n1.0,zap,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(str(path))
+        assert exc.value.line == 4
+
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
         path.write_text("1.0,0.5\n")

@@ -233,7 +233,7 @@ class TestRunTraining:
                 k: [m.kind for m in round_msgs if m.client == k] for k in clients
             }
             for kinds in per_client.values():
-                assert sorted(kinds) == ["kernel", "rad", "reference"]
+                assert sorted(kinds) == ["kernel", "reference"]
 
     def test_unsampled_clients_frozen(self):
         cfg = small_cfg(rounds=1, sample_size=2)
@@ -436,7 +436,8 @@ class TestFactoredPayloads:
         assert len(records) == cfg.rounds * cfg.sample_size
         for rec in records:
             assert rec["upstream_bytes"] == 8 * cfg.rad_size * widths[rec["client"]] + 128
-            assert rec["downstream_bytes"] == rad_bytes + ref_bytes
+            assert rec["downstream_bytes"] == ref_bytes
+        assert res.log.records[0]["bootstrap_downstream_bytes"] == [rad_bytes] * cfg.num_clients
         assert res.server.reference.data.shape == (cfg.rad_size, sum(widths))
 
     def test_no_l_by_l_array_on_the_run_path(self, tmp_path, monkeypatch):
@@ -472,6 +473,52 @@ class TestFactoredPayloads:
             assert loaded[k].data.tobytes() == payload.data.tobytes()
 
 
+def _down(messages, kind=None):
+    return [m for m in messages
+            if m.direction == "server->client" and (kind is None or m.kind == kind)]
+
+
+class TestRadSentOnce:
+    """The alignment rows reach each client once, at bootstrap; a round sends
+    only the reference down."""
+
+    def test_one_rad_message_per_client_at_round_0(self, tmp_path):
+        cfg = small_cfg(rounds=3, sample_size=2)
+        ck = str(tmp_path / "ck")
+        first = run_training(cfg, dataset(), checkpoint_dir=ck, stop_after_round=1)
+        rads = _down(first.log.messages, "rad")
+        assert sorted((m.round, m.client) for m in rads) == [(0, k) for k in range(4)]
+        assert {m.payload_bytes for m in rads} == {8 * cfg.rad_size * 16 + 128}
+        resumed = run_training(cfg, dataset(), checkpoint_dir=ck, resume=True)
+        assert resumed.server.round == cfg.rounds
+        assert _down(resumed.log.messages, "rad") == []
+
+    def test_one_reference_per_selected_client_a_round(self):
+        cfg = small_cfg(rounds=3, sample_size=2)
+        res = run_training(cfg, dataset())
+        assert [m for m in _down(res.log.messages) if m.round == 0 and m.kind != "rad"] == []
+        for server in res.log.records[1:]:
+            if server["type"] != "server":
+                continue
+            t = server["round"]
+            sent = [(m.kind, m.client) for m in _down(res.log.messages) if m.round == t]
+            assert sent == [("reference", k) for k in server["selected"]]
+            assert len(server["selected"]) == cfg.sample_size
+
+    @pytest.mark.parametrize("form", ["one_minus_cka", "l2_rep"])
+    def test_records_account_for_every_byte_sent(self, form):
+        cfg = small_cfg(rounds=3, sample_size=3, proximal_form=form)
+        res = run_training(cfg, dataset())
+        boot = res.log.records[0]
+        assert len(boot["bootstrap_downstream_bytes"]) == cfg.num_clients
+        recorded = (sum(boot["bootstrap_downstream_bytes"])
+                    + sum(r["downstream_bytes"] for r in res.log.client_records()))
+        assert sum(m.payload_bytes for m in _down(res.log.messages)) == recorded
+        ups = [m.payload_bytes for m in res.log.messages if m.direction == "client->server"]
+        assert sum(ups) == (sum(boot["bootstrap_payload_bytes"])
+                            + sum(r["upstream_bytes"] for r in res.log.client_records()))
+
+
 class TestRadShift:
     def test_shift_offsets_alignment_rows(self):
         from hssfl.federation import prepare_data
@@ -491,6 +538,17 @@ class TestDivergence:
         with pytest.raises(NumericalFailureError,
                            match=r": client [0-3] round [1-3], epoch \d+ batch \d+"):
             run_training(cfg, dataset())
+
+    def test_reference_norm_overflow_names_the_round(self):
+        from hssfl.errors import NumericalFailureError
+        for reference in (np.full((4, 2), 1e160), GramMatrix(np.full((4, 2), 1e80))):
+            with pytest.raises(NumericalFailureError,
+                               match="non-finite values in reference norm: round 3$"):
+                federation._reference_norm(reference, 3)
+
+    def test_log_line_refuses_non_finite_values(self):
+        with pytest.raises(ValueError):
+            federation._jsonl_line({"reference_norm": float("inf")})
 
 
 class TestCheckpointResume:

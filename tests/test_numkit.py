@@ -70,6 +70,35 @@ class TestCsv:
             matrix_from_csv("1.0,2.0\n1.0,oops\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("1.0,2.0\n\n\n3.0,x\n", 4, "non-numeric cell"),
+        ("1.0,2.0\n\n3.0,4.0\n\n5.0\n", 5, "expected 2 columns, got 1"),
+        ("1.0,2.0\n\n3.0,4.0,\n", 3, "non-numeric cell"),
+    ], ids=["bad-cell", "ragged-row", "trailing-comma"])
+    def test_parse_error_counts_blank_lines(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            matrix_from_csv(text)
+        assert exc.value.line == line
+
+    def test_cell_float_reads_but_loadtxt_does_not(self):
+        with pytest.raises(ParseError, match="unreadable cell") as exc:
+            matrix_from_csv("1.0,2.0\n1_000,2.0\n")
+        assert exc.value.line is None
+
+    def test_blank_and_whitespace_lines_skipped(self):
+        for text in ("1.0,2.0\n\n3.5,-1.0\n", "1.0,2.0\n  \n3.5,-1.0\r\n"):
+            assert np.array_equal(matrix_from_csv(text), [[1.0, 2.0], [3.5, -1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n"])
+    def test_no_rows(self, text):
+        with pytest.raises(ParseError, match="no rows found"):
+            matrix_from_csv(text)
+
+    def test_parse_is_the_exact_float(self):
+        m = RngStream(13, purpose="csv").generator().normal(size=(40, 7)) * 10.0 ** np.arange(-3, 4)
+        assert matrix_from_csv(matrix_to_csv(m)).tobytes() == m.tobytes()
+
 
 class TestArrayFiles:
     def test_round_trip_exact(self, tmp_path):

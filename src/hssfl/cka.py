@@ -142,8 +142,19 @@ def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
         raise ShapeError(f"gram sizes differ: {ki.size} vs {kj.size}")
 
 
+def _unit_scaled(f: Matrix) -> Matrix:
+    """f times the power of two that brings its largest magnitude into
+    [0.5, 1). The scaling is exact, and the similarity score's sums of
+    fourth powers of such entries neither overflow nor underflow."""
+    return np.ldexp(f, -np.frexp(np.max(np.abs(f), initial=0.0))[1])
+
+
 def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
-    """trace(Ki @ Kj) / (||Ki||_F ||Kj||_F), in [0, 1] for PSD inputs."""
+    """trace(Ki @ Kj) / (||Ki||_F ||Kj||_F), in [0, 1] for PSD inputs. The
+    score does not depend on the scale of either kernel, so it is taken on
+    unit-scaled factors: the powers of two cancel exactly, and a score whose
+    terms stay inside float64 unscaled keeps its bits."""
+    ki, kj = GramMatrix(_unit_scaled(ki.data)), GramMatrix(_unit_scaled(kj.data))
     t = trace_alignment(ki, kj)
     if ki.norm == 0.0 or kj.norm == 0.0:
         raise DegenerateInputError("similarity undefined for a zero-norm gram matrix")

@@ -13,19 +13,22 @@ payload, so the weighted aggregate always covers all clients. The scoring
 (the swap evaluation) holds the weights fixed, so it reuses the round's end
 regression loss and the uploaded representations and makes no forward pass.
 
-Each reference is aggregated and transmitted once: before round 1, from the
-bootstrap uploads or the loaded checkpoint, and at the end of every round.
+Each reference is aggregated once: before round 1, from the bootstrap
+uploads or the loaded checkpoint, and at the end of every round.
 Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
 an upload is L x min(d_k, L) and a reference L x min(D, L) with
-D = sum_k d_k, so a round sends O(L d_k) up per client and O(L D) down; the
-L x dim alignment rows are sent once per client per run, not per round.
-Payloads cross a real serialization boundary even though transport is
-in-process: every matrix sent (the alignment rows, the reference, client
-uploads) is encoded as npy, counted, decoded and checked for finiteness
-once. One atomically replaced ``checkpoint.npz`` holds each round's client
-tensors and uploads (``upload_k``, as held); a resume cuts ``log.jsonl``
-back to the rounds it holds, so a run killed at any point resumes to the
-uninterrupted result. One thread pool runs the clients for every worker
+D = sum_k min(d_k, L), so a round sends O(L d_k) up per client and O(L D)
+down; the L x dim alignment rows are sent once per client per run, not per
+round. A client never receives columns it holds: an uncapped kernel
+reference (D <= L, two or more clients) reaches client k as L x (D - d_k),
+without its own block sqrt(w_k) U_k, which the client puts back from its last
+upload. Payloads cross a real serialization boundary even though transport is
+in-process: every matrix sent (the alignment rows, each client's reference,
+client uploads) is encoded as npy, counted, decoded and checked for
+finiteness once. One atomically replaced ``checkpoint.npz`` holds each
+round's client tensors and uploads (``upload_k``, as held); a resume cuts
+``log.jsonl`` back to the rounds it holds, so a run killed at any point
+resumes to the uninterrupted result. One thread pool runs the clients for every worker
 count. All randomness flows through value-like streams keyed by (seed,
 client, round, epoch, purpose), so runs are bit-reproducible regardless of
 how many workers execute clients in parallel. Wall-clock timings are collected separately
@@ -300,6 +303,35 @@ def _transmit(payload: Payload) -> Tuple[Payload, int]:
     return received, nbytes
 
 
+def _own_columns(cfg: FedConfig, client_id: int) -> Optional[slice]:
+    """The columns of client ``client_id``'s block sqrt(w_k) U_k in the kernel
+    reference, at offset sum_{j<k} min(d_j, L); None when the reference holds
+    no block of its own for the client: a representation reference is a sum,
+    a reference of more than L columns is capped (see cka), and one client's
+    block is the whole reference."""
+    widths = [min(s.output_width, cfg.rad_size) for s in cfg.client_specs]
+    if cfg.payload_kind != KERNEL or cfg.num_clients == 1 or sum(widths) > cfg.rad_size:
+        return None
+    start = sum(widths[:client_id])
+    return slice(start, start + widths[client_id])
+
+
+def _send_reference(
+    reference: Payload, own: Payload, client_id: int, cfg: FedConfig
+) -> Tuple[Payload, int]:
+    """Client ``client_id``'s copy of the reference and its wire size. A
+    reference with a block of the client's own travels without it, and the
+    client puts ``own`` back in, its last upload scaled by sqrt(w_k): the
+    npy round trip is exact, so the copy has the server's bits."""
+    cols = _own_columns(cfg, client_id)
+    if cols is None:
+        return _transmit(reference)
+    rest, nbytes = _transmit(np.delete(reference.data, cols, axis=1))
+    block = np.sqrt(cfg.client_weights[client_id]) * own.data
+    return GramMatrix(np.concatenate([rest[:, :cols.start], block, rest[:, cols.start:]],
+                                     axis=1)), nbytes
+
+
 def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, int, Matrix]:
     """The client's alignment payload as the server receives it, its wire
     size, and the representations it was built from. Run it inside
@@ -557,9 +589,13 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
         if held is None or held.ndim != 2 or held.shape[0] != cfg.rad_size:
             raise ParseError(f"{path}: entry 'upload_{k}' is missing or does not have "
                              f"{cfg.rad_size} rows")
-        if cfg.payload_kind == KERNEL and held.shape[1] > cfg.rad_size:
+        # the reference's block layout follows these widths (_own_columns)
+        width = cfg.client_specs[k].output_width
+        if cfg.payload_kind == KERNEL:
+            width = min(width, cfg.rad_size)
+        if held.shape[1] != width:
             raise ParseError(f"{path}: entry 'upload_{k}' has {held.shape[1]} columns, "
-                             f"more than a kernel factor's {cfg.rad_size}")
+                             f"not the {width} of client {k}'s upload")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return as_int(state.get("round"), f"{path} round"), models, registry
 
@@ -625,7 +661,6 @@ def run_training(
         log.records.append(record)
         writer.write([record])
     server.reference = server_aggregate([], weights, registry)
-    received_ref, ref_bytes = _transmit(server.reference)
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -633,12 +668,14 @@ def run_training(
             selected = select_clients(
                 cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
             )
-            for k in selected:
-                log.messages.append(RoundMessage("server->client", t, k, "reference", ref_bytes))
 
             def task(k: int) -> dict:
+                # the client's copy is built here, so at most ``workers``
+                # copies are alive at once
                 t0 = time.perf_counter()
-                out = _train_one_client(k, models[k], shards[k], rad_rows, received_ref, cfg, t)
+                reference, down = _send_reference(server.reference, registry[k], k, cfg)
+                out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t)
+                out["record"]["downstream_bytes"] = down
                 out["wall"] = time.perf_counter() - t0
                 return out
 
@@ -651,35 +688,35 @@ def run_training(
                 models[k] = out["model"]
                 nbytes = out["upload_bytes"]
                 reports.append((k, out["payload"]))
-                out["record"]["downstream_bytes"] = ref_bytes
                 out["record"]["upstream_bytes"] = nbytes
+                log.messages.append(RoundMessage("server->client", t, k, "reference",
+                                                 out["record"]["downstream_bytes"]))
                 log.messages.append(
                     RoundMessage("client->server", t, k, cfg.payload_kind, nbytes))
                 log.timings[(t, k)] = out["wall"]
 
             # The new reference scores this round's clients, then serves as
-            # the next round's reference.
-            reference = server_aggregate(reports, weights, registry)
-            received_ref, ref_bytes = _transmit(reference)
+            # the next round's reference. Each client's copy has its bits, so
+            # the server scores against its own.
+            server.reference = server_aggregate(reports, weights, registry)
 
             new_records = []
             for out in outs:
                 rec = out["record"]
                 rec["loss_total_swap"], rec["loss_ssl_swap"], rec["loss_prox_swap"] = _swap_eval(
-                    out["client"], out["phi"], rec["loss_ssl_end"], received_ref, cfg, t)
+                    out["client"], out["phi"], rec["loss_ssl_end"], server.reference, cfg, t)
                 new_records.append(rec)
             server_record = {
                 "type": "server",
                 "round": t,
                 "selected": selected,
-                "reference_norm": _reference_norm(reference, t),
+                "reference_norm": _reference_norm(server.reference, t),
             }
             new_records.append(server_record)
             log.records.extend(new_records)
             writer.write(new_records)
 
             server.round = t
-            server.reference = reference
             if checkpoint_dir:
                 _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
             if stop_after_round is not None and t >= stop_after_round:

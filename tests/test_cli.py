@@ -269,15 +269,19 @@ class TestBadInput:
         (lambda a: a.update(upload_0=a["upload_0"][:5]),
          "entry 'upload_0' is missing or does not have 10 rows"),
         (lambda a: a.update(upload_0=np.ones((10, 11))),
-         "entry 'upload_0' has 11 columns, more than a kernel factor's 10"),
+         "entry 'upload_0' has 11 columns, not the 6 of client 0's upload"),
+        # a client puts its upload back into the reference at an offset
+        # that the configured widths fix
+        (lambda a: a.update(upload_0=a["upload_0"][:, :5]),
+         "entry 'upload_0' has 5 columns, not the 6 of client 0's upload"),
         (lambda a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
          "client 0: entry 'online0' has shape (4, 6)"),
         (lambda a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
         # the earlier layout, whose square payload_k held dense L x L entries
         (lambda a: a.update({f"payload_{k}": a.pop(f"upload_{k}") for k in range(2)}),
          "entry 'upload_0' is missing"),
-    ], ids=["missing-payload", "short-payload", "wide-payload", "truncated-tensor",
-            "missing-tensor", "payload-entries"])
+    ], ids=["missing-payload", "short-payload", "wide-payload", "narrow-payload",
+            "truncated-tensor", "missing-tensor", "payload-entries"])
     def test_resume_from_bad_checkpoint(self, tmp_path, data_csv, capsys, change, named):
         out = str(tmp_path / "run")
         assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0

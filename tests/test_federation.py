@@ -291,10 +291,10 @@ class TestRunTraining:
         cfg = small_cfg(rounds=3, sample_size=2)
         run_training(cfg, dataset(), workers=2)
         assert counts["server_aggregate"] == cfg.rounds + 1
-        # the RAD, the bootstrap uploads and the first reference, then
-        # each round's uploads and new reference
+        # the RAD and the bootstrap uploads, then each selected client's
+        # copy of the reference and its upload, every round
         assert counts["_transmit"] == (
-            1 + cfg.num_clients + 1 + cfg.rounds * (cfg.sample_size + 1)
+            1 + cfg.num_clients + cfg.rounds * 2 * cfg.sample_size
         )
 
     def test_no_gram_built_on_the_step_path(self, monkeypatch):
@@ -429,14 +429,15 @@ class TestFactoredPayloads:
         res = run_training(cfg, dataset())
         widths = [s.output_width for s in cfg.client_specs]
         rad_bytes = 8 * cfg.rad_size * 16 + 128  # the dataset has 16 features
-        ref_bytes = 8 * cfg.rad_size * sum(widths) + 128
         boot = res.log.records[0]["bootstrap_payload_bytes"]
         assert boot == [8 * cfg.rad_size * d + 128 for d in widths]
         records = res.log.client_records()
         assert len(records) == cfg.rounds * cfg.sample_size
         for rec in records:
-            assert rec["upstream_bytes"] == 8 * cfg.rad_size * widths[rec["client"]] + 128
-            assert rec["downstream_bytes"] == ref_bytes
+            d = widths[rec["client"]]
+            assert rec["upstream_bytes"] == 8 * cfg.rad_size * d + 128
+            # the reference without the client's own block
+            assert rec["downstream_bytes"] == 8 * cfg.rad_size * (sum(widths) - d) + 128
         assert res.log.records[0]["bootstrap_downstream_bytes"] == [rad_bytes] * cfg.num_clients
         assert res.server.reference.data.shape == (cfg.rad_size, sum(widths))
 
@@ -471,6 +472,79 @@ class TestFactoredPayloads:
         for k, payload in registry.items():
             assert loaded[k].data.shape == payload.data.shape
             assert loaded[k].data.tobytes() == payload.data.tobytes()
+
+
+def _received_references(monkeypatch, run):
+    """Each client's copy of the reference, by (round, client), and the
+    server's aggregates in the order it made them, from ``run()``."""
+    received, aggregates = {}, []
+    real_train, real_aggregate = federation._train_one_client, federation.server_aggregate
+
+    def train(k, model, shard, rad, reference, cfg, t):
+        received[(t, k)] = reference
+        return real_train(k, model, shard, rad, reference, cfg, t)
+
+    def aggregate(*args):
+        aggregates.append(real_aggregate(*args))
+        return aggregates[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(federation, "_train_one_client", train)
+        m.setattr(federation, "server_aggregate", aggregate)
+        run()
+    return received, aggregates
+
+
+class TestOwnBlockNotSent:
+    """An uncapped kernel reference reaches client k without its own block
+    sqrt(w_k) U_k, and the client's rebuilt copy has the server's bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rebuilt_copy_is_the_server_aggregate(self, tmp_path, monkeypatch, workers):
+        # 2 of 4 clients a round, so most blocks are stale: each is that
+        # client's last upload; the second leg rebuilds from upload_k
+        cfg = small_cfg(rounds=4, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
+        ck = str(tmp_path / "ck")
+        for start, leg in ((0, dict(stop_after_round=2)), (2, dict(resume=True))):
+            received, aggregates = _received_references(monkeypatch, lambda: run_training(
+                cfg, dataset(), workers=workers, checkpoint_dir=ck, **leg))
+            # the leg's first reference, then one per round
+            assert len(aggregates) == 3
+            assert sorted({t for t, _ in received}) == [start + 1, start + 2]
+            for (t, k), copy in received.items():
+                server = aggregates[t - start - 1]
+                assert server.data.shape == (cfg.rad_size, 24)
+                assert copy.data.tobytes() == server.data.tobytes()
+
+    def test_only_the_bytes_change(self, monkeypatch):
+        cfg = small_cfg(rounds=3, sample_size=3, rad_size=40, client_specs=FACTORED_SPECS)
+        stripped = run_training(cfg, dataset())
+        monkeypatch.setattr(federation, "_own_columns", lambda cfg, k: None)
+        whole = run_training(cfg, dataset())
+        assert len(stripped.log.records) == len(whole.log.records)
+        for a, b in zip(stripped.log.records, whole.log.records):
+            if a["type"] == "client":
+                d = cfg.client_specs[a["client"]].output_width
+                assert b["downstream_bytes"] - a["downstream_bytes"] == 8 * cfg.rad_size * d
+                a, b = dict(a, downstream_bytes=0), dict(b, downstream_bytes=0)
+            assert federation._jsonl_line(a) == federation._jsonl_line(b)
+        for a, b in zip(stripped.models, whole.models):
+            for x, y in zip(model_arrays(a).values(), model_arrays(b).values()):
+                assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        {},  # D = 32 > L = 24: the reference is capped to its L x L factor
+        {"proximal_form": "l2_rep"},  # a weighted sum of representations
+        {"num_clients": 1},  # the one block is the whole reference
+    ], ids=["capped", "l2_rep", "one-client"])
+    def test_reference_without_own_block_travels_whole(self, overrides):
+        cfg = small_cfg(rounds=2, **overrides)
+        res = run_training(cfg, dataset())
+        width = federation._held(res.server.reference).shape[1]
+        assert width == (8 if overrides else cfg.rad_size)
+        records = res.log.client_records()
+        assert len(records) == cfg.rounds * cfg.num_clients
+        assert {r["downstream_bytes"] for r in records} == {8 * cfg.rad_size * width + 128}
 
 
 def _down(messages, kind=None):

@@ -82,10 +82,10 @@ class GramMatrix:
     def size(self) -> int:
         return self.data.shape[0]
 
-    @cached_property
+    @property
     def entries(self) -> Matrix:
         """The L x L entries F @ F.T, symmetrized exactly against roundoff;
-        built on first use."""
+        built on each request and never kept with the object."""
         k = self.data @ self.data.T
         return (k + k.T) / 2.0
 

@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--workers", type=int, default=1)
     r.add_argument("--resume", action="store_true")
     r.add_argument("--stop-after", type=int, default=None,
-                   help="stop after this round (testing aid; checkpoint remains)")
+                   help="stop after this round, at least 1 (testing aid; checkpoint remains)")
     r.set_defaults(func=cmd_run)
 
     e = sub.add_parser("eval", help="linear-probe accuracy of run checkpoints")

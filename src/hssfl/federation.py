@@ -613,10 +613,16 @@ def run_training(
 
     With ``checkpoint_dir`` set, a resumable checkpoint is written after
     every completed round; ``resume=True`` continues from the last one.
-    ``stop_after_round`` ends the loop early (used to exercise resume).
+    ``stop_after_round`` (at least 1) ends the run after that round; a leg
+    resumed at or past it runs no round and returns the loaded state.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    last_round = cfg.rounds
+    if stop_after_round is not None:
+        if stop_after_round < 1:
+            raise ConfigError(f"stop_after_round must be >= 1, got {stop_after_round}")
+        last_round = min(last_round, stop_after_round)
     rad, plan = prepare_data(cfg, data)
     shards = [data.features[list(idx)] for idx in plan.client_indices]
     for k, shard in enumerate(shards):
@@ -664,7 +670,7 @@ def run_training(
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        for t in range(start_round + 1, cfg.rounds + 1):
+        for t in range(start_round + 1, last_round + 1):
             selected = select_clients(
                 cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
             )
@@ -719,8 +725,6 @@ def run_training(
             server.round = t
             if checkpoint_dir:
                 _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
-            if stop_after_round is not None and t >= stop_after_round:
-                break
     finally:
         pool.shutdown(cancel_futures=True)
 

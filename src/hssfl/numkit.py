@@ -11,20 +11,24 @@ every use, so identical keys always reproduce identical sequences no matter
 how many workers run concurrently or in what order.
 
 Model files and checkpoints go through ``save_arrays``/``load_arrays`` (one
-``.npz`` file each); ``matrix_to_csv`` and its kin serve dataset files only.
+``.npz`` file each). The CSV codec serves dataset files only:
+``save_matrix_csv`` and ``load_matrix_csv`` write and read them a row at a
+time, through the one row formatter and parser that ``matrix_to_csv`` and
+``matrix_from_csv`` use for text in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
 import os
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -119,31 +123,46 @@ class _PhiloxKey(ISeedSequence):
         return self.words
 
 
+def _csv_lines(m: Matrix) -> Iterator[str]:
+    """The lines of m's CSV text, one row per line, each ending in a newline:
+    comma-separated, shortest round-trip floats, so parsing is exact. A
+    matrix with no rows is one empty line."""
+    if not len(m):
+        yield "\n"
+    for row in m:
+        yield ",".join(map(repr, row.tolist())) + "\n"
+
+
+def _parse_csv(lines: Iterable[str], text: Callable[[], str]) -> Matrix:
+    """The matrix in the non-blank ``lines``, parsed by np.loadtxt. A
+    ParseError names the 1-based line of a bad row, blank lines counted;
+    loadtxt counts data rows instead, so only on failure is that line found
+    by a scan of the whole ``text()``."""
+    rows = (line for line in lines if line.strip())
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("no rows found")
+    try:
+        table = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
+                           delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_at_bad_line(text())
+        # a cell float() reads but loadtxt does not, such as 1_000
+        raise ParseError(f"unreadable cell ({exc})") from None
+    return as_matrix(table)
+
+
 def matrix_to_csv(m: Matrix) -> str:
     """One row per line, comma-separated, '.'-decimal, no header.
 
     Uses shortest round-trip float formatting so serialize/parse is exact.
     """
-    m = as_matrix(m)
-    lines = [",".join(repr(v) for v in row) for row in m.tolist()]
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(as_matrix(m)))
 
 
 def matrix_from_csv(text: str) -> Matrix:
-    """The matrix ``matrix_to_csv`` wrote, parsed by np.loadtxt; blank lines
-    are skipped. A ParseError names the 1-based line of a bad row, blank
-    lines counted; loadtxt counts data rows instead, so that line is found
-    by a scan of the text."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("no rows found")
-    try:
-        table = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        _raise_at_bad_line(text)
-        # a cell float() reads but loadtxt does not, such as 1_000
-        raise ParseError(f"unreadable cell ({exc})") from None
-    return as_matrix(table)
+    """The matrix ``matrix_to_csv`` wrote; blank lines are skipped."""
+    return _parse_csv(text.splitlines(), lambda: text)
 
 
 def _raise_at_bad_line(text: str) -> None:
@@ -168,13 +187,21 @@ def _raise_at_bad_line(text: str) -> None:
 
 
 def save_matrix_csv(m: Matrix, path) -> None:
+    """The bytes of ``matrix_to_csv(m)``, written a row at a time; a matrix
+    that is not finite raises before the file is opened."""
+    m = as_matrix(m)
     with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(matrix_to_csv(m))
+        fh.writelines(_csv_lines(m))
 
 
 def load_matrix_csv(path) -> Matrix:
+    """The matrix ``save_matrix_csv`` wrote, read a line at a time; the text
+    is read whole again only to name a bad line."""
     with io.open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_csv(fh.read())
+        def text() -> str:
+            fh.seek(0)
+            return fh.read()
+        return _parse_csv(fh, text)
 
 
 _META = "meta"

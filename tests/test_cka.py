@@ -340,6 +340,15 @@ class TestGramMatrixType:
         assert k.norm == real_norm(gram)
         assert sum(seen) == 1
 
+    def test_entries_built_on_each_request_and_never_kept(self):
+        k = random_psd_gram(34, 40)
+        entries = k.entries
+        assert "entries" not in vars(k)
+        kk = k.data @ k.data.T
+        assert entries.tobytes() == ((kk + kk.T) / 2.0).tobytes()
+        assert k.entries is not entries
+        assert k.entries.tobytes() == entries.tobytes()
+
     def test_square_enforced(self):
         with pytest.raises(ShapeError):
             GramMatrix(np.ones((2, 3)))

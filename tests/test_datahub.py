@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,25 @@ class TestCsvIO:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_csv("/nonexistent/file.csv")
+
+    def test_file_is_written_and_read_a_row_at_a_time(self, tmp_path):
+        # a whole-file text and its list of lines would each outweigh the
+        # table several times over
+        ds = mixture(seed=8, classes=10, dim=32, per_class=1000)
+        table_bytes = ds.features.nbytes + ds.size * 8
+        path = str(tmp_path / "big.csv")
+        assert traced_peak(lambda: save_csv(ds, path)) <= 2 * table_bytes
+        assert traced_peak(lambda: load_csv(path)) <= 3 * table_bytes
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that fn allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPartitionNoniid:

@@ -1,9 +1,14 @@
 import collections
+import dataclasses
 import os
+import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hssfl import federation, numkit
 from hssfl.cka import GramMatrix, gram_linear
@@ -447,7 +452,7 @@ class TestFactoredPayloads:
 
         def entries(self):
             builds["entries"] += 1
-            return real_entries.func(self)
+            return real_entries.fget(self)
 
         monkeypatch.setattr(GramMatrix, "entries", property(entries))
         cfg = small_cfg(rounds=3, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
@@ -843,3 +848,109 @@ class TestPayloadCodec:
         received, nbytes = _transmit(a)
         assert np.array_equal(received, a)
         assert nbytes == 8 * 4 * 3 + 128
+
+
+def same_models(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes()
+               for ma, mb in zip(a, b)
+               for x, y in zip(model_arrays(ma).values(), model_arrays(mb).values()))
+
+
+class TestStopAfterRound:
+    def test_fresh_run_ends_at_the_stop(self):
+        cfg = small_cfg(rounds=3, sample_size=2)
+        assert run_training(cfg, dataset(), stop_after_round=1).server.round == 1
+        assert run_training(cfg, dataset(), stop_after_round=5).server.round == 3
+
+    @pytest.mark.parametrize("stop", [0, -2])
+    def test_stop_before_round_1_refused(self, tmp_path, stop):
+        # there is no round-0 checkpoint to resume from
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ConfigError, match=f"stop_after_round must be >= 1, got {stop}"):
+            run_training(small_cfg(), dataset(), log_path=str(log),
+                         checkpoint_dir=str(tmp_path / "ck"), stop_after_round=stop)
+        assert not log.exists()
+
+    def test_resumed_leg_at_or_past_the_stop_runs_no_round(self, tmp_path):
+        cfg = small_cfg(rounds=4, sample_size=2)
+        log, ck = tmp_path / "log.jsonl", tmp_path / "ck"
+        first = run_training(cfg, dataset(), log_path=str(log), checkpoint_dir=str(ck),
+                             stop_after_round=2)
+        log_bytes = log.read_bytes()
+        ck_bytes = (ck / federation.CHECKPOINT_FILE).read_bytes()
+        for stop in (2, 1):
+            res = run_training(cfg, dataset(), log_path=str(log), checkpoint_dir=str(ck),
+                               resume=True, stop_after_round=stop)
+            assert res.server.round == 2
+            assert res.log.records == []
+            assert same_models(res.models, first.models)
+            assert log.read_bytes() == log_bytes
+            assert (ck / federation.CHECKPOINT_FILE).read_bytes() == ck_bytes
+
+
+# Property tests of whole runs on tiny random configurations. Draws are
+# derandomized, so every run checks the same examples.
+RUNS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+TINY_SPECS = (MlpSpec((16, 8), "relu"), MlpSpec((16, 8), "tanh"),
+              MlpSpec((16, 12, 6), "tanh"), MlpSpec((16, 10, 4), "relu"))
+
+
+@st.composite
+def tiny_configs(draw, rounds=st.integers(1, 3)):
+    """2 or 3 clients of mixed widths, 1 to 3 rounds, one local epoch. The
+    bounded forms only: unclipped trace alignment grows without bound."""
+    n = draw(st.integers(2, 3))
+    specs = tuple(draw(st.sampled_from(TINY_SPECS)) for _ in range(n))
+    forms = ["one_minus_cka", "raw_cka"]
+    if len({s.output_width for s in specs}) == 1:
+        forms.append("l2_rep")
+    return small_cfg(
+        num_clients=n, client_specs=specs, rounds=draw(rounds), local_epochs=1,
+        sample_size=draw(st.integers(1, n)), rad_size=draw(st.integers(4, 20)),
+        mu=draw(st.sampled_from([0.0, 0.5])), proximal_form=draw(st.sampled_from(forms)),
+        partition="noniid" if n == 2 and draw(st.booleans()) else "iid",
+        seed=draw(st.integers(0, 2**16)))
+
+
+def _files(run_dir) -> dict:
+    return {name: (run_dir / name).read_bytes() for name in sorted(os.listdir(run_dir))}
+
+
+class TestRunProperties:
+    @RUNS
+    @given(tiny_configs())
+    def test_workers_do_not_change_log_or_weights(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = [os.path.join(tmp, f"{w}.jsonl") for w in (1, 2)]
+            a, b = (run_training(cfg, dataset(), workers=w, log_path=p)
+                    for w, p in zip((1, 2), logs))
+            with open(logs[0], "rb") as fa, open(logs[1], "rb") as fb:
+                assert fa.read() == fb.read()
+            assert same_models(a.models, b.models)
+
+    @RUNS
+    @given(tiny_configs())
+    def test_mu_zero_is_standalone_training(self, cfg):
+        # a client left out of a round does not train in it, alone it would
+        cfg = dataclasses.replace(cfg, mu=0.0, sample_size=cfg.num_clients)
+        res = run_training(cfg, dataset())
+        alone = [standalone_training(cfg, dataset(), k) for k in range(cfg.num_clients)]
+        assert same_models(res.models, alone)
+
+    @RUNS
+    @given(tiny_configs(rounds=st.integers(2, 3)))
+    def test_resume_after_any_round_is_the_uninterrupted_run(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            full = run_training(cfg, dataset(), log_path=str(tmp / "full.jsonl"),
+                                checkpoint_dir=str(tmp / "full"))
+            for k in range(1, cfg.rounds + 1):
+                log, ck = str(tmp / f"{k}.jsonl"), str(tmp / str(k))
+                run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck,
+                             stop_after_round=k)
+                resumed = run_training(cfg, dataset(), log_path=log, checkpoint_dir=ck,
+                                       resume=True)
+                assert (tmp / f"{k}.jsonl").read_bytes() == (tmp / "full.jsonl").read_bytes()
+                assert _files(tmp / str(k)) == _files(tmp / "full")
+                assert same_models(resumed.models, full.models)

@@ -7,9 +7,11 @@ from hssfl.numkit import (
     as_matrix,
     check_finite,
     load_arrays,
+    load_matrix_csv,
     matrix_from_csv,
     matrix_to_csv,
     save_arrays,
+    save_matrix_csv,
 )
 
 
@@ -56,6 +58,27 @@ class TestFiniteness:
         assert check_finite(value) is value
 
 
+def _from_text(text, tmp_path):
+    return matrix_from_csv(text)
+
+
+def _from_file(text, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return load_matrix_csv(str(path))
+
+
+# Every parse case runs on text in memory and through a file; the text cases
+# keep their plain ids.
+PARSERS = ((_from_text, ""), (_from_file, "-file"))
+
+BLANK_LINE_CASES = [
+    ("bad-cell", "1.0,2.0\n\n\n3.0,x\n", 4, "non-numeric cell"),
+    ("ragged-row", "1.0,2.0\n\n3.0,4.0\n\n5.0\n", 5, "expected 2 columns, got 1"),
+    ("trailing-comma", "1.0,2.0\n\n3.0,4.0,\n", 3, "non-numeric cell"),
+]
+
+
 class TestCsv:
     def test_round_trip_exact(self):
         m = RngStream(11, purpose="csv").generator().normal(size=(5, 3)) * 1e-7
@@ -65,39 +88,57 @@ class TestCsv:
     def test_format(self):
         assert matrix_to_csv(np.array([[1.5, 2.0]])) == "1.5,2.0\n"
 
-    def test_parse_error_names_line(self):
-        with pytest.raises(ParseError) as exc:
-            matrix_from_csv("1.0,2.0\n1.0,oops\n")
-        assert exc.value.line == 2
+    def test_parse_error_names_line(self, tmp_path):
+        for parse, _ in PARSERS:
+            with pytest.raises(ParseError) as exc:
+                parse("1.0,2.0\n1.0,oops\n", tmp_path)
+            assert exc.value.line == 2
 
-    @pytest.mark.parametrize("text, line, message", [
-        ("1.0,2.0\n\n\n3.0,x\n", 4, "non-numeric cell"),
-        ("1.0,2.0\n\n3.0,4.0\n\n5.0\n", 5, "expected 2 columns, got 1"),
-        ("1.0,2.0\n\n3.0,4.0,\n", 3, "non-numeric cell"),
-    ], ids=["bad-cell", "ragged-row", "trailing-comma"])
-    def test_parse_error_counts_blank_lines(self, text, line, message):
+    @pytest.mark.parametrize("parse, text, line, message", [
+        pytest.param(parse, text, line, message, id=name + suffix)
+        for parse, suffix in PARSERS for name, text, line, message in BLANK_LINE_CASES])
+    def test_parse_error_counts_blank_lines(self, tmp_path, parse, text, line, message):
         with pytest.raises(ParseError, match=message) as exc:
-            matrix_from_csv(text)
+            parse(text, tmp_path)
         assert exc.value.line == line
 
-    def test_cell_float_reads_but_loadtxt_does_not(self):
-        with pytest.raises(ParseError, match="unreadable cell") as exc:
-            matrix_from_csv("1.0,2.0\n1_000,2.0\n")
-        assert exc.value.line is None
+    def test_cell_float_reads_but_loadtxt_does_not(self, tmp_path):
+        for parse, _ in PARSERS:
+            with pytest.raises(ParseError, match="unreadable cell") as exc:
+                parse("1.0,2.0\n1_000,2.0\n", tmp_path)
+            assert exc.value.line is None
 
-    def test_blank_and_whitespace_lines_skipped(self):
-        for text in ("1.0,2.0\n\n3.5,-1.0\n", "1.0,2.0\n  \n3.5,-1.0\r\n"):
-            assert np.array_equal(matrix_from_csv(text), [[1.0, 2.0], [3.5, -1.0]])
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        for parse, _ in PARSERS:
+            for text in ("1.0,2.0\n\n3.5,-1.0\n", "1.0,2.0\n  \n3.5,-1.0\r\n"):
+                assert np.array_equal(parse(text, tmp_path), [[1.0, 2.0], [3.5, -1.0]])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("text", ["", "\n\n", " \n"])
-    def test_no_rows(self, text):
+    @pytest.mark.parametrize("parse, text", [
+        pytest.param(parse, text, id=text + suffix)
+        for parse, suffix in PARSERS for text in ("", "\n\n", " \n")])
+    def test_no_rows(self, tmp_path, parse, text):
         with pytest.raises(ParseError, match="no rows found"):
-            matrix_from_csv(text)
+            parse(text, tmp_path)
 
     def test_parse_is_the_exact_float(self):
         m = RngStream(13, purpose="csv").generator().normal(size=(40, 7)) * 10.0 ** np.arange(-3, 4)
         assert matrix_from_csv(matrix_to_csv(m)).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("exponent", [-300, -150, -1, 0, 1, 150, 300])
+    def test_file_holds_the_bytes_of_the_text(self, tmp_path, exponent):
+        m = RngStream(14, purpose="csv").generator().normal(size=(9, 4)) * 10.0 ** exponent
+        m[2, 1], m[5, 3] = -0.0, 0.0
+        path = tmp_path / "m.csv"
+        save_matrix_csv(m, str(path))
+        assert path.read_bytes() == matrix_to_csv(m).encode("ascii")
+        assert load_matrix_csv(str(path)).tobytes() == m.tobytes()
+
+    def test_non_finite_matrix_writes_no_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ShapeError, match="non-finite"):
+            save_matrix_csv(np.array([[1.0, np.inf]]), str(path))
+        assert not path.exists()
 
 
 class TestArrayFiles:

@@ -4,14 +4,19 @@ gradients with respect to the activation matrix.
 
 Every kernel is held, sent and stored in one form: an exact L x D factor F
 with D <= L and K = F @ F.T. A client's linear Gram K = phi @ phi.T (phi is
-L x d) is the factor U = phi @ V, with V the eigenvectors of the d x d matrix
-phi.T @ phi, so U @ U.T = K, and the sign of each column of U is fixed so that
-its largest-magnitude entry is positive. U is then fixed by K alone (for
-distinct eigenvalues): the factor carries the kernel and nothing more. The
-weighted aggregate sum_k w_k K_k is the factor [sqrt(w_1) F_1, ...,
-sqrt(w_N) F_N], in the order given. A factor with more columns than rows is
-capped: with F.T = Q R it is replaced by R.T, each row of R signed so that
-its diagonal entry is nonnegative, which is the L x L Cholesky factor of K.
+L x d) is held as its canonical factor T, the L x min(d, L) factor of K whose
+entries above the diagonal are exactly zero and whose diagonal is
+nonnegative. For d <= L, with the QR decomposition phi[:d].T = Q R of the
+top d x d block, T = phi @ Q with each column signed so that its diagonal
+entry is nonnegative: the top block of phi @ Q is R.T. T is fixed by K alone
+whenever that top block is nonsingular, so the factor carries the kernel and
+nothing more. The weighted aggregate sum_k w_k K_k is the factor
+[sqrt(w_1) F_1, ..., sqrt(w_N) F_N], in the order given. A factor with more
+columns than rows is capped: with F.T = Q R it is replaced by R.T, each row
+of R signed so that its diagonal entry is nonnegative, which is the L x L
+Cholesky factor of K and again lower triangular. A lower-trapezoidal factor
+of width w carries L w - w (w - 1) / 2 numbers, the entries on and below its
+diagonal, and travels as just those (pack_factor, unpack_factor).
 
 The similarity score between two L x L Gram matrices is
 
@@ -106,8 +111,53 @@ def _kernel(f: Matrix) -> GramMatrix:
     docstring)."""
     if f.shape[1] > f.shape[0]:
         r = np.linalg.qr(f.T, mode="r")
-        f = (r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T
+        f = np.tril((r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T)
     return GramMatrix(f)
+
+
+def canonical_factor(f: Matrix) -> GramMatrix:
+    """The kernel F @ F.T, held as its canonical lower-trapezoidal factor of
+    min(D, L) columns (see the module docstring). The entries above the
+    diagonal are +0.0, so the factor survives pack_factor and unpack_factor
+    bit for bit."""
+    width = f.shape[1]
+    if width > f.shape[0]:
+        return _kernel(f)
+    q, r = np.linalg.qr(f[:width].T)
+    sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    t = f @ (q * sign)
+    t[:width] = np.tril(r.T * sign)
+    return GramMatrix(t)
+
+
+def packed_size(rows: int, width: int) -> int:
+    """The number of entries on and below the diagonal of a rows x width
+    factor, width <= rows."""
+    return rows * width - width * (width - 1) // 2
+
+
+def pack_factor(k: GramMatrix) -> np.ndarray:
+    """The entries on and below the diagonal of k's factor, row by row, as
+    one vector of packed_size entries. A factor with a nonzero entry above
+    its diagonal is refused, so no entry is dropped silently."""
+    t = k.data
+    width = t.shape[1]
+    if np.triu(t[:width], 1).any():
+        raise ShapeError("only a lower-trapezoidal factor can be packed")
+    return np.concatenate([t[:width][np.tri(width, dtype=bool)], t[width:].ravel()])
+
+
+def unpack_factor(v: np.ndarray, rows: int, width: int) -> GramMatrix:
+    """The rows x width lower-trapezoidal factor that pack_factor made v
+    from; a vector of any other length is refused."""
+    if v.shape != (packed_size(rows, width),):
+        raise ShapeError(f"a packed {rows} x {width} factor has "
+                         f"{packed_size(rows, width)} entries, got shape {v.shape}")
+    t = np.zeros((rows, width))
+    head = width * (width + 1) // 2
+    t[:width][np.tri(width, dtype=bool)] = v[:head]
+    t[width:] = v[head:].reshape(rows - width, width)
+    return GramMatrix(t)
 
 
 class ProximalForm(enum.Enum):
@@ -128,13 +178,12 @@ class ProximalForm(enum.Enum):
 
 
 def gram_linear(a: Matrix) -> GramMatrix:
-    """K = A @ A.T, held as the canonical factor U = A @ V, capped at L
-    columns (see the module docstring)."""
-    a = as_matrix(a, "activations")
-    _, v = np.linalg.eigh(check_finite(a.T @ a, "linear gram"))
-    u = a @ v
-    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return _kernel(u * np.where(peak < 0.0, -1.0, 1.0))
+    """K = A @ A.T, held as its canonical factor T (see the module
+    docstring). A kernel whose trace ||T||_F^2, which bounds every entry,
+    overflows raises NumericalFailureError."""
+    k = canonical_factor(as_matrix(a, "activations"))
+    check_finite(float(np.vdot(k.data, k.data)), "linear gram")
+    return k
 
 
 def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:

@@ -16,20 +16,25 @@ regression loss and the uploaded representations and makes no forward pass.
 Each reference is aggregated once: before round 1, from the bootstrap
 uploads or the loaded checkpoint, and at the end of every round.
 Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
-an upload is L x min(d_k, L) and a reference L x min(D, L) with
+an upload is the canonical lower-trapezoidal L x min(d_k, L) factor T_k, and
+the server's reference the L x min(D, L) factor [sqrt(w_1) T_1, ...] with
 D = sum_k min(d_k, L), so a round sends O(L d_k) up per client and O(L D)
 down; the L x dim alignment rows are sent once per client per run, not per
-round. A client never receives columns it holds: an uncapped kernel
-reference (D <= L, two or more clients) reaches client k as L x (D - d_k),
-without its own block sqrt(w_k) U_k, which the client puts back from its last
-upload. Payloads cross a real serialization boundary even though transport is
-in-process: every matrix sent (the alignment rows, each client's reference,
-client uploads) is encoded as npy, counted, decoded and checked for
-finiteness once. One atomically replaced ``checkpoint.npz`` holds each
-round's client tensors and uploads (``upload_k``, as held); a resume cuts
-``log.jsonl`` back to the rounds it holds, so a run killed at any point
-resumes to the uninterrupted result. One thread pool runs the clients for every worker
-count. All randomness flows through value-like streams keyed by (seed,
+round. A client never receives columns it holds: under an uncapped kernel
+reference (D <= L, two or more clients), client k receives the canonical
+L x (D - d_k) factor of the other clients' kernel sum_{j != k} w_j K_j and
+puts its own block sqrt(w_k) T_k, its last upload, after it, so its copy is
+a factor of the server's kernel. A kernel factor travels as the
+L w - w (w - 1) / 2 entries on and below its diagonal (``cka.pack_factor``)
+and is unpacked with the width the receiver knows from the config.
+Payloads cross a real serialization boundary even though transport is
+in-process: every array sent (the alignment rows, each client's reference,
+client uploads) is encoded as npy, counted, decoded without ``np.load`` and
+checked for its shape and for finiteness once. One atomically replaced
+``checkpoint.npz`` holds each round's client tensors and uploads
+(``upload_k``, as held); a resume cuts ``log.jsonl`` back to the rounds it
+holds, so a run killed at any point resumes to the uninterrupted result. One
+thread pool runs the clients for every worker count. All randomness flows through value-like streams keyed by (seed,
 client, round, epoch, purpose), so runs are bit-reproducible regardless of
 how many workers execute clients in parallel. Wall-clock timings are collected separately
 from the round log and never serialized with it, keeping logs byte-comparable
@@ -43,6 +48,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,16 +66,19 @@ from .cka import (
     _check_weights,
     aggregate_grams,
     aggregate_representations,
+    canonical_factor,
     gram_linear,
+    pack_factor,
+    packed_size,
     proximal_value,
+    unpack_factor,
 )
 from .datahub import Dataset, PartitionPlan, partition_iid, partition_noniid, sample_rad
-from .errors import ConfigError, NumericalFailureError, ParseError, ProtocolError
+from .errors import ConfigError, NumericalFailureError, ParseError, ProtocolError, ShapeError
 from .numkit import (
     Matrix,
     RngStream,
     as_int,
-    as_matrix,
     check_finite,
     load_arrays,
     save_arrays,
@@ -141,6 +150,11 @@ class FedConfig:
                 f"{len(self.client_specs)} client specs for {self.num_clients} clients"
             )
         object.__setattr__(self, "proximal_form", ProximalForm.parse(self.proximal_form))
+        if (self.proximal_form is ProximalForm.TRACE_ALIGNMENT and self.mu > 0
+                and self.clip_radius is None):
+            raise ConfigError("proximal form trace_alignment with mu > 0 needs a clip "
+                              "radius (--clip-radius): its penalty is unbounded and "
+                              "training diverges without one")
         if self.partition not in ("iid", "noniid"):
             raise ConfigError(f"unknown partition mode {self.partition!r}")
         if self.client_weights is None:
@@ -289,56 +303,90 @@ def _held(payload: Payload) -> Matrix:
     return payload.data if isinstance(payload, GramMatrix) else payload
 
 
-def _transmit(payload: Payload) -> Tuple[Payload, int]:
+_NPY_1_0 = b"\x93NUMPY\x01\x00"
+
+
+def _decode(wire: io.BytesIO, shape: Tuple[int, ...]) -> np.ndarray:
+    """The finite float64 array of ``shape`` that np.save wrote to ``wire``,
+    read without np.load: np.load parses the npy header with
+    ast.literal_eval, which on CPython 3.11 raises SystemError when client
+    threads parse at once and a collection switches threads mid-parse. The
+    npy 1.0 header must be the one np.save writes for ``shape``."""
+    buf = wire.getbuffer()
+    hlen = int.from_bytes(buf[8:10], "little")
+    header = bytes(buf[10:10 + hlen]).decode("latin1").rstrip()
+    if (bytes(buf[:8]) != _NPY_1_0
+            or header != f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}, }}"):
+        raise ProtocolError(f"received payload is not a float64 array of shape {shape}: "
+                            f"{header!r}")
+    data = np.frombuffer(buf, "<f8", offset=10 + hlen)
+    if data.size != math.prod(shape):
+        raise ProtocolError(f"received payload holds {data.size} numbers, not the "
+                            f"{math.prod(shape)} of shape {shape}")
+    if not np.isfinite(data).all():
+        raise ShapeError("received payload contains non-finite entries")
+    return data.reshape(shape)
+
+
+def _transmit(payload: Payload, shape: Tuple[int, int]) -> Tuple[Payload, int]:
     """Encode as npy, count bytes, decode: the receiver's copy and the wire
-    size. The received array is checked for finiteness here, so a received
-    factor needs no other check."""
+    size. A kernel travels as its packed factor; ``shape`` is the shape of
+    the held array, which the receiver knows from the config. The received
+    array is checked for finiteness here, so a received factor needs no
+    other check."""
+    kernel = isinstance(payload, GramMatrix)
     wire = io.BytesIO()
-    np.save(wire, _held(payload), allow_pickle=False)
+    np.save(wire, pack_factor(payload) if kernel else np.ascontiguousarray(payload),
+            allow_pickle=False)
     nbytes = wire.tell()
-    wire.seek(0)
-    received = as_matrix(np.load(wire, allow_pickle=False), "received payload")
-    if isinstance(payload, GramMatrix):
-        received = GramMatrix(received)
-    return received, nbytes
+    if kernel:
+        return unpack_factor(_decode(wire, (packed_size(*shape),)), *shape), nbytes
+    return _decode(wire, shape), nbytes
 
 
-def _own_columns(cfg: FedConfig, client_id: int) -> Optional[slice]:
-    """The columns of client ``client_id``'s block sqrt(w_k) U_k in the kernel
-    reference, at offset sum_{j<k} min(d_j, L); None when the reference holds
-    no block of its own for the client: a representation reference is a sum,
-    a reference of more than L columns is capped (see cka), and one client's
-    block is the whole reference."""
-    widths = [min(s.output_width, cfg.rad_size) for s in cfg.client_specs]
-    if cfg.payload_kind != KERNEL or cfg.num_clients == 1 or sum(widths) > cfg.rad_size:
-        return None
-    start = sum(widths[:client_id])
-    return slice(start, start + widths[client_id])
+def _upload_width(cfg: FedConfig, client_id: int) -> int:
+    """The columns of client ``client_id``'s upload as it is held: its
+    representation width, capped at L for a kernel factor (see cka)."""
+    width = cfg.client_specs[client_id].output_width
+    return min(width, cfg.rad_size) if cfg.payload_kind == KERNEL else width
 
 
 def _send_reference(
-    reference: Payload, own: Payload, client_id: int, cfg: FedConfig
+    reference: Payload, registry: Dict[int, Payload], client_id: int, cfg: FedConfig
 ) -> Tuple[Payload, int]:
-    """Client ``client_id``'s copy of the reference and its wire size. A
-    reference with a block of the client's own travels without it, and the
-    client puts ``own`` back in, its last upload scaled by sqrt(w_k): the
-    npy round trip is exact, so the copy has the server's bits."""
-    cols = _own_columns(cfg, client_id)
-    if cols is None:
-        return _transmit(reference)
-    rest, nbytes = _transmit(np.delete(reference.data, cols, axis=1))
-    block = np.sqrt(cfg.client_weights[client_id]) * own.data
-    return GramMatrix(np.concatenate([rest[:, :cols.start], block, rest[:, cols.start:]],
-                                     axis=1)), nbytes
+    """Client ``client_id``'s copy of the reference and its wire size.
+
+    An uncapped kernel reference of two or more clients does not travel:
+    the client receives the canonical factor of the other clients' kernel,
+    built from their blocks sqrt(w_j) T_j in the registry, and puts its own
+    block sqrt(w_k) T_k, its last upload, after it. The copy is then a
+    factor of the server's kernel, equal to it up to roundoff. A capped
+    reference, a one-client one (both lower-trapezoidal already) and a
+    representation reference travel whole."""
+    widths = [_upload_width(cfg, j) for j in range(cfg.num_clients)]
+    if cfg.payload_kind != KERNEL:
+        return _transmit(reference, (cfg.rad_size, widths[0]))
+    if cfg.num_clients == 1 or sum(widths) > cfg.rad_size:
+        return _transmit(reference, (cfg.rad_size, min(sum(widths), cfg.rad_size)))
+    weights = cfg.client_weights
+    others = canonical_factor(np.concatenate(
+        [np.sqrt(weights[j]) * registry[j].data for j in range(cfg.num_clients)
+         if j != client_id], axis=1))
+    received, nbytes = _transmit(others, (cfg.rad_size, sum(widths) - widths[client_id]))
+    own = np.sqrt(weights[client_id]) * registry[client_id].data
+    return GramMatrix(np.concatenate([received.data, own], axis=1)), nbytes
 
 
-def _upload(model: ClientModel, rad: Matrix, cfg: FedConfig) -> Tuple[Payload, int, Matrix]:
+def _upload(
+    model: ClientModel, rad: Matrix, cfg: FedConfig, client_id: int
+) -> Tuple[Payload, int, Matrix]:
     """The client's alignment payload as the server receives it, its wire
     size, and the representations it was built from. Run it inside
     ``_client_work``, which names the client of a numerical failure."""
     phi = check_finite(sslnet.representations(model, rad, clip_radius=cfg.clip_radius),
                        "representations")
-    received, nbytes = _transmit(gram_linear(phi) if cfg.payload_kind == KERNEL else phi)
+    payload = gram_linear(phi) if cfg.payload_kind == KERNEL else phi
+    received, nbytes = _transmit(payload, (cfg.rad_size, _upload_width(cfg, client_id)))
     return received, nbytes, phi
 
 
@@ -440,7 +488,7 @@ def _train_one_client(
                                 epoch_hook=probe.after_epoch if probe else None)
         model = result["model"]
         end = sslnet.combined_loss(model, shard, obj, eval_rng, views)
-        upload, upload_bytes, phi = _upload(model, rad, cfg)
+        upload, upload_bytes, phi = _upload(model, rad, cfg, client_id)
         rep_norm_max = check_finite(float(np.max(np.sqrt(np.sum(phi * phi, axis=1)))),
                                     "representation norm")
 
@@ -589,13 +637,14 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
         if held is None or held.ndim != 2 or held.shape[0] != cfg.rad_size:
             raise ParseError(f"{path}: entry 'upload_{k}' is missing or does not have "
                              f"{cfg.rad_size} rows")
-        # the reference's block layout follows these widths (_own_columns)
-        width = cfg.client_specs[k].output_width
-        if cfg.payload_kind == KERNEL:
-            width = min(width, cfg.rad_size)
+        # the receivers of the reference unpack it with these widths
+        width = _upload_width(cfg, k)
         if held.shape[1] != width:
             raise ParseError(f"{path}: entry 'upload_{k}' has {held.shape[1]} columns, "
                              f"not the {width} of client {k}'s upload")
+        if cfg.payload_kind == KERNEL and np.triu(held[:width], 1).any():
+            # saved before uploads were canonical: a factor that packs
+            held = canonical_factor(held).data
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return as_int(state.get("round"), f"{path} round"), models, registry
 
@@ -647,14 +696,14 @@ def run_training(
 
     # The clients' copy of the alignment rows. It is booked as sent only at
     # bootstrap; a resumed leg rebuilds it from the seed and the data.
-    rad_rows, rad_bytes = _transmit(rad)
+    rad_rows, rad_bytes = _transmit(rad, (cfg.rad_size, data.dim))
     weights = list(cfg.client_weights)
     if start_round == 0:
         boot_bytes = []
         for k in range(cfg.num_clients):
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
             with _client_work(k, 0):
-                registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg)
+                registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg, k)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))
         record = {
@@ -679,7 +728,7 @@ def run_training(
                 # the client's copy is built here, so at most ``workers``
                 # copies are alive at once
                 t0 = time.perf_counter()
-                reference, down = _send_reference(server.reference, registry[k], k, cfg)
+                reference, down = _send_reference(server.reference, registry, k, cfg)
                 out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t)
                 out["record"]["downstream_bytes"] = down
                 out["wall"] = time.perf_counter() - t0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hssfl.cka import (
@@ -11,9 +11,12 @@ from hssfl.cka import (
     aggregate_representations,
     gram_linear,
     linear_cka,
+    pack_factor,
+    packed_size,
     proximal_grad,
     proximal_value,
     trace_alignment,
+    unpack_factor,
 )
 from hssfl.errors import (
     ConfigError,
@@ -428,9 +431,12 @@ class TestRankRule:
         assert rel_err(u, v) <= 1e-12
 
     def test_sign_rule(self):
-        u = gram_linear(random_activations(22, 50, 6)).data
-        peak = u[np.argmax(np.abs(u), axis=0), np.arange(6)]
-        assert np.all(peak > 0)
+        # lower trapezoidal, each column signed so its diagonal entry is >= 0
+        t = gram_linear(random_activations(22, 50, 6)).data
+        assert np.array_equal(t, np.tril(t))
+        assert np.all(np.diagonal(t) > 0)
+        r = np.linalg.qr(random_activations(22, 50, 6).T, mode="r")
+        assert rel_err(t, (r * np.sign(np.diagonal(r))[:, None]).T) <= 1e-12
 
     @pytest.mark.parametrize("rows, cols", [(5, 5), (5, 7)])
     def test_upload_capped_when_d_at_least_l(self, rows, cols):
@@ -549,3 +555,72 @@ class TestFactorProperties:
         feature = (np.linalg.norm(x.T @ y) ** 2
                    / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))
         assert abs(score - feature) <= CKA_ATOL
+
+
+# A factor moves under a rotation of phi by about cond * eps * ||phi||_F,
+# with cond the condition number of phi's top d x d block (of phi itself
+# when capped); draws above this are discarded.
+MAX_COND = 1e3
+
+
+@st.composite
+def rotated_pair(draw, rows):
+    """A full-rank rows x d matrix at a scale 10^e, e in -100..100, with its
+    top block (all of it, for d > rows) well conditioned, and a d x d
+    orthogonal matrix."""
+    d = draw(st.integers(1, 60))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1)), purpose="canon").generator()
+    phi = gen.normal(size=(rows, d))
+    assume(np.linalg.cond(phi[:d] if d <= rows else phi) < MAX_COND)
+    q, _ = np.linalg.qr(gen.normal(size=(d, d)))
+    return phi * 10.0 ** draw(st.integers(-100, 100)), q
+
+
+class TestCanonicalFactor:
+    """The upload factor T: lower trapezoidal with a nonnegative diagonal,
+    fixed by the kernel, and packed to its lower entries without loss."""
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_lower_trapezoidal_with_nonnegative_diagonal(self, data, rows):
+        phi = data.draw(activations(rows))
+        t = gram_linear(phi).data
+        assert not np.triu(t, 1).any()
+        assert np.all(np.diagonal(t) >= 0.0)
+        # the +0.0 above the diagonal that unpacking puts back
+        assert not np.signbit(t[np.triu_indices(*t.shape[::-1], 1)]).any()
+        assert np.max(np.abs(t @ t.T - phi @ phi.T)) <= KERNEL_RTOL * sq_norm(phi)
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_fixed_by_the_kernel(self, data, rows):
+        phi, q = data.draw(rotated_pair(rows))
+        t = gram_linear(phi).data
+        assert np.max(np.abs(gram_linear(phi @ q).data - t)) <= 1e-12 * np.linalg.norm(phi)
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_pack_round_trip_is_exact(self, data, rows):
+        k = gram_linear(data.draw(activations(rows)))
+        v = pack_factor(k)
+        assert v.shape == (packed_size(*k.data.shape),)
+        assert unpack_factor(v, *k.data.shape).data.tobytes() == k.data.tobytes()
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 40))
+    def test_pack_refuses_what_it_would_lose(self, data, rows):
+        k = gram_linear(data.draw(activations(rows)))
+        shape = k.data.shape
+        v = pack_factor(k)
+        for bad in (v[:-1], np.append(v, 0.0), v.reshape(1, -1)):
+            with pytest.raises(ShapeError, match="packed"):
+                unpack_factor(bad, *shape)
+        if shape[1] > 1:
+            t = k.data.copy()
+            t[0, -1] = 5e-324  # the smallest number above the diagonal
+            with pytest.raises(ShapeError, match="lower-trapezoidal"):
+                pack_factor(GramMatrix(t))
+
+    def test_packed_sizes(self):
+        assert [packed_size(128, w) for w in (48, 40, 8, 16)] == [5016, 4340, 996, 1928]
+        assert packed_size(5, 5) == 15 and packed_size(5, 1) == 5

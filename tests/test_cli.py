@@ -217,6 +217,12 @@ class TestBadInput:
         assert rc == 2
         assert "num_client" in capsys.readouterr().err
 
+    def test_unbounded_trace_alignment(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*run_args(data_csv, str(out), "--form", "trace_alignment")) == 2
+        assert "--clip-radius" in capsys.readouterr().err
+        assert not (out / "log.jsonl").exists()
+
     def test_missing_config_file(self, tmp_path, data_csv, capsys):
         missing = str(tmp_path / "missing.json")
         rc = run_cli(*run_args(data_csv, str(tmp_path / "run")), "--config", missing)

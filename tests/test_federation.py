@@ -1,9 +1,12 @@
 import collections
 import dataclasses
+import gc
+import io
 import os
 import pathlib
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hssfl import federation, numkit
-from hssfl.cka import GramMatrix, gram_linear
+from hssfl.cka import GramMatrix, gram_linear, packed_size
 from hssfl.datahub import synth_mixture
-from hssfl.errors import ConfigError, ProtocolError
+from hssfl.errors import ConfigError, ProtocolError, ShapeError
 from hssfl.federation import (
     FedConfig,
     RoundLog,
@@ -435,14 +438,15 @@ class TestFactoredPayloads:
         widths = [s.output_width for s in cfg.client_specs]
         rad_bytes = 8 * cfg.rad_size * 16 + 128  # the dataset has 16 features
         boot = res.log.records[0]["bootstrap_payload_bytes"]
-        assert boot == [8 * cfg.rad_size * d + 128 for d in widths]
+        # a factor of width w sends its L w - w (w - 1) / 2 lower entries
+        assert boot == [8 * (cfg.rad_size * d - d * (d - 1) // 2) + 128 for d in widths]
         records = res.log.client_records()
         assert len(records) == cfg.rounds * cfg.sample_size
         for rec in records:
             d = widths[rec["client"]]
-            assert rec["upstream_bytes"] == 8 * cfg.rad_size * d + 128
-            # the reference without the client's own block
-            assert rec["downstream_bytes"] == 8 * cfg.rad_size * (sum(widths) - d) + 128
+            assert rec["upstream_bytes"] == 8 * packed_size(cfg.rad_size, d) + 128
+            # the factor of the other clients' kernel
+            assert rec["downstream_bytes"] == 8 * packed_size(cfg.rad_size, sum(widths) - d) + 128
         assert res.log.records[0]["bootstrap_downstream_bytes"] == [rad_bytes] * cfg.num_clients
         assert res.server.reference.data.shape == (cfg.rad_size, sum(widths))
 
@@ -479,6 +483,24 @@ class TestFactoredPayloads:
             assert loaded[k].data.tobytes() == payload.data.tobytes()
 
 
+    def test_checkpoint_of_eigenvector_factors_resumes(self, tmp_path):
+        # an upload saved as phi @ V (V the eigenvectors of phi.T @ phi), as
+        # before uploads were canonical, loads as the canonical factor
+        cfg = small_cfg(num_clients=1, rounds=2, rad_size=40)
+        ck = str(tmp_path / "ck")
+        run_training(cfg, dataset(), checkpoint_dir=ck, stop_after_round=1)
+        round_index, models, registry = federation.load_checkpoint(ck, cfg)
+        t = registry[0].data
+        eigen = t @ np.linalg.eigh(t.T @ t)[1]
+        assert np.triu(eigen[:8], 1).any()
+        federation._save_checkpoint(ck, round_index, models, {0: GramMatrix(eigen)}, cfg)
+        loaded = federation.load_checkpoint(ck, cfg)[2][0].data
+        assert np.max(np.abs(loaded - t)) <= 1e-12 * np.linalg.norm(t)
+        assert np.array_equal(loaded, np.tril(loaded))
+        # one client's reference is its own factor and travels whole
+        assert run_training(cfg, dataset(), checkpoint_dir=ck, resume=True).server.round == 2
+
+
 def _received_references(monkeypatch, run):
     """Each client's copy of the reference, by (round, client), and the
     server's aggregates in the order it made them, from ``run()``."""
@@ -501,14 +523,16 @@ def _received_references(monkeypatch, run):
 
 
 class TestOwnBlockNotSent:
-    """An uncapped kernel reference reaches client k without its own block
-    sqrt(w_k) U_k, and the client's rebuilt copy has the server's bits."""
+    """Under an uncapped kernel reference, client k receives the canonical
+    factor of the other clients' kernel and puts its own block
+    sqrt(w_k) T_k after it: its copy is a factor of the server's kernel."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rebuilt_copy_is_the_server_aggregate(self, tmp_path, monkeypatch, workers):
         # 2 of 4 clients a round, so most blocks are stale: each is that
         # client's last upload; the second leg rebuilds from upload_k
         cfg = small_cfg(rounds=4, sample_size=2, rad_size=40, client_specs=FACTORED_SPECS)
+        widths = [s.output_width for s in cfg.client_specs]
         ck = str(tmp_path / "ck")
         for start, leg in ((0, dict(stop_after_round=2)), (2, dict(resume=True))):
             received, aggregates = _received_references(monkeypatch, lambda: run_training(
@@ -517,25 +541,42 @@ class TestOwnBlockNotSent:
             assert len(aggregates) == 3
             assert sorted({t for t, _ in received}) == [start + 1, start + 2]
             for (t, k), copy in received.items():
-                server = aggregates[t - start - 1]
-                assert server.data.shape == (cfg.rad_size, 24)
-                assert copy.data.tobytes() == server.data.tobytes()
+                server = aggregates[t - start - 1].data
+                assert server.shape == copy.data.shape == (cfg.rad_size, 24)
+                others, own = np.split(copy.data, [24 - widths[k]], axis=1)
+                assert np.array_equal(others, np.tril(others))
+                assert np.all(np.diagonal(others) >= 0.0)
+                # the own block is the server's, bit for bit
+                at = sum(widths[:k])
+                assert own.tobytes() == server[:, at:at + widths[k]].tobytes()
+                scale = np.sum(server * server)
+                assert np.max(np.abs(copy.data @ copy.data.T - server @ server.T)) <= 1e-14 * scale
 
-    def test_only_the_bytes_change(self, monkeypatch):
+    def test_copy_moves_the_floats_by_roundoff_only(self, monkeypatch):
+        # against clients that train on the server's own reference factor
         cfg = small_cfg(rounds=3, sample_size=3, rad_size=40, client_specs=FACTORED_SPECS)
-        stripped = run_training(cfg, dataset())
-        monkeypatch.setattr(federation, "_own_columns", lambda cfg, k: None)
-        whole = run_training(cfg, dataset())
-        assert len(stripped.log.records) == len(whole.log.records)
-        for a, b in zip(stripped.log.records, whole.log.records):
+        sent = run_training(cfg, dataset())
+        monkeypatch.setattr(federation, "_send_reference", lambda ref, registry, k, cfg: (ref, 0))
+        shared = run_training(cfg, dataset())
+        assert len(sent.log.records) == len(shared.log.records)
+
+        def close(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
+            if isinstance(a, list):
+                return len(a) == len(b) and all(map(close, a, b))
+            if isinstance(a, float):
+                return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+            return a == b
+
+        for a, b in zip(sent.log.records, shared.log.records):
             if a["type"] == "client":
-                d = cfg.client_specs[a["client"]].output_width
-                assert b["downstream_bytes"] - a["downstream_bytes"] == 8 * cfg.rad_size * d
+                assert b["downstream_bytes"] == 0
                 a, b = dict(a, downstream_bytes=0), dict(b, downstream_bytes=0)
-            assert federation._jsonl_line(a) == federation._jsonl_line(b)
-        for a, b in zip(stripped.models, whole.models):
+            assert close(a, b)
+        for a, b in zip(sent.models, shared.models):
             for x, y in zip(model_arrays(a).values(), model_arrays(b).values()):
-                assert x.tobytes() == y.tobytes()
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("overrides", [
         {},  # D = 32 > L = 24: the reference is capped to its L x L factor
@@ -549,7 +590,10 @@ class TestOwnBlockNotSent:
         assert width == (8 if overrides else cfg.rad_size)
         records = res.log.client_records()
         assert len(records) == cfg.rounds * cfg.num_clients
-        assert {r["downstream_bytes"] for r in records} == {8 * cfg.rad_size * width + 128}
+        # a kernel factor is lower-trapezoidal and sends its lower entries
+        numbers = (cfg.rad_size * width if cfg.payload_kind == "representation"
+                   else packed_size(cfg.rad_size, width))
+        assert {r["downstream_bytes"] for r in records} == {8 * numbers + 128}
 
 
 def _down(messages, kind=None):
@@ -764,7 +808,7 @@ class TestFedConfig:
         # the payload follows the form; a config cannot name it
         assert small_cfg(proximal_form="l2_rep").payload_kind == "representation"
         for form in ("one_minus_cka", "raw_cka", "trace_alignment"):
-            assert small_cfg(proximal_form=form).payload_kind == "kernel"
+            assert small_cfg(proximal_form=form, clip_radius=1.0).payload_kind == "kernel"
         d = small_cfg().to_dict()
         assert "payload" not in d
         d["payload"] = "kernel"
@@ -830,24 +874,112 @@ class TestFedConfig:
         cfg = small_cfg()
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unbounded_trace_alignment_refused(self):
+        with pytest.raises(ConfigError, match="--clip-radius"):
+            small_cfg(proximal_form="trace_alignment")
+        # bounded by a clip radius, or with no penalty, it can train
+        small_cfg(proximal_form="trace_alignment", clip_radius=1.0)
+        small_cfg(proximal_form="trace_alignment", mu=0.0)
+
 
 class TestPayloadCodec:
     def test_round_trip(self):
         a = RngStream(33, purpose="act").generator().normal(size=(4, 3))
         k = gram_linear(a)
-        received, nbytes = _transmit(k)
+        received, nbytes = _transmit(k, (4, 3))
         assert isinstance(received, GramMatrix)
         assert np.array_equal(received.data, k.data)
         assert np.array_equal(received.entries, k.entries)
-        assert nbytes == 8 * 4 * 3 + 128  # the 4 x 3 factor
+        assert nbytes == 8 * (4 * 3 - 3) + 128  # the 4 x 3 factor's lower entries
         capped = gram_linear(a.T)  # 3 rows, 4 columns: sent as its 3 x 3 factor
-        received, nbytes = _transmit(capped)
+        received, nbytes = _transmit(capped, (3, 3))
         assert np.array_equal(received.data, capped.data)
         assert np.array_equal(received.entries, capped.entries)
-        assert nbytes == 8 * 3 * 3 + 128
-        received, nbytes = _transmit(a)
+        assert nbytes == 8 * 6 + 128
+        received, nbytes = _transmit(a, (4, 3))
         assert np.array_equal(received, a)
         assert nbytes == 8 * 4 * 3 + 128
+
+    def test_bits_survive_the_wire(self):
+        gen = RngStream(34, purpose="act").generator()
+        a = gen.normal(size=(6, 4)) * 10.0 ** gen.integers(-300, 300, size=(6, 4))
+        a[0, 0], a[1, 1] = -0.0, 5e-324
+        assert _transmit(a, a.shape)[0].tobytes() == a.tobytes()
+        # a Fortran-ordered array goes in C order
+        assert _transmit(np.asfortranarray(a), a.shape)[0].tobytes() == a.tobytes()
+        k = gram_linear(gen.normal(size=(6, 4)))
+        assert _transmit(k, (6, 4))[0].data.tobytes() == k.data.tobytes()
+
+    @pytest.mark.parametrize("payload, shape", [
+        (np.ones((4, 3)), (4, 2)),
+        (np.ones((4, 3)), (3, 4)),
+        (np.ones((4, 3)), (12,)),
+        (GramMatrix(np.tril(np.ones((4, 3)))), (4, 2)),
+    ], ids=["narrower", "transposed", "flat", "packed-narrower"])
+    def test_other_shape_refused(self, payload, shape):
+        with pytest.raises(ProtocolError, match="not a float64 array of shape"):
+            _transmit(payload, shape)
+
+    def test_header_checked(self):
+        wire = io.BytesIO()
+        np.save(wire, np.ones((4, 3), dtype=np.float32))
+        with pytest.raises(ProtocolError, match="float64"):
+            federation._decode(wire, (4, 3))
+        wire = io.BytesIO()
+        np.save(wire, np.ones((3, 4)).T)  # Fortran order
+        with pytest.raises(ProtocolError, match="'fortran_order': True"):
+            federation._decode(wire, (4, 3))
+        wire = io.BytesIO()
+        np.save(wire, np.ones((4, 3)))
+        wire.write(b"\0" * 8)  # one number too many
+        with pytest.raises(ProtocolError, match="holds 13 numbers"):
+            federation._decode(wire, (4, 3))
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ShapeError, match="received payload contains non-finite"):
+            _transmit(np.array([[1.0, np.nan]]), (1, 2))
+
+    def test_safe_in_threads_while_the_collector_runs_python(self):
+        # np.load parses the npy header with ast.literal_eval; on CPython
+        # 3.11 a collection in one thread's parse that runs Python code can
+        # switch to another parsing thread and break the AST constructor's
+        # shared recursion count (SystemError). With np.load as the
+        # decoder, this stress raised it in every run tried on CPython 3.11.7.
+        class Cyclic:
+            def __init__(self):
+                self.me = self  # freed only by the collector
+
+            def __del__(self):
+                sum(range(300))
+
+        a = np.arange(12.0).reshape(4, 3)
+        k = gram_linear(a)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(100):
+                    Cyclic(), Cyclic()
+                    assert _transmit(a, (4, 3))[0].tobytes() == a.tobytes()
+                    assert _transmit(k, (4, 3))[0].data.tobytes() == k.data.tobytes()
+            except Exception as exc:  # reported from the main thread
+                errors.append(exc)
+
+        threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(50)
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            gc.set_threshold(*threshold)
+            sys.setswitchinterval(interval)
+        assert errors == []
 
 
 def same_models(a, b) -> bool:

@@ -14,33 +14,27 @@ payload, so the weighted aggregate always covers all clients. The scoring
 regression loss and the uploaded representations and makes no forward pass.
 
 Each reference is aggregated once: before round 1, from the bootstrap
-uploads or the loaded checkpoint, and at the end of every round.
-Kernels travel and are stored as their exact factors (``cka.GramMatrix``):
-an upload is the canonical lower-trapezoidal L x min(d_k, L) factor T_k, and
-the server's reference the L x min(D, L) factor [sqrt(w_1) T_1, ...] with
-D = sum_k min(d_k, L), so a round sends O(L d_k) up per client and O(L D)
-down; the L x dim alignment rows are sent once per client per run, not per
-round. A client never receives columns it holds: under an uncapped kernel
-reference (D <= L, two or more clients), client k receives the canonical
-L x (D - d_k) factor of the other clients' kernel sum_{j != k} w_j K_j and
-puts its own block sqrt(w_k) T_k, its last upload, after it, so its copy is
-a factor of the server's kernel. A kernel factor travels as the
-L w - w (w - 1) / 2 entries on and below its diagonal (``cka.pack_factor``)
-and is unpacked with the width the receiver knows from the config.
-Payloads cross a real serialization boundary even though transport is
+uploads or the loaded checkpoint, and at the end of every round. Kernels
+travel and are stored as exact factors (``cka.GramMatrix``): an upload is the
+canonical lower-trapezoidal L x min(d_k, L) factor T_k, the reference the
+L x min(D, L) factor [sqrt(w_1) T_1, ...] with D = sum_k min(d_k, L), so a
+round sends O(L d_k) up per client and O(L D) down. A client never receives
+columns it holds (see ``_send_reference``). A kernel factor travels as the
+L w - w (w - 1) / 2 entries on and below its diagonal (``cka.pack_factor``),
+unpacked with the width the receiver knows from the config.
+Payloads cross a real serialization boundary though transport is
 in-process: every array sent (the alignment rows, each client's reference,
-client uploads) is encoded as npy, counted, decoded without ``np.load`` and
-checked for its shape and for finiteness once. One atomically replaced
+client uploads) is encoded as npy, counted, decoded by ``numkit.decode_npy``
+and checked for its shape and for finiteness once. One atomically replaced
 ``checkpoint.npz`` holds each round's client tensors and uploads
 (``upload_k``, as held); a resume cuts ``log.jsonl`` back to the rounds it
 holds, so a run killed at any point resumes to the uninterrupted result. One
-thread pool runs the clients for every worker count. All randomness flows through value-like streams keyed by (seed,
-client, round, epoch, purpose), so runs are bit-reproducible regardless of
-how many workers execute clients in parallel. Wall-clock timings are collected separately
-from the round log and never serialized with it, keeping logs byte-comparable
-across machines and worker counts. With ``theory_probes`` set, a
-``theory.RoundProbe`` watches each client round through the epoch hook and
-fills the record's ``probe`` entry.
+thread pool runs the clients for every worker count. All randomness flows
+through value-like streams keyed by (seed, client, round, epoch, purpose),
+so runs are bit-reproducible whatever the worker count. Wall-clock timings
+never enter the round log, which stays byte-comparable across machines and
+worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
+each client round through the epoch hook and fills its ``probe`` entry.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +73,7 @@ from .numkit import (
     RngStream,
     as_int,
     check_finite,
+    decode_npy,
     load_arrays,
     save_arrays,
 )
@@ -297,37 +291,6 @@ def _jsonl_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _held(payload: Payload) -> Matrix:
-    """The array a payload is sent and stored as: a kernel's factor
-    (GramMatrix.data) or a representation matrix."""
-    return payload.data if isinstance(payload, GramMatrix) else payload
-
-
-_NPY_1_0 = b"\x93NUMPY\x01\x00"
-
-
-def _decode(wire: io.BytesIO, shape: Tuple[int, ...]) -> np.ndarray:
-    """The finite float64 array of ``shape`` that np.save wrote to ``wire``,
-    read without np.load: np.load parses the npy header with
-    ast.literal_eval, which on CPython 3.11 raises SystemError when client
-    threads parse at once and a collection switches threads mid-parse. The
-    npy 1.0 header must be the one np.save writes for ``shape``."""
-    buf = wire.getbuffer()
-    hlen = int.from_bytes(buf[8:10], "little")
-    header = bytes(buf[10:10 + hlen]).decode("latin1").rstrip()
-    if (bytes(buf[:8]) != _NPY_1_0
-            or header != f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}, }}"):
-        raise ProtocolError(f"received payload is not a float64 array of shape {shape}: "
-                            f"{header!r}")
-    data = np.frombuffer(buf, "<f8", offset=10 + hlen)
-    if data.size != math.prod(shape):
-        raise ProtocolError(f"received payload holds {data.size} numbers, not the "
-                            f"{math.prod(shape)} of shape {shape}")
-    if not np.isfinite(data).all():
-        raise ShapeError("received payload contains non-finite entries")
-    return data.reshape(shape)
-
-
 def _transmit(payload: Payload, shape: Tuple[int, int]) -> Tuple[Payload, int]:
     """Encode as npy, count bytes, decode: the receiver's copy and the wire
     size. A kernel travels as its packed factor; ``shape`` is the shape of
@@ -339,9 +302,13 @@ def _transmit(payload: Payload, shape: Tuple[int, int]) -> Tuple[Payload, int]:
     np.save(wire, pack_factor(payload) if kernel else np.ascontiguousarray(payload),
             allow_pickle=False)
     nbytes = wire.tell()
-    if kernel:
-        return unpack_factor(_decode(wire, (packed_size(*shape),)), *shape), nbytes
-    return _decode(wire, shape), nbytes
+    try:
+        data = decode_npy(wire.getbuffer(), (packed_size(*shape),) if kernel else shape)
+    except ValueError as exc:
+        raise ProtocolError(f"received payload {exc}") from None
+    if not np.isfinite(data).all():
+        raise ShapeError("received payload contains non-finite entries")
+    return (unpack_factor(data, *shape) if kernel else data), nbytes
 
 
 def _upload_width(cfg: FedConfig, client_id: int) -> int:
@@ -608,14 +575,10 @@ class _LogWriter:
                 fh.write(_jsonl_line(r))
 
 
-def _save_checkpoint(
-    directory: str,
-    round_index: int,
-    models: Sequence[ClientModel],
-    registry: Dict[int, Payload],
-    cfg: FedConfig,
-) -> None:
-    arrays = {f"upload_{k}": _held(p) for k, p in sorted(registry.items())}
+def _save_checkpoint(directory: str, round_index: int, models: Sequence[ClientModel],
+                     registry: Dict[int, Payload], cfg: FedConfig) -> None:
+    arrays = {f"upload_{k}": p.data if isinstance(p, GramMatrix) else p
+              for k, p in sorted(registry.items())}
     for k, m in enumerate(models):
         arrays.update((f"client_{k}/{name}", a) for name, a in sslnet.model_arrays(m).items())
     os.makedirs(directory, exist_ok=True)
@@ -628,6 +591,9 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
     state, arrays = load_arrays(path)
     if state.get("config") != cfg.to_dict():
         raise ConfigError("checkpoint was produced by a different configuration")
+    round_index = as_int(state.get("round"), f"{path} round")
+    if not 1 <= round_index <= cfg.rounds:
+        raise ParseError(f"{path}: round {round_index} is outside 1..{cfg.rounds}")
     models = [sslnet.model_from_arrays(spec, cfg.tau, {
         name.split("/", 1)[1]: a for name, a in arrays.items() if name.startswith(f"client_{k}/")
     }, source=f"{path}, client {k}") for k, spec in enumerate(cfg.client_specs)]
@@ -643,10 +609,10 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
             raise ParseError(f"{path}: entry 'upload_{k}' has {held.shape[1]} columns, "
                              f"not the {width} of client {k}'s upload")
         if cfg.payload_kind == KERNEL and np.triu(held[:width], 1).any():
-            # saved before uploads were canonical: a factor that packs
-            held = canonical_factor(held).data
+            raise ParseError(f"{path}: entry 'upload_{k}' has nonzeros above its diagonal, "
+                             "so it is not the lower-trapezoidal factor an upload is")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
-    return as_int(state.get("round"), f"{path} round"), models, registry
+    return round_index, models, registry
 
 
 def run_training(
@@ -706,13 +672,9 @@ def run_training(
                 registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg, k)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))
-        record = {
-            "type": "server",
-            "round": 0,
-            "selected": list(range(cfg.num_clients)),
-            "bootstrap_downstream_bytes": [rad_bytes] * cfg.num_clients,
-            "bootstrap_payload_bytes": boot_bytes,
-        }
+        record = {"type": "server", "round": 0, "selected": list(range(cfg.num_clients)),
+                  "bootstrap_downstream_bytes": [rad_bytes] * cfg.num_clients,
+                  "bootstrap_payload_bytes": boot_bytes}
         log.records.append(record)
         writer.write([record])
     server.reference = server_aggregate([], weights, registry)

@@ -10,11 +10,12 @@ purpose coordinates) from which a fresh counter-based generator is derived on
 every use, so identical keys always reproduce identical sequences no matter
 how many workers run concurrently or in what order.
 
-Model files and checkpoints go through ``save_arrays``/``load_arrays`` (one
-``.npz`` file each). The CSV codec serves dataset files only:
-``save_matrix_csv`` and ``load_matrix_csv`` write and read them a row at a
-time, through the one row formatter and parser that ``matrix_to_csv`` and
-``matrix_from_csv`` use for text in memory.
+``decode_npy`` is the one npy decoder, of wire payloads and of array files.
+Model files and checkpoints go through ``save_arrays``/``load_arrays``: one
+``.npz`` each, an index and one packed float64 vector. Only dataset files are
+CSV, written and read a row at a time (``save_matrix_csv``,
+``load_matrix_csv``) through the row formatter and parser that
+``matrix_to_csv`` and ``matrix_from_csv`` use for text in memory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numbers
 import os
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -204,32 +205,67 @@ def load_matrix_csv(path) -> Matrix:
         return _parse_csv(fh, text)
 
 
-_META = "meta"
+_MEMBERS = ["index.npy", "data.npy"]
+
+
+def decode_npy(buf, shape: Optional[Tuple[int, ...]] = None, descr: str = "<f8") -> np.ndarray:
+    """A view of the C-order ``descr`` array of ``shape`` (None: a vector of
+    any length) that np.save wrote into the bytes-like ``buf``, whose npy 1.0
+    header must be np.save's; a ValueError says what differs. np.load parses
+    headers with ast.literal_eval, which is not thread-safe on CPython 3.11."""
+    hlen = int.from_bytes(buf[8:10], "little")
+    header = bytes(buf[10:10 + hlen]).decode("latin1").rstrip()
+    dtype = np.dtype(descr)
+    if shape is None:
+        shape = ((len(buf) - 10 - hlen) // dtype.itemsize,)
+    if (bytes(buf[:8]) != b"\x93NUMPY\x01\x00"
+            or header != f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape!r}, }}"):
+        raise ValueError(f"is not a {dtype} array of shape {shape}: {header!r}")
+    data = np.frombuffer(buf, dtype, offset=10 + hlen)
+    if data.size != math.prod(shape):
+        raise ValueError(f"holds {data.size} numbers, not the {math.prod(shape)} of shape {shape}")
+    return data.reshape(shape)
 
 
 def save_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> None:
-    """Named tensors plus a JSON ``meta`` entry in one ``.npz`` file, written
-    to ``path + ".tmp"`` and published by one atomic rename, so a reader sees
-    the old file or the new one, never a mix. Equal inputs give equal bytes."""
+    """Float64 tensors and JSON ``meta`` in one ``.npz`` of two members:
+    ``index`` (the JSON of meta and each tensor's name and shape, in order)
+    and ``data`` (every tensor raveled, in that order, in one float64 vector),
+    published by one atomic rename, so a reader sees the old file or the new
+    one, never a mix. Equal inputs give equal bytes."""
+    index = {"meta": meta, "entries": [[name, list(np.shape(a))] for name, a in arrays.items()]}
+    data = np.concatenate([np.zeros(0), *map(np.ravel, arrays.values())], casting="no")
     with open(path + ".tmp", "wb") as fh:
-        np.savez(fh, **{_META: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+        np.savez(fh, index=np.frombuffer(json.dumps(index, sort_keys=True).encode(), np.uint8),
+                 data=data)
     os.replace(path + ".tmp", path)
 
 
 def load_arrays(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """``(meta, arrays)`` as ``save_arrays`` wrote them; nothing is unpickled
-    and a tensor that is not finite float64 is rejected."""
+    """``(meta, arrays)`` as ``save_arrays`` wrote them, views of the data
+    vector, both members read by ``decode_npy`` (nothing is unpickled). Any
+    other file, one member per tensor as earlier layouts wrote included, an
+    index that does not fit the data or a non-finite tensor raises ParseError."""
     try:
-        # np.load is handed an open file: given a path, it leaks the handle
-        # when the zip is torn
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(str(arrays.pop(_META)))
+        with zipfile.ZipFile(path) as zf:
+            if zf.namelist() != _MEMBERS:
+                raise ParseError(f"{path} is not a packed array file of members {_MEMBERS}")
+            index, data = map(zf.read, _MEMBERS)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
-    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (zipfile.BadZipFile, EOFError, OSError) as exc:
         raise ParseError(f"{path} is not an array file ({exc!r})") from None
-    for name, a in arrays.items():
-        if a.dtype != np.float64 or not np.all(np.isfinite(a)):
-            raise ParseError(f"{path}: entry {name!r} is not finite float64")
+    try:
+        index, data = json.loads(decode_npy(index, descr="|u1").tobytes()), decode_npy(data)
+        meta, arrays, end = index["meta"], {}, 0
+        for name, shape in index["entries"]:
+            start, end = end, end + math.prod(shape)
+            arrays[name] = data[start:end].reshape(shape)
+        if end != data.size or len(arrays) != len(index["entries"]):
+            raise ValueError(f"{len(index['entries'])} entries of {end} numbers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path} is not an index and its float64 data ({exc})") from None
+    if not np.isfinite(data).all():
+        bad = next(name for name, a in arrays.items() if not np.isfinite(a).all())
+        raise ParseError(f"{path}: entry {bad!r} is not finite")
     return meta, arrays

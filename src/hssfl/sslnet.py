@@ -540,4 +540,6 @@ def load_model(directory: str) -> ClientModel:
         spec, tau = MlpSpec.from_dict(manifest["spec"]), float(manifest["tau"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: manifest lacks a valid spec and tau ({exc!r})") from None
+    if not 0.0 <= tau <= 1.0:
+        raise ParseError(f"{path}: manifest tau {tau!r} is not in [0, 1]")
     return model_from_arrays(spec, tau, arrays, source=path)

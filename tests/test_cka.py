@@ -624,3 +624,45 @@ class TestCanonicalFactor:
     def test_packed_sizes(self):
         assert [packed_size(128, w) for w in (48, 40, 8, 16)] == [5016, 4340, 996, 1928]
         assert packed_size(5, 5) == 15 and packed_size(5, 1) == 5
+
+
+# Central differences with a step h = FD_STEP * max|phi| are off by O(h^2)
+# from truncation and O(eps / h) from roundoff, each relative to the
+# gradient's largest entry; FD_RTOL leaves room for both.
+FD_STEP = 1e-5
+FD_RTOL = 1e-6
+
+
+@st.composite
+def gradient_case(draw, form):
+    """phi, L x d at a scale 10^e with e in -20..20, and a reference: for a
+    kernel form the kernel of an L x D factor at a scale of its own, for
+    l2_rep an L x d matrix at phi's scale, since central differences cannot
+    resolve a gradient against a reference far larger than phi. An l2_rep
+    scale starts at 1e-10: below EPS_GRAD = 1e-12 the distance has the zero
+    subgradient (see test_l2_subgradient_at_zero)."""
+    l2 = form is ProximalForm.L2_REP
+    rows, d = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1)), purpose="fd").generator()
+    scale = 10.0 ** draw(st.integers(-10 if l2 else -20, 20))
+    phi = gen.normal(size=(rows, d)) * scale
+    if l2:
+        return phi, gen.normal(size=(rows, d)) * scale
+    factor = gen.normal(size=(rows, draw(st.integers(1, 8))))
+    return phi, gram_linear(factor * 10.0 ** draw(st.integers(-20, 20)))
+
+
+class TestGradientProperties:
+    """proximal_grad is the gradient of proximal_value, for every form, over
+    drawn shapes and scales."""
+
+    @pytest.mark.parametrize("form", KERNEL_FORMS + [ProximalForm.L2_REP])
+    @PROPERTY
+    @given(data=st.data())
+    def test_central_differences(self, form, data):
+        phi, reference = data.draw(gradient_case(form))
+        distance, analytic = proximal_grad(phi, reference, form)
+        assert proximal_value(phi, reference, form, 1.0) == distance
+        numeric = fd_grad(lambda p: proximal_value(p, reference, form, 1.0), phi,
+                          h=FD_STEP * np.max(np.abs(phi)))
+        assert np.max(np.abs(analytic - numeric)) <= FD_RTOL * np.max(np.abs(analytic))

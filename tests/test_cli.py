@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hssfl.cli import main
+from hssfl.numkit import load_arrays, save_arrays
 
 
 def run_cli(*args):
@@ -21,12 +22,12 @@ def read_json(*path):
 
 
 def rewrite_npz(path, change):
-    """Apply ``change`` to the named arrays of an .npz file in place."""
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    change(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    """Apply ``change(meta, arrays)`` to the index and tensors of an array
+    file in place."""
+    meta, arrays = load_arrays(path)
+    arrays = dict(arrays)
+    change(meta, arrays)
+    save_arrays(path, arrays, meta)
 
 
 def tree_bytes(root):
@@ -257,10 +258,10 @@ class TestBadInput:
         assert os.path.join("client_1", "model.npz") in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, named", [
-        (lambda a: a.pop("online3"), "missing entries ['online3']"),
-        (lambda a: a.update(online0=a["online0"][:4]), "entry 'online0' has shape (4, 6)"),
-        (lambda a: a.update(momentum0=a["velocity0"]), "unexpected entries ['momentum0']"),
-        (lambda a: a.update(meta=np.array('{"spec": null}')), "manifest lacks a valid spec"),
+        (lambda m, a: a.pop("online3"), "missing entries ['online3']"),
+        (lambda m, a: a.update(online0=a["online0"][:4]), "entry 'online0' has shape (4, 6)"),
+        (lambda m, a: a.update(momentum0=a["velocity0"]), "unexpected entries ['momentum0']"),
+        (lambda m, a: m.update(spec=None), "manifest lacks a valid spec"),
     ], ids=["missing", "truncated", "unexpected", "manifest"])
     def test_eval_model_file_with_bad_entry(self, tmp_path, data_csv, capsys, change, named):
         out = str(tmp_path / "run")
@@ -271,23 +272,30 @@ class TestBadInput:
         assert f"{path}: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, named", [
-        (lambda a: a.pop("upload_1"), "entry 'upload_1' is missing"),
-        (lambda a: a.update(upload_0=a["upload_0"][:5]),
+        (lambda m, a: a.pop("upload_1"), "entry 'upload_1' is missing"),
+        (lambda m, a: a.update(upload_0=a["upload_0"][:5]),
          "entry 'upload_0' is missing or does not have 10 rows"),
-        (lambda a: a.update(upload_0=np.ones((10, 11))),
+        (lambda m, a: a.update(upload_0=np.ones((10, 11))),
          "entry 'upload_0' has 11 columns, not the 6 of client 0's upload"),
         # a client puts its upload back into the reference at an offset
         # that the configured widths fix
-        (lambda a: a.update(upload_0=a["upload_0"][:, :5]),
+        (lambda m, a: a.update(upload_0=a["upload_0"][:, :5]),
          "entry 'upload_0' has 5 columns, not the 6 of client 0's upload"),
-        (lambda a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
+        (lambda m, a: a.update({"client_0/online0": a["client_0/online0"][:4]}),
          "client 0: entry 'online0' has shape (4, 6)"),
-        (lambda a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
+        (lambda m, a: a.pop("client_1/velocity2"), "client 1: missing entries ['velocity2']"),
         # the earlier layout, whose square payload_k held dense L x L entries
-        (lambda a: a.update({f"payload_{k}": a.pop(f"upload_{k}") for k in range(2)}),
+        (lambda m, a: a.update({f"payload_{k}": a.pop(f"upload_{k}") for k in range(2)}),
          "entry 'upload_0' is missing"),
+        # an upload is stored as its canonical lower-trapezoidal factor
+        (lambda m, a: a.update(upload_0=a["upload_0"] + np.triu(np.ones((10, 6)), 1)),
+         "entry 'upload_0' has nonzeros above its diagonal"),
+        (lambda m, a: m.update(round=-1), "checkpoint.npz: round -1 is outside 1..2"),
+        (lambda m, a: m.update(round=0), "checkpoint.npz: round 0 is outside 1..2"),
+        (lambda m, a: m.update(round=3), "checkpoint.npz: round 3 is outside 1..2"),
     ], ids=["missing-payload", "short-payload", "wide-payload", "narrow-payload",
-            "truncated-tensor", "missing-tensor", "payload-entries"])
+            "truncated-tensor", "missing-tensor", "payload-entries", "non-canonical-payload",
+            "negative-round", "round-zero", "round-past-the-run"])
     def test_resume_from_bad_checkpoint(self, tmp_path, data_csv, capsys, change, named):
         out = str(tmp_path / "run")
         assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
@@ -295,6 +303,27 @@ class TestBadInput:
         assert run_cli(*run_args(data_csv, out), "--resume") == 2
         err = capsys.readouterr().err
         assert "checkpoint.npz" in err and named in err
+
+    def test_resume_from_per_member_checkpoint(self, tmp_path, data_csv, capsys):
+        # the layout of earlier versions: a JSON member, then one per tensor
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
+        path = os.path.join(out, "checkpoints", "checkpoint.npz")
+        meta, arrays = load_arrays(path)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        assert run_cli(*run_args(data_csv, out), "--resume") == 2
+        assert f"{path} is not a packed array file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [float("nan"), 2.0, -1.0, float("inf")])
+    def test_eval_model_file_with_bad_tau(self, tmp_path, data_csv, capsys, tau):
+        # a NaN tau would make every target tensor NaN after one EMA update
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        path = os.path.join(out, "models", "client_0", "model.npz")
+        rewrite_npz(path, lambda m, a: m.update(tau=tau))
+        assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 2
+        assert f"{path}: manifest tau {tau!r} is not in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("form, shift, options, named", [
         ("one_minus_cka", "1e308", ("--normalize-loss",),

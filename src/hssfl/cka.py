@@ -42,7 +42,14 @@ dissimilarity). The literal ``+ mu * CKA`` reading is kept available as
 RAW_CKA, and TRACE_ALIGNMENT (the unnormalized trace(K @ Kbar) quantity that
 the bound checks manipulate) is used by the theory monitor. L2_REP penalizes
 the Frobenius distance between representation matrices directly and is only
-legal when all clients share a representation width.
+legal when all clients share a representation width; FedConfig refuses
+l2_rep with unequal widths.
+
+The aggregate and proximal functions trust what FedConfig and the wire
+(federation._transmit) have checked, and check only for numerical failure:
+proximal_value and proximal_grad take a ProximalForm, mu >= 0 and a
+reference of the kind the form needs, and the aggregates take weights that
+sum to 1 and payloads of one size.
 """
 
 from __future__ import annotations
@@ -50,22 +57,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    ShapeError,
-    UnsupportedCombinationError,
-)
-from .numkit import Matrix, as_matrix, check_finite
+from .errors import DegenerateInputError, ShapeError
+from .numkit import Matrix, check_finite
 
-WEIGHT_SUM_TOL = 1e-9
-
-# Near Phi == Phibar the L2 distance is non-differentiable; below this
-# distance the zero subgradient is returned.
+# Near Phi == Phibar the L2 distance is non-differentiable; at a distance of
+# at most EPS_GRAD times the largest entry magnitude of Phi and Phibar (they
+# coincide up to roundoff, at any scale) the zero subgradient is returned.
 EPS_GRAD = 1e-12
 
 
@@ -166,29 +167,14 @@ class ProximalForm(enum.Enum):
     TRACE_ALIGNMENT = "trace_alignment"
     L2_REP = "l2_rep"
 
-    @staticmethod
-    def parse(name: Union[str, "ProximalForm"]) -> "ProximalForm":
-        if isinstance(name, ProximalForm):
-            return name
-        try:
-            return ProximalForm(name.lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in ProximalForm)
-            raise ConfigError(f"unknown proximal form {name!r}; expected one of {valid}") from None
-
 
 def gram_linear(a: Matrix) -> GramMatrix:
     """K = A @ A.T, held as its canonical factor T (see the module
     docstring). A kernel whose trace ||T||_F^2, which bounds every entry,
     overflows raises NumericalFailureError."""
-    k = canonical_factor(as_matrix(a, "activations"))
+    k = canonical_factor(a)
     check_finite(float(np.vdot(k.data, k.data)), "linear gram")
     return k
-
-
-def _same_size(ki: GramMatrix, kj: GramMatrix) -> None:
-    if ki.size != kj.size:
-        raise ShapeError(f"gram sizes differ: {ki.size} vs {kj.size}")
 
 
 def _unit_scaled(f: Matrix) -> Matrix:
@@ -213,51 +199,23 @@ def linear_cka(ki: GramMatrix, kj: GramMatrix) -> float:
 def trace_alignment(ki: GramMatrix, kbar: GramMatrix) -> float:
     """sum_pq Ki[p,q] * Kbar[p,q], the trace of the product, as
     ||Fi.T @ Fbar||_F^2."""
-    _same_size(ki, kbar)
     c = ki.data.T @ kbar.data
     return float(np.sum(c * c))
 
 
-def _check_weights(weights: Sequence[float]) -> None:
-    w = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ConfigError("weights must be finite")
-    if np.any(w < 0):
-        raise ConfigError("weights must be nonnegative")
-    total = float(np.sum(w, initial=0.0))
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(f"weights must sum to 1, got {total!r}")
-
-
 def aggregate_grams(pairs: Iterable[Tuple[float, GramMatrix]]) -> GramMatrix:
-    """sum_k w_k K_k; weights must sum to 1. It is the factor
+    """sum_k w_k K_k for weights that sum to 1. It is the factor
     [sqrt(w_1) F_1, ..., sqrt(w_N) F_N], capped at L columns, so equal inputs
     in equal order give equal bits."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ConfigError("nothing to aggregate")
-    _check_weights([w for w, _ in pairs])
-    for _, k in pairs:
-        _same_size(k, pairs[0][1])
     return _kernel(np.concatenate([np.sqrt(w) * k.data for w, k in pairs], axis=1))
 
 
 def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
     """Entrywise weighted sum of representation matrices of equal shape,
     folded in the order given."""
-    pairs = [(w, as_matrix(p, "representations")) for w, p in pairs]
-    if not pairs:
-        raise ConfigError("nothing to aggregate")
-    _check_weights([w for w, _ in pairs])
-    shape = pairs[0][1].shape
-    for _, p in pairs:
-        if p.shape != shape:
-            raise UnsupportedCombinationError(
-                f"representation widths differ ({p.shape} vs {shape}); "
-                "aggregate kernel matrices instead"
-            )
-    total = pairs[0][0] * pairs[0][1]
-    for w, p in pairs[1:]:
+    (w, p), *rest = pairs
+    total = w * p
+    for w, p in rest:
         total += w * p
     return check_finite(total, "aggregated representations")
 
@@ -265,27 +223,11 @@ def aggregate_representations(pairs: Iterable[Tuple[float, Matrix]]) -> Matrix:
 Reference = Union[GramMatrix, Matrix]
 
 
-def _expect_gram(reference: Reference, form: ProximalForm) -> GramMatrix:
-    if not isinstance(reference, GramMatrix):
-        raise ConfigError(f"form {form.value} needs a GramMatrix reference")
-    return reference
-
-
-def _expect_matrix(reference: Reference, form: ProximalForm, phi: Matrix) -> Matrix:
-    if isinstance(reference, GramMatrix):
-        raise ConfigError(f"form {form.value} needs a representation-matrix reference")
-    if reference.shape != phi.shape:
-        raise ShapeError(f"shapes differ: {phi.shape} vs {reference.shape}")
-    return reference
-
-
 def _kernel_distance(
     phi: Matrix, kbar: GramMatrix, form: ProximalForm, want_grad: bool
 ) -> Tuple[float, Optional[Matrix]]:
     """d(phi, Kbar) for a kernel form, and its gradient when wanted, from one
     Kbar @ phi product; see the module docstring."""
-    if kbar.size != phi.shape[0]:
-        raise ShapeError(f"reference size {kbar.size} != phi rows {phi.shape[0]}")
     kphi = check_finite(kbar.times(phi), "reference kernel product")
     t = check_finite(float((phi * kphi).sum()), "trace alignment")
     if form is ProximalForm.TRACE_ALIGNMENT:
@@ -314,12 +256,14 @@ def _distance(
     transmission. Finite rows can still overflow the l2_rep distance, so it
     is checked before it is returned or divided by."""
     if form is not ProximalForm.L2_REP:
-        return _kernel_distance(phi, _expect_gram(reference, form), form, want_grad)
-    diff = phi - _expect_matrix(reference, form, phi)
+        return _kernel_distance(phi, reference, form, want_grad)
+    diff = phi - reference
     dist = check_finite(float(np.linalg.norm(diff)), "representation distance")
     if not want_grad:
         return dist, None
-    if dist <= EPS_GRAD:
+    # entry magnitudes, not norms, set the scale: a norm of finite entries
+    # can overflow, which would zero every gradient
+    if dist <= EPS_GRAD * max(np.max(np.abs(phi)), np.max(np.abs(reference))):
         return dist, np.zeros_like(phi)
     return dist, diff / dist
 
@@ -328,9 +272,6 @@ def proximal_value(
     phi: Matrix, reference: Reference, form: ProximalForm, mu: float
 ) -> float:
     """mu-weighted penalty mu * d(phi, reference) under the chosen form."""
-    form = ProximalForm.parse(form)
-    if mu < 0:
-        raise ConfigError(f"mu must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
     return mu * _distance(phi, reference, form, want_grad=False)[0]
@@ -352,10 +293,11 @@ def proximal_grad(
         ONE_MINUS_CKA:    distance 1 - t/(N M), gradient the negated RAW_CKA one
         L2_REP:           distance ||phi - phibar||_F, gradient
                           (phi - phibar)/||phi - phibar||_F, zero subgradient
-                          when the distance is <= EPS_GRAD
+                          when the distance is <= EPS_GRAD times the largest
+                          entry magnitude of phi and phibar
 
     A kernel form costs one Kbar @ phi product (2 L D d flops) and O(L d^2)
     more, with no L x L allocation; M is cached on the reference. A
     non-finite Kbar phi, t, G, N or normalizer raises NumericalFailureError.
     """
-    return _distance(phi, reference, ProximalForm.parse(form), want_grad=True)
+    return _distance(phi, reference, form, want_grad=True)

@@ -31,6 +31,7 @@ PAPER_DEFAULTS = {
     "batch_size": 200,
     "mu": 0.5,
     "rad_size": 5000,
+    "normalize_loss": True,
 }
 
 DESK_DEFAULTS = {
@@ -41,6 +42,7 @@ DESK_DEFAULTS = {
     "batch_size": 64,
     "mu": 0.5,
     "rad_size": 256,
+    "normalize_loss": True,
 }
 
 
@@ -327,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["one_minus_cka", "raw_cka", "trace_alignment", "l2_rep"])
     r.add_argument("--aug-noise", type=float, default=None)
     r.add_argument("--aug-mask", type=float, default=None)
-    r.add_argument("--normalize-loss", action="store_true")
+    r.add_argument("--normalize-loss", action="store_true",
+                   help="regress on L2-normalized rows; the shipped defaults "
+                        "already do, so this overrides a config file's false")
     r.add_argument("--symmetrize-loss", action="store_true")
     r.add_argument("--clip-radius", type=float, default=None)
     r.add_argument("--rad-shift", type=float, default=None,

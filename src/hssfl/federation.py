@@ -35,6 +35,12 @@ so runs are bit-reproducible whatever the worker count. Wall-clock timings
 never enter the round log, which stays byte-comparable across machines and
 worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
 each client round through the epoch hook and fills its ``probe`` entry.
+
+Inputs are checked once, where they enter: ``FedConfig`` checks every number,
+the weights, the form and, under l2_rep, that the clients share one
+representation width; ``_transmit`` and ``server_aggregate`` check what
+crosses the wire and ``load_checkpoint`` the file. ``select_clients``, the
+objective, the aggregates and the proximal terms trust those checks.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from . import sslnet, theory
 from .cka import (
     GramMatrix,
     ProximalForm,
-    _check_weights,
     aggregate_grams,
     aggregate_representations,
     canonical_factor,
@@ -67,7 +72,8 @@ from .cka import (
     unpack_factor,
 )
 from .datahub import Dataset, PartitionPlan, partition_iid, partition_noniid, sample_rad
-from .errors import ConfigError, NumericalFailureError, ParseError, ProtocolError, ShapeError
+from .errors import (ConfigError, NumericalFailureError, ParseError, ProtocolError, ShapeError,
+                     UnsupportedCombinationError)
 from .numkit import (
     Matrix,
     RngStream,
@@ -82,12 +88,24 @@ from .sslnet import AugmentConfig, ClientModel, MlpSpec
 KERNEL = "kernel"
 REPRESENTATION = "representation"
 CHECKPOINT_FILE = "checkpoint.npz"
+WEIGHT_SUM_TOL = 1e-9
 
 
 # Integral config fields: a bool or a non-integral number is refused, and an
 # integral float is stored as an int, so to_dict() round-trips.
 _INT_FIELDS = ("num_clients", "rounds", "local_epochs", "batch_size", "rad_size",
                "seed", "sample_size")
+
+
+def _check_weights(weights: Sequence[float]) -> None:
+    w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ConfigError("weights must be finite")
+    if np.any(w < 0):
+        raise ConfigError("weights must be nonnegative")
+    total = float(np.sum(w, initial=0.0))
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ConfigError(f"weights must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +161,18 @@ class FedConfig:
             raise ConfigError(
                 f"{len(self.client_specs)} client specs for {self.num_clients} clients"
             )
-        object.__setattr__(self, "proximal_form", ProximalForm.parse(self.proximal_form))
+        form = self.proximal_form
+        try:
+            form = ProximalForm(form.lower() if isinstance(form, str) else form)
+        except ValueError:
+            valid = ", ".join(f.value for f in ProximalForm)
+            raise ConfigError(f"unknown proximal form {form!r}; expected one of {valid}") from None
+        object.__setattr__(self, "proximal_form", form)
+        widths = sorted({s.output_width for s in self.client_specs})
+        if form is ProximalForm.L2_REP and len(widths) > 1:
+            raise UnsupportedCombinationError(
+                f"proximal form l2_rep needs one representation width, got {widths}; "
+                "use a kernel form for encoders of different widths")
         if (self.proximal_form is ProximalForm.TRACE_ALIGNMENT and self.mu > 0
                 and self.clip_radius is None):
             raise ConfigError("proximal form trace_alignment with mu > 0 needs a clip "
@@ -193,7 +222,6 @@ class FedConfig:
             raise ConfigError(f"client_specs must be a list, got {d['client_specs']!r}")
         d["client_specs"] = tuple(MlpSpec.from_dict(s) for s in d["client_specs"])
         d["client_weights"] = tuple(d["client_weights"]) if d.get("client_weights") else None
-        d["proximal_form"] = ProximalForm.parse(d["proximal_form"])
         return FedConfig(**d)
 
 
@@ -216,7 +244,7 @@ class RoundLog:
 
     records: List[dict] = field(default_factory=list)
     messages: List[RoundMessage] = field(default_factory=list)
-    timings: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    timings: Dict[Tuple[int, int], float] = field(default_factory=dict, compare=False)
 
     def client_records(self) -> List[dict]:
         return [r for r in self.records if r["type"] == "client"]
@@ -249,9 +277,8 @@ class RunResult:
 def select_clients(
     num_clients: int, sample_size: int, round_index: int, rng: RngStream
 ) -> List[int]:
-    """Uniform sample without replacement, ascending, fixed per (seed, round)."""
-    if sample_size > num_clients:
-        raise ConfigError(f"sample_size {sample_size} > num_clients {num_clients}")
+    """Uniform sample without replacement, ascending, fixed per (seed, round);
+    FedConfig keeps sample_size in [1, num_clients]."""
     if sample_size == num_clients:
         return list(range(num_clients))
     gen = rng.child(round=round_index, purpose="select").generator()

@@ -10,9 +10,12 @@ alignment batch to a fixed reference received from the server.
 
 All models are updated functionally: operations return new ClientModel
 values and never write a tensor in place, so models can be shared across
-parallel workers safely. Inputs are checked where they enter the simulator
-(``FedConfig``, ``Dataset``, received payloads, model files); the step path
-checks only for numerical failure.
+parallel workers safely. Inputs are checked only where they enter the
+simulator: ``FedConfig`` (with its ``MlpSpec`` and ``AugmentConfig``),
+``Dataset``, the wire (``federation._transmit``, ``server_aggregate``) and the
+files (``load_arrays``, ``model_from_arrays``, ``load_model``,
+``load_checkpoint``). ``Objective``, ``init_client_model`` and the step path
+check only for numerical failure.
 """
 
 from __future__ import annotations
@@ -176,6 +179,8 @@ class Objective:
     ``symmetrize``), plus ``mu * d(phi, reference)``. ``phi`` is the
     predictor output on the alignment rows ``rad``, radially clipped to
     ``clip_radius`` when set, and the reference is held fixed.
+    The fields are trusted: with ``mu > 0`` the caller passes ``rad`` and a
+    ``reference`` of the kind ``form`` needs.
     """
 
     mu: float = 0.0
@@ -187,20 +192,11 @@ class Objective:
     clip_radius: Optional[float] = None
     symmetrize: bool = False
 
-    def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
-        object.__setattr__(self, "form", cka.ProximalForm.parse(self.form))
-        if self.mu > 0.0 and (self.rad is None or self.reference is None):
-            raise ConfigError("mu > 0 requires an alignment batch and a reference")
-
 
 def init_client_model(spec: MlpSpec, tau: float, rng: RngStream) -> ClientModel:
     """He-scaled Gaussian weights, zero biases; the target starts as the
     online encoder. The predictor maps the representation width to itself,
     so the regression target is well-formed."""
-    if not (0.0 <= tau <= 1.0):
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
     gen = rng.generator()
     online = []
     for shape in _online_shapes(spec):

@@ -25,7 +25,9 @@ from hssfl.errors import (
     ShapeError,
     UnsupportedCombinationError,
 )
+from hssfl.federation import FedConfig
 from hssfl.numkit import RngStream
+from hssfl.sslnet import MlpSpec
 
 
 def random_activations(seed, rows=4, cols=3):
@@ -35,6 +37,17 @@ def random_activations(seed, rows=4, cols=3):
 def random_psd_gram(seed, size=4):
     b = RngStream(seed, purpose="psd").generator().normal(size=(size, size + 1))
     return gram_linear(b)
+
+
+def fed_cfg(widths, **overrides):
+    """A config of one client per output width: the source of the weights
+    and widths that the aggregates take on trust."""
+    base = dict(num_clients=len(widths), rounds=1, local_epochs=1, eta=0.01,
+                momentum=0.0, batch_size=8, mu=0.5, proximal_form="one_minus_cka",
+                tau=0.99, client_specs=tuple(MlpSpec((4, w), "relu") for w in widths),
+                rad_size=4, seed=0)
+    base.update(overrides)
+    return FedConfig(**base)
 
 
 def fd_grad(f, x, h=1e-5):
@@ -170,14 +183,15 @@ class TestAggregation:
         expected = (0.5 * phis[0][1] + 0.25 * phis[1][1]) + 0.25 * phis[2][1]
         assert aggregate_representations(phis).tobytes() == expected.tobytes()
 
+    # The aggregates trust their weights and widths; FedConfig, which
+    # supplies both, refuses bad ones before a round starts.
     def test_weight_sum_enforced(self):
-        with pytest.raises(ConfigError):
-            aggregate_grams([(0.7, random_psd_gram(20))])
+        with pytest.raises(ConfigError, match="sum to 1"):
+            fed_cfg([4], client_weights=(0.7,))
 
     def test_non_finite_weight_rejected(self):
-        k = random_psd_gram(20)
         with pytest.raises(ConfigError, match="finite"):
-            aggregate_grams([(0.5, k), (0.5, k), (float("nan"), k)])
+            fed_cfg([4, 4, 4], client_weights=(0.5, 0.5, float("nan")))
 
     def test_preserves_symmetry_and_psd(self):
         pairs = [(0.25, random_psd_gram(s, 5)) for s in range(4)]
@@ -195,10 +209,9 @@ class TestAggregation:
         assert np.allclose(agg, phi / 2.0)
 
     def test_mixed_widths_rejected(self):
-        with pytest.raises(UnsupportedCombinationError):
-            aggregate_representations(
-                [(0.5, np.ones((4, 4))), (0.5, np.ones((4, 8)))]
-            )
+        with pytest.raises(UnsupportedCombinationError, match=r"\[4, 8\]"):
+            fed_cfg([4, 8], proximal_form="l2_rep")
+        fed_cfg([4, 8])  # a kernel form takes mixed widths
 
 
 KERNEL_FORMS = [
@@ -244,13 +257,6 @@ class TestProximalValue:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError, match="non-finite values in"):
                 proximal_value(phi, kbar, form, 1.0)
-
-    def test_form_reference_mismatch(self):
-        phi = random_activations(27, 4, 3)
-        with pytest.raises(ConfigError):
-            proximal_value(phi, phi, ProximalForm.RAW_CKA, 1.0)
-        with pytest.raises(ConfigError):
-            proximal_value(phi, gram_linear(phi), ProximalForm.L2_REP, 1.0)
 
 
 class TestProximalGrad:
@@ -310,6 +316,16 @@ class TestProximalGrad:
         phi = random_activations(29, 3, 2)
         _, g = proximal_grad(phi, phi.copy(), ProximalForm.L2_REP)
         assert np.array_equal(g, np.zeros_like(phi))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_l2_subgradient_threshold_is_scale_free(self, scale):
+        # the zero subgradient is kept at coincidence, at every scale, and
+        # only there: a pair apart by far more than roundoff has unit slope
+        phi = scale * random_activations(29, 3, 2)
+        _, g = proximal_grad(phi, phi.copy(), ProximalForm.L2_REP)
+        assert np.array_equal(g, np.zeros_like(phi))
+        _, g = proximal_grad(phi, phi * (1.0 + 1e-9), ProximalForm.L2_REP)
+        assert np.linalg.norm(g) == pytest.approx(1.0)
 
     def test_scale_direction_orthogonality(self):
         # the score is scale-invariant, so at gram(phi) = c * kbar the
@@ -638,15 +654,15 @@ def gradient_case(draw, form):
     """phi, L x d at a scale 10^e with e in -20..20, and a reference: for a
     kernel form the kernel of an L x D factor at a scale of its own, for
     l2_rep an L x d matrix at phi's scale, since central differences cannot
-    resolve a gradient against a reference far larger than phi. An l2_rep
-    scale starts at 1e-10: below EPS_GRAD = 1e-12 the distance has the zero
-    subgradient (see test_l2_subgradient_at_zero)."""
-    l2 = form is ProximalForm.L2_REP
+    resolve a gradient against a reference far larger than phi. The l2_rep
+    zero subgradient is relative to that scale (see
+    test_l2_subgradient_threshold_is_scale_free), so every draw has the true
+    gradient."""
     rows, d = draw(st.integers(2, 12)), draw(st.integers(1, 6))
     gen = RngStream(draw(st.integers(0, 2**32 - 1)), purpose="fd").generator()
-    scale = 10.0 ** draw(st.integers(-10 if l2 else -20, 20))
+    scale = 10.0 ** draw(st.integers(-20, 20))
     phi = gen.normal(size=(rows, d)) * scale
-    if l2:
+    if form is ProximalForm.L2_REP:
         return phi, gen.normal(size=(rows, d)) * scale
     factor = gen.normal(size=(rows, draw(st.integers(1, 8))))
     return phi, gram_linear(factor * 10.0 ** draw(st.integers(-20, 20)))

@@ -159,6 +159,7 @@ class TestRun:
             "mu": 0.0,
             "proximal_form": "one_minus_cka",
             "tau": 0.9,
+            "normalize_loss": False,
             "rad_size": 10,
             "seed": 4,
             "partition": "iid",
@@ -170,6 +171,36 @@ class TestRun:
         resolved = read_json(out, "config.resolved.json")
         assert resolved["eta"] == 0.005  # flag wins over file
         assert resolved["tau"] == 0.9    # file wins over default
+        assert resolved["normalize_loss"] is False
+
+
+@pytest.fixture(scope="module")
+def readme_csv(tmp_path_factory):
+    """The README's dataset: 10 classes of 200 rows in 32 dimensions."""
+    path = str(tmp_path_factory.mktemp("readme") / "mix.csv")
+    assert run_cli("gen-data", "--classes", "10", "--dim", "32", "--per-class", "200",
+                   "--seed", "0", "--out", path) == 0
+    return path
+
+
+class TestShippedDefaults:
+    """Runs that set no learning rate, momentum, mu, tau or loss flag train
+    on the shipped desk defaults, which normalize the regression loss."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_desk_shape_trains(self, tmp_path, readme_csv, activation):
+        out = tmp_path / "run"
+        assert run_cli("run", "--data", readme_csv, "--out", str(out),
+                       "--arch", f"32,16,8:{activation}", "--arch", f"32,24,16:{activation}",
+                       "--clients", "5", "--rounds", "3", "--epochs", "1",
+                       "--rad-size", "64", "--seed", "1") == 0
+        assert read_json(out, "config.resolved.json")["normalize_loss"] is True
+        assert read_json(out, "run_summary.json")["rounds_completed"] == 3
+
+    def test_small_shape_trains(self, tmp_path, data_csv):
+        out = tmp_path / "run"
+        assert run_cli(*run_args(data_csv, str(out), "--rounds", "3")) == 0
+        assert read_json(out, "run_summary.json")["rounds_completed"] == 3
 
 
 class TestEvalAndTheory:
@@ -222,6 +253,14 @@ class TestBadInput:
         out = tmp_path / "run"
         assert run_cli(*run_args(data_csv, str(out), "--form", "trace_alignment")) == 2
         assert "--clip-radius" in capsys.readouterr().err
+        assert not (out / "log.jsonl").exists()
+
+    def test_l2rep_mixed_widths(self, tmp_path, readme_csv, capsys):
+        # refused by the config, before a client trains or the log is opened
+        out = tmp_path / "run"
+        assert run_cli("run", "--data", readme_csv, "--out", str(out), "--form", "l2_rep",
+                       "--arch", "32,16,8", "--arch", "32,24,16") == 2
+        assert "l2_rep needs one representation width" in capsys.readouterr().err
         assert not (out / "log.jsonl").exists()
 
     def test_missing_config_file(self, tmp_path, data_csv, capsys):

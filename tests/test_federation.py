@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hssfl import federation, numkit
 from hssfl.cka import GramMatrix, gram_linear, packed_size
 from hssfl.datahub import synth_mixture
-from hssfl.errors import ConfigError, ParseError, ProtocolError, ShapeError
+from hssfl.errors import (ConfigError, ParseError, ProtocolError, ShapeError,
+                          UnsupportedCombinationError)
 from hssfl.federation import (
     FedConfig,
     RoundLog,
@@ -81,10 +82,6 @@ class TestSelectClients:
                 counts[k] += 1
         freqs = counts / rounds
         assert np.max(np.abs(freqs - 0.3)) < 0.02
-
-    def test_sample_size_validated(self):
-        with pytest.raises(ConfigError):
-            select_clients(3, 4, 0, RngStream(0))
 
 
 class TestServerAggregate:
@@ -282,12 +279,11 @@ class TestRunTraining:
         assert rec["loss_prox_start"] >= 0.0
 
     def test_l2rep_mixed_widths_rejected(self):
+        # refused by the config, so a run never reaches the aggregate
         specs = (MlpSpec((16, 8), "relu"), MlpSpec((16, 4), "relu"),
                  MlpSpec((16, 8), "relu"), MlpSpec((16, 8), "relu"))
-        cfg = small_cfg(proximal_form="l2_rep", client_specs=specs)
-        from hssfl.errors import UnsupportedCombinationError
         with pytest.raises(UnsupportedCombinationError):
-            run_training(cfg, dataset())
+            run_training(small_cfg(proximal_form="l2_rep", client_specs=specs), dataset())
 
     def test_each_reference_aggregated_and_sent_once(self, monkeypatch):
         counts = {"server_aggregate": 0, "_transmit": 0}
@@ -403,6 +399,15 @@ class TestRunTraining:
         res = run_training(cfg, dataset(), log_path=str(log_path))
         back = RoundLog.from_jsonl(log_path.read_text(encoding="utf-8"))
         assert back.records == res.log.records
+
+    def test_log_equality_ignores_wall_times(self):
+        # the wall times differ from run to run; the trace is what compares
+        cfg = small_cfg(rounds=1)
+        a, b = (run_training(cfg, dataset()).log for _ in range(2))
+        assert a.timings.keys() == b.timings.keys()
+        b.timings = {key: t + 1.0 for key, t in b.timings.items()}
+        assert a == b
+        assert a != RoundLog(a.records[:-1], a.messages, a.timings)
 
     def test_encoder_width_mismatch_names_the_client(self):
         # checked once where the data enters, not on every forward pass
@@ -827,6 +832,10 @@ class TestFedConfig:
         dict(noise_std=-0.1),
         dict(noise_std=float("nan")),
         dict(mask_prob=1.0),
+        dict(mu=-0.1),
+        dict(tau=1.5),
+        dict(sample_size=5),
+        dict(proximal_form="cosine"),
     ], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
     def test_bad_numbers_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -872,6 +881,18 @@ class TestFedConfig:
     def test_round_trip_dict(self):
         cfg = small_cfg()
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_l2rep_mixed_widths_rejected(self):
+        # refused before any client trains, since the representation
+        # aggregate needs one width; kernel forms take mixed widths
+        specs = (MlpSpec((16, 8), "relu"), MlpSpec((16, 4), "relu"),
+                 MlpSpec((16, 8), "relu"), MlpSpec((16, 8), "relu"))
+        with pytest.raises(UnsupportedCombinationError, match=r"l2_rep.*\[4, 8\]"):
+            small_cfg(proximal_form="l2_rep", client_specs=specs)
+        d = small_cfg(client_specs=specs).to_dict()
+        d["proximal_form"] = "l2_rep"
+        with pytest.raises(UnsupportedCombinationError):
+            FedConfig.from_dict(d)
 
     def test_unbounded_trace_alignment_refused(self):
         with pytest.raises(ConfigError, match="--clip-radius"):

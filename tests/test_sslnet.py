@@ -7,6 +7,7 @@ import pytest
 from hssfl import sslnet
 from hssfl.cka import ProximalForm, gram_linear
 from hssfl.errors import ConfigError, NumericalFailureError, ParseError
+from hssfl.federation import FedConfig
 from hssfl.numkit import RngStream
 from hssfl.sslnet import (
     AugmentConfig,
@@ -85,10 +86,6 @@ class TestInit:
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):
             make_model().online = ()
-
-    def test_tau_range(self):
-        with pytest.raises(ConfigError):
-            init_client_model(RELU, 1.5, RngStream(0))
 
 
 class TestAugment:
@@ -430,24 +427,13 @@ class TestSymmetrized:
 
 
 class TestObjective:
+    # An Objective takes mu on trust from FedConfig, which refuses a bad one.
     @pytest.mark.parametrize("mu", [-0.1, float("nan")])
     def test_mu_must_be_nonnegative(self, mu):
-        with pytest.raises(ConfigError, match="mu must be >= 0"):
-            Objective(mu)
-
-    def test_form_parsed(self):
-        assert Objective(form="raw_cka").form is ProximalForm.RAW_CKA
-        with pytest.raises(ConfigError, match="unknown proximal form"):
-            Objective(form="cosine")
-
-    def test_coupling_needs_rows_and_reference(self):
-        rad = batch_for(RELU, rows=5)
-        ref = gram_linear(np.ones((5, 3)))
-        for missing in (dict(rad=rad), dict(reference=ref), {}):
-            with pytest.raises(ConfigError, match="requires an alignment batch"):
-                Objective(0.5, **missing)
-        Objective(0.5, rad=rad, reference=ref)
-        Objective(0.0)
+        with pytest.raises(ConfigError, match="mu must be"):
+            FedConfig(num_clients=1, rounds=1, local_epochs=1, eta=0.01, momentum=0.0,
+                      batch_size=8, mu=mu, proximal_form="one_minus_cka", tau=0.99,
+                      client_specs=(RELU,), rad_size=4, seed=0)
 
 
 class TestEma:

@@ -55,6 +55,7 @@ sum to 1 and payloads of one size.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Tuple, Union
@@ -233,7 +234,8 @@ def _kernel_distance(
     if form is ProximalForm.TRACE_ALIGNMENT:
         return t, check_finite(2.0 * kphi, "trace-alignment gradient") if want_grad else None
     g = check_finite(phi.T @ phi, "feature gram")
-    n = check_finite(float(np.linalg.norm(g)), "gram norm")
+    gf = g.ravel()
+    n = check_finite(math.sqrt(gf.dot(gf)), "gram norm")  # np.linalg.norm(g), bit for bit
     m = kbar.norm
     if n == 0.0 or m == 0.0:
         raise DegenerateInputError("similarity undefined for a zero-norm gram matrix")

@@ -35,6 +35,9 @@ so runs are bit-reproducible whatever the worker count. Wall-clock timings
 never enter the round log, which stays byte-comparable across machines and
 worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
 each client round through the epoch hook and fills its ``probe`` entry.
+A client's local epoch draws all its views and runs the target branch once,
+before its steps: the views never depend on the model, and the target
+changes only at the EMA update that ends the epoch (see ``sslnet``).
 
 Inputs are checked once, where they enter: ``FedConfig`` checks every number,
 the weights, the form and, under l2_rep, that the clients share one
@@ -412,23 +415,30 @@ def local_training(
     EMA update per epoch. Returns the updated model with per-epoch mean
     losses and gradient norms. ``epoch_hook(epoch, model)``, when given, is
     called after each epoch; it must not mutate the model (used for theory
-    probes, which draw from their own streams)."""
+    probes, which draw from their own streams). Each epoch draws its views
+    and runs the target branch once; each step takes its batch's rows."""
     epoch_losses: List[float] = []
     epoch_grad_norms: List[float] = []
+    size = cfg.batch_size
     for epoch in range(cfg.local_epochs):
         erng = rng.child(round=round_index, epoch=epoch)
-        batches = _epoch_batches(shard.shape[0], cfg.batch_size, erng.sub("order"))
-        losses, norms = [], []
-        for b, idx in enumerate(batches):
-            try:
-                step = sslnet.combined_step(
-                    model, shard[idx], obj, cfg.eta, cfg.momentum, erng.sub(f"step{b}")
-                )
-            except NumericalFailureError as exc:
-                raise exc.within(f"epoch {epoch} batch {b}") from exc
-            model = step.model
-            losses.append(step.loss_total)
-            norms.append(step.grad_norm)
+        batches = _epoch_batches(shard.shape[0], size, erng.sub("order"))
+        views = sslnet.objective_views(
+            shard[np.concatenate(batches)], obj,
+            *(erng.sub(f"step{b}") for b in range(len(batches))), block=size)
+        losses, norms, b = [], [], 0
+        try:  # the epoch's targets are taken before batch 0, so a failure names it
+            targets = sslnet.target_rows(model, views, obj)
+            for b in range(len(batches)):
+                rows = slice(b * size, (b + 1) * size)
+                step = sslnet.combined_step(model, tuple(v[rows] for v in views),
+                                            tuple(t[rows] for t in targets), obj,
+                                            cfg.eta, cfg.momentum)
+                model = step.model
+                losses.append(step.loss_total)
+                norms.append(step.grad_norm)
+        except NumericalFailureError as exc:
+            raise exc.within(f"epoch {epoch} batch {b}") from exc
         model = sslnet.ema_update(model)
         epoch_losses.append(float(np.mean(losses)))
         epoch_grad_norms.append(float(np.mean(norms)))
@@ -473,7 +483,7 @@ def _train_one_client(
     with _client_work(client_id, round_index):
         # start and end are scored on one view pair
         views = sslnet.objective_views(shard, obj, eval_rng)
-        start = sslnet.combined_loss(model, shard, obj, eval_rng, views)
+        start = sslnet.combined_loss(model, views, obj)
         if cfg.theory_probes:
             rrng = crng.child(round=round_index)
             probe = theory.RoundProbe(model, shard, obj, rrng, _epoch_batches(
@@ -481,7 +491,7 @@ def _train_one_client(
         result = local_training(model, shard, obj, cfg, round_index, crng,
                                 epoch_hook=probe.after_epoch if probe else None)
         model = result["model"]
-        end = sslnet.combined_loss(model, shard, obj, eval_rng, views)
+        end = sslnet.combined_loss(model, views, obj)
         upload, upload_bytes, phi = _upload(model, rad, cfg, client_id)
         rep_norm_max = check_finite(float(np.max(np.sqrt(np.sum(phi * phi, axis=1)))),
                                     "representation norm")

@@ -105,8 +105,13 @@ class RngStream:
 
         The state equals ``Philox(key=self._key())``'s; handing the key over
         as a seed sequence skips the OS-entropy ``SeedSequence`` that
-        ``Philox(key=...)`` builds and then ignores."""
-        return np.random.Generator(np.random.Philox(_PhiloxKey(self._key())))
+        ``Philox(key=...)`` builds and then ignores, and the zero counter
+        given as words skips its conversion from an int."""
+        return np.random.Generator(np.random.Philox(_PhiloxKey(self._key()),
+                                                    counter=_ZERO_COUNTER))
+
+
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox copies it, never writes it
 
 
 class _PhiloxKey(ISeedSequence):

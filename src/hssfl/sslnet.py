@@ -10,10 +10,22 @@ alignment batch to a fixed reference received from the server.
 
 All models are updated functionally: operations return new ClientModel
 values and never write a tensor in place, so models can be shared across
-parallel workers safely. Inputs are checked only where they enter the
-simulator: ``FedConfig`` (with its ``MlpSpec`` and ``AugmentConfig``),
-``Dataset``, the wire (``federation._transmit``, ``server_aggregate``) and the
-files (``load_arrays``, ``model_from_arrays``, ``load_model``,
+parallel workers safely. A step's tensors are views of the vectors its
+momentum update wrote.
+
+An epoch does once what the online weights never touch: the views come only
+from fixed random streams, and the target branch changes only at the
+``ema_update`` after the epoch. So ``objective_views`` draws all of an
+epoch's views at once, each step's block from that step's stream, and
+``target_rows`` runs the target branch once on them (and normalizes its rows
+once); each ``combined_step`` takes its batch's rows. The bits are those of a
+per-step pass, except that the targets of a one-row batch, which numpy
+multiplies with another BLAS routine alone, move by roundoff.
+
+Inputs are checked only where they enter the simulator: ``FedConfig`` (with
+its ``MlpSpec`` and ``AugmentConfig``), ``Dataset``, the wire
+(``federation._transmit``, ``server_aggregate``) and the files
+(``load_arrays``, ``model_from_arrays``, ``load_model``,
 ``load_checkpoint``). ``Objective``, ``init_client_model`` and the step path
 check only for numerical failure.
 """
@@ -208,24 +220,6 @@ def init_client_model(spec: MlpSpec, tau: float, rng: RngStream) -> ClientModel:
     return ClientModel(spec, tau, online, online[:-2], tuple(np.zeros_like(p) for p in online))
 
 
-def augment(batch: Matrix, cfg: AugmentConfig, rng: RngStream) -> Tuple[Matrix, Matrix]:
-    """Two views (v', v''): additive Gaussian noise then independent zero-masking.
-
-    The views draw from independent sub-streams so repeated calls with the
-    same stream reproduce the same pair.
-    """
-    def one_view(tag: str) -> Matrix:
-        gen = rng.sub(tag).generator()
-        view = batch + gen.normal(0.0, cfg.noise_std, size=batch.shape)
-        if cfg.mask_prob > 0.0:
-            view = np.where(gen.random(batch.shape) < cfg.mask_prob, 0.0, view)
-        return view
-
-    if cfg.is_identity:
-        return batch, batch
-    return one_view("view1"), one_view("view2")
-
-
 def _act(z: Matrix, activation: str) -> Matrix:
     if activation == "relu":
         return np.maximum(z, 0.0)
@@ -275,21 +269,17 @@ def _row_norms(m: Matrix) -> np.ndarray:
 def _ssl_loss_grad(
     pred: Matrix, target: Matrix, normalize: bool, want_grad: bool = True
 ) -> Tuple[float, Optional[Matrix]]:
-    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized rows
-    (a zero row normalizes to zero), and its gradient in pred when wanted."""
+    """Mean over the batch of ||p_b - t_b||^2, optionally on L2-normalized
+    prediction rows (a zero row normalizes to zero), and its gradient in pred
+    when wanted. With ``normalize`` the target rows come normalized, as
+    ``target_rows`` gives them."""
     batch = pred.shape[0]
-    if not normalize:
-        diff = pred - target
-        loss = float((diff * diff).sum()) / batch
-        grad = (2.0 / batch) * diff if want_grad else None
-        return loss, grad
-    rp = _row_norms(pred)
-    p_hat = _divide_rows(pred, rp)
-    t_hat = _divide_rows(target, _row_norms(target))
-    diff = p_hat - t_hat
+    rp = _row_norms(pred) if normalize else None
+    p_hat = _divide_rows(pred, rp) if normalize else pred
+    diff = p_hat - target
     loss = float((diff * diff).sum()) / batch
-    if not want_grad:
-        return loss, None
+    if not want_grad or not normalize:
+        return loss, (2.0 / batch) * diff if want_grad else None
     # d/dp ||p_hat - t_hat||^2 = (2/r) (I - p_hat p_hat^T)(p_hat - t_hat);
     # a zero prediction row takes the zero subgradient.
     proj = (p_hat * diff).sum(axis=1)
@@ -342,13 +332,6 @@ def _clip_rows_backward(
     return grad
 
 
-def _check_forward(pred: Matrix, target: Matrix) -> None:
-    if not np.isfinite(pred).all():
-        raise NumericalFailureError("online forward")
-    if not np.isfinite(target).all():
-        raise NumericalFailureError("target forward")
-
-
 def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> Params:
     """Gradients of a scalar loss in ``online`` order, given dLoss/d(predictor
     output)."""
@@ -367,46 +350,81 @@ def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> Param
     return tuple(grads)
 
 
-def _stacked(blocks: List[Matrix]) -> Matrix:
+def _stacked(blocks: Sequence[Matrix]) -> Matrix:
     """The blocks' rows as one encoder input; a single block as it is."""
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def objective_views(
-    local_batch: Matrix, obj: Objective, rng: RngStream
+    rows: Matrix, obj: Objective, *streams: RngStream, block: Optional[int] = None
 ) -> Tuple[Matrix, Matrix]:
-    """The view pair (v1, v2) on which the objective scores ``local_batch``
-    under stream ``rng``."""
-    return augment(local_batch, obj.augment, rng.sub("aug"))
+    """The view pair (v1, v2) on which the objective scores ``rows``:
+    additive Gaussian noise, then independent zero-masking. Block b of
+    ``block`` rows (default all; the last may be shorter) draws from
+    ``streams[b]``, one stream per block, each view from its own sub-stream,
+    normals before uniforms, so a block's pair has the bits it has when
+    drawn alone."""
+    cfg = obj.augment
+    if cfg.is_identity:
+        return rows, rows
+    block, masked = block or len(rows), cfg.mask_prob > 0.0
+    uniform = np.empty_like(rows) if masked else None
+
+    def one_view(tag: str) -> Matrix:
+        view = np.empty_like(rows)
+        for start, rng in zip(range(0, len(rows), block), streams, strict=True):
+            gen, part = rng.sub("aug").sub(tag).generator(), slice(start, start + block)
+            gen.standard_normal(out=view[part])
+            if masked:
+                gen.random(out=uniform[part])
+        # numpy's gen.normal(0, s) is 0 + s z of these z, so this is its noise
+        # bit for bit (adding 0.0 turns -0.0 into 0.0, as that sum does)
+        view *= cfg.noise_std
+        view += 0.0
+        view += rows
+        if masked:
+            view[uniform < cfg.mask_prob] = 0.0
+        return view
+
+    return one_view("view1"), one_view("view2")
+
+
+def target_rows(model: ClientModel, views: Tuple[Matrix, Matrix], obj: Objective) -> Params:
+    """The regression targets of a view pair, one block per direction: the
+    target branch on v2 (and on v1 under ``symmetrize``) in one pass, with
+    rows L2-normalized under ``normalize``."""
+    v1, v2 = views
+    target = forward_target(model, _stacked([v2, v1] if obj.symmetrize else [v2]))
+    if not np.isfinite(target).all():
+        raise NumericalFailureError("target forward")
+    if obj.normalize:
+        target = _divide_rows(target, _row_norms(target))
+    return (target[:v2.shape[0]], target[v2.shape[0]:]) if obj.symmetrize else (target,)
 
 
 def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix],
-               obj: Objective):
-    """The combined objective on one view pair in one online pass, with the
-    backward pass optional.
+               targets: Params, obj: Objective):
+    """The combined objective on a view pair and its ``target_rows`` in one
+    online pass, with the backward pass optional.
 
-    The online branch runs once on [v1; v2 if symmetrize; rad if mu > 0],
-    the target branch once on [v2; v1 if symmetrize], and the backward pass
-    once on [d_ssl; mu d_phi]. Each regression direction is a mean over the
-    batch, so the mean over the stacked directions is scaled by their
-    number (1 or 2, an exact scaling).
+    The online branch runs once on [v1; v2 if symmetrize; rad if mu > 0]
+    and the backward pass once on [d_ssl; mu d_phi]. Each regression
+    direction is a mean over the batch, so the mean over the stacked
+    directions is scaled by their number (1 or 2, an exact scaling).
 
-    Returns (loss_total, loss_ssl, loss_prox, grads, grad_norm); grads is in
-    ``online`` order and grad_norm is the 2-norm of all of them, both None
-    when want_grad is False.
+    Returns (loss_total, loss_ssl, loss_prox, grad, grad_norm): grad is the
+    ``flatten_grads`` vector of the gradients and grad_norm its 2-norm, both
+    None when want_grad is False.
     """
-    v1, v2 = views
-    online_in, target_in = [v1], [v2]
-    if obj.symmetrize:
-        online_in.append(v2)
-        target_in.append(v1)
-    directions = len(target_in)
+    online_in = list(views) if obj.symmetrize else [views[0]]
+    directions = len(online_in)
     if obj.mu > 0.0:
         online_in.append(obj.rad)
     pred, tape = forward_online(model, _stacked(online_in))
-    target = forward_target(model, _stacked(target_in))
+    target = _stacked(targets)
     rows = target.shape[0]
-    _check_forward(pred[:rows], target)
+    if not np.isfinite(pred[:rows]).all():
+        raise NumericalFailureError("online forward")
     loss_ssl, d_pred = _ssl_loss_grad(pred[:rows], target, obj.normalize, want_grad)
     if directions > 1:
         loss_ssl *= directions
@@ -445,32 +463,31 @@ def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix]
         for name, arrs in (("encoder gradient", grads[:-2]), ("predictor gradient", grads[-2:])):
             if not all(np.isfinite(a).all() for a in arrs):
                 raise NumericalFailureError(name)
-    return loss_total, loss_ssl, loss_prox, grads, grad_norm
+    return loss_total, loss_ssl, loss_prox, flat, grad_norm
 
 
 def combined_loss(
-    model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream,
-    views: Optional[Tuple[Matrix, Matrix]] = None,
+    model: ClientModel, views: Tuple[Matrix, Matrix], obj: Objective
 ) -> Tuple[float, float, float]:
-    """Forward-only evaluation of the combined objective.
+    """Forward-only evaluation of the combined objective on a view pair from
+    ``objective_views``.
 
     Returns (loss_total, loss_ssl, loss_prox); identical values to
-    loss_and_grad with the backward pass skipped. ``views``, when given, is
-    ``objective_views(local_batch, obj, rng)`` drawn once for several models.
+    loss_and_grad with the backward pass skipped.
     """
-    if views is None:
-        views = objective_views(local_batch, obj, rng)
-    return _objective(False, model, views, obj)[:3]
+    return _objective(False, model, views, target_rows(model, views, obj), obj)[:3]
 
 
 def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream):
     """Losses and analytic gradients of the combined objective, no update.
 
-    Returns (loss_total, loss_ssl, loss_prox, grads), grads in ``online``
-    order. The proximal branch treats the reference as a constant and is
-    skipped entirely when mu == 0 so that path is bit-identical to plain SSL.
+    Returns (loss_total, loss_ssl, loss_prox, grad), grad the gradients as
+    one ``flatten_grads`` vector. The proximal branch treats the reference
+    as a constant and is skipped entirely when mu == 0 so that path is
+    bit-identical to plain SSL.
     """
-    return _objective(True, model, objective_views(local_batch, obj, rng), obj)[:4]
+    views = objective_views(local_batch, obj, rng)
+    return _objective(True, model, views, target_rows(model, views, obj), obj)[:4]
 
 
 def flatten_grads(grads: Params) -> np.ndarray:
@@ -484,34 +501,57 @@ def flatten_params(model: ClientModel) -> np.ndarray:
     return flatten_grads(model.online)
 
 
+class _Views(tuple):
+    """``vector`` cut, in order, into views shaped as the tensors of ``like``;
+    it stays attached, so the next momentum update reads it without a copy."""
+
+    def __new__(cls, vector: np.ndarray, like: Params):
+        views, start = [], 0
+        for p in like:
+            views.append(vector[start:start + p.size].reshape(p.shape))
+            start += p.size
+        out = super().__new__(cls, views)
+        out.vector = vector
+        return out
+
+
+def _flat(tensors: Params) -> np.ndarray:
+    """The tensors as one vector: the one they were cut from, else a copy."""
+    return tensors.vector if isinstance(tensors, _Views) else flatten_grads(tensors)
+
+
 def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
     """Inverse of flatten_params; returns a new model with the given
     trainable parameters (target and buffers unchanged)."""
-    sizes = [p.size for p in model.online]
-    if vec.size != sum(sizes):
-        raise ShapeError(f"parameter vector length {vec.size} != expected {sum(sizes)}")
-    parts = np.split(np.array(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
-    return replace(model, online=tuple(v.reshape(p.shape) for v, p in zip(parts, model.online)))
+    size = sum(p.size for p in model.online)
+    if vec.size != size:
+        raise ShapeError(f"parameter vector length {vec.size} != expected {size}")
+    return replace(model, online=_Views(np.array(vec, dtype=np.float64), model.online))
 
 
 def combined_step(
     model: ClientModel,
-    local_batch: Matrix,
+    views: Tuple[Matrix, Matrix],
+    targets: Params,
     obj: Objective,
     eta: float,
     momentum: float,
-    rng: RngStream,
 ) -> StepResult:
-    """One SGD-with-momentum step on the online branch.
+    """One SGD-with-momentum step on the online branch, on a view pair and
+    its ``target_rows``.
 
     The target branch is untouched. Reported losses and the gradient norm
-    are the pre-step values.
+    are the pre-step values. The update runs on whole vectors, so it has the
+    bits of the update tensor by tensor, and it writes only new ones.
     """
-    loss_total, loss_ssl, loss_prox, grads, grad_norm = _objective(
-        True, model, objective_views(local_batch, obj, rng), obj)
-    velocity = tuple(momentum * v + g for v, g in zip(model.velocity, grads))
-    online = tuple(p - eta * v for p, v in zip(model.online, velocity))
-    return StepResult(ClientModel(model.spec, model.tau, online, model.target, velocity),
+    loss_total, loss_ssl, loss_prox, grad, grad_norm = _objective(
+        True, model, views, targets, obj)
+    velocity = momentum * _flat(model.velocity)
+    velocity += grad
+    online = eta * velocity
+    np.subtract(_flat(model.online), online, out=online)
+    return StepResult(ClientModel(model.spec, model.tau, _Views(online, model.online),
+                                  model.target, _Views(velocity, model.velocity)),
                       loss_total, loss_ssl, loss_prox, grad_norm)
 
 

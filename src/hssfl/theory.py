@@ -62,15 +62,14 @@ class RoundProbe:
         self.after_epoch(-1, model)  # the round-start checkpoint
         self._sigma2 = 0.0
         if len(batches) > 1:
-            grads = [sslnet.loss_and_grad(model, shard[idx], obj, rng.sub(f"sigma{b}"))[3]
-                     for b, idx in enumerate(batches)]
-            stack = np.stack([sslnet.flatten_grads(g) for g in grads])
+            stack = np.stack([sslnet.loss_and_grad(model, shard[idx], obj, rng.sub(f"sigma{b}"))[3]
+                              for b, idx in enumerate(batches)])
             self._sigma2 = float(np.mean(np.sum((stack - stack.mean(axis=0)) ** 2, axis=1)))
 
     def after_epoch(self, epoch: int, model: ClientModel) -> None:
-        total, _, _, grads = sslnet.loss_and_grad(model, self._shard, self._obj, self._rng)
+        total, _, _, grad = sslnet.loss_and_grad(model, self._shard, self._obj, self._rng)
         self._losses.append(total)
-        self._grads.append(sslnet.flatten_grads(grads))
+        self._grads.append(grad)
         self._params.append(sslnet.flatten_params(model))
         self._phis.append(sslnet.representations(model, self._obj.rad,
                                                  clip_radius=self._obj.clip_radius))

@@ -148,8 +148,8 @@ def test_c02_combined_gradient_oracle():
                     obj = sslnet.Objective(mu, form, rad, ref, aug, normalize)
 
                     def value(vec):
-                        loss, _, _ = sslnet.combined_loss(set_params(model, vec), batch,
-                                                          obj, rng)
+                        views = sslnet.objective_views(batch, obj, rng)
+                        loss, _, _ = sslnet.combined_loss(set_params(model, vec), views, obj)
                         return loss
 
                     _, _, _, grads = loss_and_grad(model, batch, obj, rng)

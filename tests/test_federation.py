@@ -163,6 +163,93 @@ class TestLocalTraining:
             assert a.tobytes() == b.tobytes()
 
 
+def per_step_training(model, shard, obj, cfg, round_index, rng):
+    """local_training as a plain loop: each step draws its own view pair
+    and runs the target branch on its batch alone. Returns the epoch mean
+    losses and gradient norms, the final model and every step's views."""
+    from hssfl import sslnet
+    losses, norms, views_seen = [], [], []
+    for epoch in range(cfg.local_epochs):
+        erng = rng.child(round=round_index, epoch=epoch)
+        order = erng.sub("order").generator().permutation(shard.shape[0])
+        steps = []
+        for b, start in enumerate(range(0, shard.shape[0], cfg.batch_size)):
+            views = sslnet.objective_views(shard[order[start:start + cfg.batch_size]], obj,
+                                           erng.sub(f"step{b}"))
+            step = sslnet.combined_step(model, views, sslnet.target_rows(model, views, obj),
+                                        obj, cfg.eta, cfg.momentum)
+            model = step.model
+            steps.append(step)
+            views_seen.append(views)
+        model = sslnet.ema_update(model)
+        losses.append(float(np.mean([s.loss_total for s in steps])))
+        norms.append(float(np.mean([s.grad_norm for s in steps])))
+    return losses, norms, model, views_seen
+
+
+# (config overrides, shard rows) on a one-client desk config
+EPOCH_PASS_CASES = {
+    "desk": ({}, 384),
+    "symmetrized": ({"symmetrize_loss": True}, 384),
+    "unnormalized": ({"normalize_loss": False, "eta": 0.01}, 384),
+    "identity_views": ({"noise_std": 0.0, "mask_prob": 0.0}, 384),
+    "noise_without_mask": ({"mask_prob": 0.0}, 384),
+    "ragged_last_batch": ({}, 400),
+    "one_row_last_batch": ({"symmetrize_loss": True}, 385),
+    "one_batch_for_the_shard": ({"batch_size": 1_000_000}, 400),
+}
+
+
+class TestEpochPass:
+    """An epoch draws all its views at once and runs the target branch once
+    on them; a step-by-step loop is the oracle."""
+
+    @pytest.mark.parametrize("overrides,rows", EPOCH_PASS_CASES.values(),
+                             ids=EPOCH_PASS_CASES.keys())
+    def test_matches_a_per_step_loop(self, monkeypatch, overrides, rows):
+        from hssfl import sslnet
+        spec = MlpSpec((32, 16, 8), "tanh")
+        cfg = FedConfig(**{**dict(
+            num_clients=1, rounds=1, local_epochs=2, eta=0.1, momentum=0.9, batch_size=64,
+            mu=0.5, proximal_form="one_minus_cka", tau=0.9, client_specs=(spec,),
+            rad_size=32, seed=5, noise_std=0.3, mask_prob=0.1, normalize_loss=True),
+            **overrides})
+        gen = RngStream(6, purpose="epoch-pass").generator()
+        shard, rad = gen.normal(size=(rows, 32)), gen.normal(size=(32, 32))
+        model = federation.init_models(cfg)[0]
+        other = sslnet.init_client_model(spec, cfg.tau, RngStream(7, purpose="init"))
+        obj = _client_objective(cfg, cfg.mu, rad, gram_linear(sslnet.representations(other, rad)))
+        rng = RngStream(cfg.seed, client=0)
+
+        views_seen = []
+        real_step = sslnet.combined_step
+
+        def recording(model, views, *args):
+            views_seen.append(views)
+            return real_step(model, views, *args)
+        monkeypatch.setattr(sslnet, "combined_step", recording)
+        out = local_training(model, shard, obj, cfg, 3, rng)
+        monkeypatch.undo()
+        losses, norms, oracle, oracle_views = per_step_training(model, shard, obj, cfg, 3, rng)
+
+        # no BLAS call touches the views
+        assert len(views_seen) == len(oracle_views)
+        for got, want in zip(views_seen, oracle_views):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        # numpy multiplies a one-row operand with another BLAS routine, so
+        # the targets of a one-row batch move by about 1e-16
+        if rows % cfg.batch_size == 1:
+            assert out["epoch_losses"] == pytest.approx(losses, rel=1e-12, abs=0.0)
+            assert out["epoch_grad_norms"] == pytest.approx(norms, rel=1e-12, abs=0.0)
+            for name, a in model_arrays(out["model"]).items():
+                np.testing.assert_allclose(a, model_arrays(oracle)[name], rtol=1e-12, atol=0.0)
+        else:
+            assert out["epoch_losses"] == losses
+            assert out["epoch_grad_norms"] == norms
+            assert all(a.tobytes() == b.tobytes() for a, b in
+                       zip(model_arrays(out["model"]).values(), model_arrays(oracle).values()))
+
+
 class TestRunTraining:
     def test_zero_rounds(self):
         cfg = small_cfg(rounds=0)
@@ -347,6 +434,8 @@ class TestRunTraining:
         assert counts["forward_online inside _swap_eval"] == 0
 
     def test_views_drawn_once_per_step_and_once_for_evaluation(self, monkeypatch):
+        # each step's pair comes from its own two generators, the target
+        # branch runs once an epoch, and start and end share one pair
         from hssfl import sslnet
         counts = collections.Counter()
 
@@ -356,24 +445,29 @@ class TestRunTraining:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("augment", "combined_step"):
-            monkeypatch.setattr(sslnet, name, counted(name, getattr(sslnet, name)))
+        for owner, name in ((sslnet, "forward_target"), (sslnet, "combined_step"),
+                            (RngStream, "generator")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         cfg = small_cfg()
         data = dataset()
         rad, plan = federation.prepare_data(cfg, data)
         shard = data.features[list(plan.client_indices[0])]
         model = federation.init_models(cfg)[0]
         reference = gram_linear(sslnet.representations(model, rad))
+        counts.clear()
         out = federation._train_one_client(0, model, shard, rad, reference, cfg, 1)
         steps = cfg.local_epochs * -(-shard.shape[0] // cfg.batch_size)
         assert counts["combined_step"] == steps
-        assert counts["augment"] == steps + 1
+        assert counts["forward_target"] == cfg.local_epochs + 2
+        # two views a step and two for the evaluation pair, plus each
+        # epoch's batch order
+        assert counts["generator"] == 2 * steps + 2 + cfg.local_epochs
         # the shared pair is the one each evaluation would draw for itself
         obj = _client_objective(cfg, cfg.mu, rad, reference)
         eval_rng = RngStream(cfg.seed, client=0, round=1, purpose="eval")
         rec = out["record"]
         for when, m in (("start", model), ("end", out["model"])):
-            own = sslnet.combined_loss(m, shard, obj, eval_rng)
+            own = sslnet.combined_loss(m, sslnet.objective_views(shard, obj, eval_rng), obj)
             assert own == (rec[f"loss_total_{when}"], rec[f"loss_ssl_{when}"],
                            rec[f"loss_prox_{when}"])
 

@@ -15,7 +15,6 @@ from hssfl.sslnet import (
     combined_loss,
     MlpSpec,
     Objective,
-    augment,
     combined_step,
     ema_update,
     flatten_grads,
@@ -27,9 +26,11 @@ from hssfl.sslnet import (
     loss_and_grad,
     model_arrays,
     model_from_arrays,
+    objective_views,
     representations,
     save_model,
     set_params,
+    target_rows,
 )
 
 RELU = MlpSpec((4, 5, 3), "relu")
@@ -38,6 +39,12 @@ TANH = MlpSpec((4, 5, 3), "tanh")
 
 def make_model(spec=RELU, seed=0, tau=0.99):
     return init_client_model(spec, tau, RngStream(seed, purpose="init"))
+
+
+def unit_rows(m):
+    """m with each nonzero row scaled to norm 1, as target_rows normalizes."""
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
 
 
 def zero_predictor(m):
@@ -52,6 +59,16 @@ def same_tensors(a, b):
 
 def batch_for(spec, seed=1, rows=6):
     return RngStream(seed, purpose="batch").generator().normal(size=(rows, spec.input_width))
+
+
+def one_step(m, x, obj, eta, momentum, rng):
+    """combined_step on the view pair of x that rng draws, as in a one-batch epoch."""
+    views = objective_views(x, obj, rng)
+    return combined_step(m, views, target_rows(m, views, obj), obj, eta, momentum)
+
+
+def views_of(x, cfg, rng):
+    return objective_views(x, Objective(augment=cfg), rng)
 
 
 class TestInit:
@@ -91,28 +108,37 @@ class TestInit:
 class TestAugment:
     def test_identity_config(self):
         x = batch_for(RELU)
-        v1, v2 = augment(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
+        v1, v2 = views_of(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
         assert np.array_equal(v1, x)
         assert np.array_equal(v2, x)
 
     def test_mask_fraction(self):
         x = np.ones((200, 100))
-        v1, _ = augment(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
+        v1, _ = views_of(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
         frac = np.mean(v1 == 0.0)
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_per_stream(self):
         x = batch_for(RELU)
         s = RngStream(2, client=1, round=4, purpose="aug")
-        p1 = augment(x, AugmentConfig(0.3, 0.1), s)
-        p2 = augment(x, AugmentConfig(0.3, 0.1), s)
+        p1 = views_of(x, AugmentConfig(0.3, 0.1), s)
+        p2 = views_of(x, AugmentConfig(0.3, 0.1), s)
         assert np.array_equal(p1[0], p2[0])
         assert np.array_equal(p1[1], p2[1])
 
     def test_views_differ(self):
         x = batch_for(RELU)
-        v1, v2 = augment(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
+        v1, v2 = views_of(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
         assert not np.array_equal(v1, v2)
+
+    def test_noise_then_mask_from_each_views_stream(self):
+        x = batch_for(RELU, rows=7)
+        rng = RngStream(4, purpose="step")
+        for tag, view in zip(("view1", "view2"), views_of(x, AugmentConfig(0.3, 0.2), rng)):
+            gen = rng.sub("aug").sub(tag).generator()
+            want = x + gen.normal(0.0, 0.3, size=x.shape)
+            want = np.where(gen.random(x.shape) < 0.2, 0.0, want)
+            assert view.tobytes() == want.tobytes()
 
     def test_invalid_cfg(self):
         with pytest.raises(ConfigError):
@@ -150,7 +176,7 @@ class TestForward:
         m = make_model()
         x = batch_for(RELU)
         before = forward_target(m, x)
-        step = combined_step(m, x, Objective(), 0.05, 0.9, RngStream(9))
+        step = one_step(m, x, Objective(), 0.05, 0.9, RngStream(9))
         assert np.array_equal(forward_target(step.model, x), before)
 
     def test_tape_replay(self):
@@ -173,14 +199,14 @@ class TestSslLoss:
 
     def test_normalized_scale_removal(self):
         p = batch_for(RELU) + 3.0
-        loss = _ssl_loss_grad(p, 2.0 * p, True, want_grad=False)[0]
+        loss = _ssl_loss_grad(p, unit_rows(2.0 * p), True, want_grad=False)[0]
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_normalized_zero_row(self):
         # a zero row normalizes to zero and a zero prediction row takes the
         # zero subgradient; the other rows keep their exact values
         pred = np.array([[0.0, 0.0], [3.0, 4.0]])
-        target = np.array([[1.0, 1.0], [0.0, 0.0]])
+        target = unit_rows(np.array([[1.0, 1.0], [0.0, 0.0]]))
         loss, grad = _ssl_loss_grad(pred, target, normalize=True)
         assert loss == pytest.approx((1.0 + 1.0) / 2.0)
         assert np.array_equal(grad[0], np.zeros(2))
@@ -221,7 +247,7 @@ class TestRepresentations:
 
 
 def total_loss_fn(model, batch, obj, rng):
-    loss, _, _ = combined_loss(model, batch, obj, rng)
+    loss, _, _ = combined_loss(model, objective_views(batch, obj, rng), obj)
     return loss
 
 
@@ -245,16 +271,16 @@ class TestCombinedStep:
         kbar = gram_linear(np.ones((5, 3)))
         rng = RngStream(11, client=2, round=3, epoch=1)
         aug = AugmentConfig(0.2, 0.1)
-        with_ref = combined_step(m, x, Objective(0.0, rad=rad, reference=kbar, augment=aug),
-                                 0.05, 0.9, rng)
-        without = combined_step(m, x, Objective(augment=aug), 0.05, 0.9, rng)
+        with_ref = one_step(m, x, Objective(0.0, rad=rad, reference=kbar, augment=aug),
+                            0.05, 0.9, rng)
+        without = one_step(m, x, Objective(augment=aug), 0.05, 0.9, rng)
         assert same_tensors(with_ref.model, without.model)
         assert with_ref.loss_prox == 0.0
 
     def test_eta_zero_keeps_weights(self):
         m = make_model()
         x = batch_for(RELU)
-        step = combined_step(m, x, Objective(), 0.0, 0.9, RngStream(12))
+        step = one_step(m, x, Objective(), 0.0, 0.9, RngStream(12))
         for a, b in zip(step.model.online, m.online):
             assert np.array_equal(a, b)
         assert step.loss_total > 0.0
@@ -264,7 +290,7 @@ class TestCombinedStep:
         m = make_model()
         x = batch_for(RELU)
         _, _, _, grads = loss_and_grad(m, x, Objective(), RngStream(13))
-        step = combined_step(m, x, Objective(), 0.01, 0.0, RngStream(13))
+        step = one_step(m, x, Objective(), 0.01, 0.0, RngStream(13))
         assert step.grad_norm == float(np.linalg.norm(flatten_grads(grads)))
 
     @pytest.mark.parametrize("form,normalize", [
@@ -323,7 +349,7 @@ class TestCombinedStep:
             x = batch_for(spec, seed=seed + 1000, rows=6)
             rng = RngStream(seed + 2000)
             before = total_loss_fn(m, x, obj, rng)
-            step = combined_step(m, x, obj, 1e-4, 0.0, rng)
+            step = one_step(m, x, obj, 1e-4, 0.0, rng)
             after = total_loss_fn(step.model, x, obj, rng)
             if after >= before:
                 failures += 1
@@ -348,7 +374,7 @@ def _poison_backprop(monkeypatch, index, value):
 
 # Each returns the gradient norm of the step it takes.
 GRADIENT_CALLS = {
-    "combined_step": lambda m, x, obj, rng: combined_step(m, x, obj, 0.05, 0.9, rng).grad_norm,
+    "combined_step": lambda m, x, obj, rng: one_step(m, x, obj, 0.05, 0.9, rng).grad_norm,
     "loss_and_grad": lambda m, x, obj, rng: float(
         np.linalg.norm(flatten_grads(loss_and_grad(m, x, obj, rng)[3]))),
 }
@@ -379,8 +405,8 @@ class TestSymmetrized:
         x = batch_for(RELU)
         aug = AugmentConfig(0.0, 0.0)
         rng = RngStream(60)
-        one, _, _ = combined_loss(m, x, Objective(augment=aug), rng)
-        both, _, _ = combined_loss(m, x, Objective(augment=aug, symmetrize=True), rng)
+        one = total_loss_fn(m, x, Objective(augment=aug), rng)
+        both = total_loss_fn(m, x, Objective(augment=aug, symmetrize=True), rng)
         assert both == pytest.approx(2.0 * one)
 
     def test_gradient_finite_differences(self):
@@ -469,8 +495,8 @@ class TestEma:
 
 
 def stepped_model(seed=50):
-    return combined_step(make_model(seed=seed), batch_for(RELU, seed=seed + 1), Objective(),
-                         0.05, 0.9, RngStream(seed + 2)).model
+    return one_step(make_model(seed=seed), batch_for(RELU, seed=seed + 1), Objective(),
+                    0.05, 0.9, RngStream(seed + 2)).model
 
 
 class TestCheckpoint:
@@ -517,9 +543,9 @@ class TestNoWriteInPlace:
                                            reference=gram_linear(np.ones((5, 3))),
                                            augment=AugmentConfig(0.2, 0.1), normalize=True,
                                            clip_radius=0.5, symmetrize=True)):
-            step = combined_step(m, batch_for(RELU), obj, 0.05, 0.9, RngStream(53))
+            step = one_step(m, batch_for(RELU), obj, 0.05, 0.9, RngStream(53))
             self.read_only(step.model)
-            combined_step(step.model, batch_for(RELU), obj, 0.05, 0.9, RngStream(54))
+            one_step(step.model, batch_for(RELU), obj, 0.05, 0.9, RngStream(54))
         moved = self.read_only(ema_update(m))
         assert same_tensors(set_params(moved, flatten_params(moved)), moved)
         save_model(m, str(tmp_path / "ro"))

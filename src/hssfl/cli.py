@@ -83,9 +83,11 @@ def _read_json(path: str, what: str, parse=json.loads):
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the file whole or not at all: a kill leaves the old file or none."""
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def cmd_gen_data(args) -> int:
@@ -179,7 +181,15 @@ def cmd_run(args) -> int:
     log_path = os.path.join(args.out, "log.jsonl")
     checkpoint_dir = os.path.join(args.out, "checkpoints")
     manifest_path = os.path.join(args.out, "manifest.json")
-    if not args.resume:
+    fresh = not args.resume
+    if (args.resume and os.path.exists(manifest_path)
+            and not os.path.exists(os.path.join(checkpoint_dir, federation.CHECKPOINT_FILE))):
+        # a run of this config killed before its first checkpoint starts afresh
+        manifest = _read_json(manifest_path, "run manifest")
+        fresh = isinstance(manifest, dict) and manifest.get("config") == cfg.to_dict()
+    if fresh:
+        # the manifest last: it marks a run of the config as started
+        _write_json(os.path.join(args.out, "config.resolved.json"), cfg.to_dict())
         _write_json(manifest_path, {
             "kind": "run",
             "config": cfg.to_dict(),
@@ -190,14 +200,13 @@ def cmd_run(args) -> int:
             "log": log_path,
             "checkpoints": checkpoint_dir,
         })
-        _write_json(os.path.join(args.out, "config.resolved.json"), cfg.to_dict())
 
     result = federation.run_training(
         cfg, data,
         workers=args.workers,
         log_path=log_path,
         checkpoint_dir=checkpoint_dir,
-        resume=args.resume,
+        resume=not fresh,
         stop_after_round=args.stop_after,
     )
     for k, model in enumerate(result.models):

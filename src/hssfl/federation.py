@@ -37,7 +37,11 @@ worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
 each client round through the epoch hook and fills its ``probe`` entry.
 A client's local epoch draws all its views and runs the target branch once,
 before its steps: the views never depend on the model, and the target
-changes only at the EMA update that ends the epoch (see ``sslnet``).
+changes only at the EMA update that ends the epoch (see ``sslnet``). Every
+view of a client round comes from ``_draw_client_round``. Where a second CPU
+is free and the draws are a large share of a step (``_use_producer``), a
+forked child, the ``_ViewProducer``, runs that function one client round
+ahead of the training, on the same streams, so the bits do not change.
 
 Inputs are checked once, where they enter: ``FedConfig`` checks every number,
 the weights, the form and, under l2_rep, that the clients share one
@@ -48,16 +52,20 @@ objective, the aggregates and the proximal terms trust those checks.
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
+import mmap
 import os
+import signal
+import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -206,6 +214,15 @@ class FedConfig:
         """What clients upload: representations under l2_rep, else kernels."""
         return REPRESENTATION if self.proximal_form is ProximalForm.L2_REP else KERNEL
 
+    @cached_property
+    def upload_widths(self) -> Tuple[int, ...]:
+        """The columns of each client's upload as it is held: its
+        representation width, capped at L for a kernel factor (see cka)."""
+        widths = tuple(s.output_width for s in self.client_specs)
+        if self.payload_kind != KERNEL:
+            return widths
+        return tuple(min(w, self.rad_size) for w in widths)
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["proximal_form"] = self.proximal_form.value
@@ -281,7 +298,14 @@ def select_clients(
     num_clients: int, sample_size: int, round_index: int, rng: RngStream
 ) -> List[int]:
     """Uniform sample without replacement, ascending, fixed per (seed, round);
-    FedConfig keeps sample_size in [1, num_clients]."""
+    FedConfig keeps sample_size in [1, num_clients]. The server calls it
+    once a round; the view producer walks the schedule through
+    ``_selection``."""
+    return _selection(num_clients, sample_size, round_index, rng)
+
+
+def _selection(num_clients: int, sample_size: int, round_index: int,
+               rng: RngStream) -> List[int]:
     if sample_size == num_clients:
         return list(range(num_clients))
     gen = rng.child(round=round_index, purpose="select").generator()
@@ -341,13 +365,6 @@ def _transmit(payload: Payload, shape: Tuple[int, int]) -> Tuple[Payload, int]:
     return (unpack_factor(data, *shape) if kernel else data), nbytes
 
 
-def _upload_width(cfg: FedConfig, client_id: int) -> int:
-    """The columns of client ``client_id``'s upload as it is held: its
-    representation width, capped at L for a kernel factor (see cka)."""
-    width = cfg.client_specs[client_id].output_width
-    return min(width, cfg.rad_size) if cfg.payload_kind == KERNEL else width
-
-
 def _send_reference(
     reference: Payload, registry: Dict[int, Payload], client_id: int, cfg: FedConfig
 ) -> Tuple[Payload, int]:
@@ -360,7 +377,7 @@ def _send_reference(
     factor of the server's kernel, equal to it up to roundoff. A capped
     reference, a one-client one (both lower-trapezoidal already) and a
     representation reference travel whole."""
-    widths = [_upload_width(cfg, j) for j in range(cfg.num_clients)]
+    widths = cfg.upload_widths
     if cfg.payload_kind != KERNEL:
         return _transmit(reference, (cfg.rad_size, widths[0]))
     if cfg.num_clients == 1 or sum(widths) > cfg.rad_size:
@@ -383,7 +400,7 @@ def _upload(
     phi = check_finite(sslnet.representations(model, rad, clip_radius=cfg.clip_radius),
                        "representations")
     payload = gram_linear(phi) if cfg.payload_kind == KERNEL else phi
-    received, nbytes = _transmit(payload, (cfg.rad_size, _upload_width(cfg, client_id)))
+    received, nbytes = _transmit(payload, (cfg.rad_size, cfg.upload_widths[client_id]))
     return received, nbytes, phi
 
 
@@ -402,6 +419,35 @@ def _epoch_batches(
     return [order[i:i + batch_size] for i in range(0, n_rows, batch_size)]
 
 
+ViewPair = Tuple[Matrix, Matrix]
+
+
+def _epoch_views(shard: Matrix, cfg: FedConfig, rng: RngStream,
+                 round_index: int) -> Iterator[ViewPair]:
+    """Each local epoch's view pair, drawn as it is iterated: the shard's
+    rows in the epoch's batch order, each batch's block from its step's
+    stream. ``rng`` is the client's stream."""
+    obj = sslnet.Objective(augment=cfg.augment_cfg)
+    for epoch in range(cfg.local_epochs):
+        erng = rng.child(round=round_index, epoch=epoch)
+        batches = _epoch_batches(shard.shape[0], cfg.batch_size, erng.sub("order"))
+        yield sslnet.objective_views(
+            shard[np.concatenate(batches)], obj,
+            *(erng.sub(f"step{b}") for b in range(len(batches))), block=cfg.batch_size)
+
+
+def _draw_client_round(shard: Matrix, cfg: FedConfig, client: int,
+                       round_index: int) -> Tuple[ViewPair, Iterable[ViewPair]]:
+    """Every view one client round scores: the evaluation pair, on which its
+    start and end losses are taken, then each epoch's pair. No view depends
+    on a model, so they can be drawn anywhere, ahead of training (see
+    ``_ViewProducer``); drawn here, the epochs' pairs come as iterated."""
+    crng = RngStream(cfg.seed, client=client)
+    evals = sslnet.objective_views(shard, sslnet.Objective(augment=cfg.augment_cfg),
+                                   crng.child(round=round_index, purpose="eval"))
+    return evals, _epoch_views(shard, cfg, crng, round_index)
+
+
 def local_training(
     model: ClientModel,
     shard: Matrix,
@@ -410,26 +456,26 @@ def local_training(
     round_index: int,
     rng: RngStream,
     epoch_hook=None,
+    epochs: Optional[Iterable[ViewPair]] = None,
 ) -> dict:
     """E local epochs against a fixed reference: minibatch steps, then one
     EMA update per epoch. Returns the updated model with per-epoch mean
     losses and gradient norms. ``epoch_hook(epoch, model)``, when given, is
     called after each epoch; it must not mutate the model (used for theory
-    probes, which draw from their own streams). Each epoch draws its views
-    and runs the target branch once; each step takes its batch's rows."""
+    probes, which draw from their own streams). ``epochs`` are the epochs'
+    view pairs from ``_draw_client_round``; by default they are drawn here
+    from the client stream ``rng``. Each epoch runs the target branch once;
+    each step takes its batch's rows."""
     epoch_losses: List[float] = []
     epoch_grad_norms: List[float] = []
     size = cfg.batch_size
-    for epoch in range(cfg.local_epochs):
-        erng = rng.child(round=round_index, epoch=epoch)
-        batches = _epoch_batches(shard.shape[0], size, erng.sub("order"))
-        views = sslnet.objective_views(
-            shard[np.concatenate(batches)], obj,
-            *(erng.sub(f"step{b}") for b in range(len(batches))), block=size)
+    if epochs is None:
+        epochs = _epoch_views(shard, cfg, rng, round_index)
+    for epoch, views in enumerate(epochs):
         losses, norms, b = [], [], 0
         try:  # the epoch's targets are taken before batch 0, so a failure names it
             targets = sslnet.target_rows(model, views, obj)
-            for b in range(len(batches)):
+            for b in range(-(-views[0].shape[0] // size)):
                 rows = slice(b * size, (b + 1) * size)
                 step = sslnet.combined_step(model, tuple(v[rows] for v in views),
                                             tuple(t[rows] for t in targets), obj,
@@ -471,25 +517,27 @@ def _train_one_client(
     reference: Payload,
     cfg: FedConfig,
     round_index: int,
+    draws: Optional[Tuple[ViewPair, Iterable[ViewPair]]] = None,
 ) -> dict:
     """Full client-side work for one round; pure function, safe to run in
-    any worker thread. The returned payload is the server's decoded copy of
-    the upload, with its wire size; ``phi`` is the representations it was
-    built from."""
+    any worker thread. ``draws`` is the round's ``_draw_client_round``,
+    drawn here when not given. The returned payload is the server's decoded
+    copy of the upload, with its wire size; ``phi`` is the representations
+    it was built from."""
     crng = RngStream(cfg.seed, client=client_id)
-    eval_rng = crng.child(round=round_index, purpose="eval")
     obj = _client_objective(cfg, cfg.mu, rad, reference)
     probe = None
     with _client_work(client_id, round_index):
         # start and end are scored on one view pair
-        views = sslnet.objective_views(shard, obj, eval_rng)
+        views, epochs = draws or _draw_client_round(shard, cfg, client_id, round_index)
         start = sslnet.combined_loss(model, views, obj)
         if cfg.theory_probes:
             rrng = crng.child(round=round_index)
             probe = theory.RoundProbe(model, shard, obj, rrng, _epoch_batches(
                 shard.shape[0], cfg.batch_size, rrng.sub("order")))
         result = local_training(model, shard, obj, cfg, round_index, crng,
-                                epoch_hook=probe.after_epoch if probe else None)
+                                epoch_hook=probe.after_epoch if probe else None,
+                                epochs=epochs)
         model = result["model"]
         end = sslnet.combined_loss(model, views, obj)
         upload, upload_bytes, phi = _upload(model, rad, cfg, client_id)
@@ -641,7 +689,7 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
             raise ParseError(f"{path}: entry 'upload_{k}' is missing or does not have "
                              f"{cfg.rad_size} rows")
         # the receivers of the reference unpack it with these widths
-        width = _upload_width(cfg, k)
+        width = cfg.upload_widths[k]
         if held.shape[1] != width:
             raise ParseError(f"{path}: entry 'upload_{k}' has {held.shape[1]} columns, "
                              f"not the {width} of client {k}'s upload")
@@ -650,6 +698,168 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
                              "so it is not the lower-trapezoidal factor an upload is")
         registry[k] = GramMatrix(held) if cfg.payload_kind == KERNEL else held
     return round_index, models, registry
+
+
+def _use_producer(cfg: FedConfig) -> bool:
+    """Whether a run draws its views in a ``_ViewProducer``: where a process
+    can fork, a second CPU is free to draw, the views are not the rows
+    themselves, and the draws are a large share of a step. A step's passes
+    cover batch + L rows and its views batch rows, so with L > 4 batch the
+    draws' share is small, and the step's products grow large enough for
+    BLAS to take the second CPU."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and not cfg.augment_cfg.is_identity
+            and cfg.rad_size <= 4 * cfg.batch_size)
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """``size`` bytes from a pipe, or fewer at end of file."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+_TASK = struct.Struct("<iii")  # client round number, round, client; -1 on failure
+
+
+class _ViewProducer:
+    """A forked child that draws each client round's views
+    (``_draw_client_round``) one client round ahead of the training.
+
+    It walks the leg's schedule, rounds and then selected clients in
+    ascending order, and writes client round ``i`` into slot ``i % S`` of an
+    anonymous shared map, once the parent has released client round
+    ``i - S`` from that slot. S is one more than the client rounds that
+    train at once, ``min(workers, sample_size)``. It reports each filled
+    slot on one pipe and reads the releases on another. The child was
+    forked from the same program with the same streams, so its views have
+    the bits the parent would draw. It ends at the end of the schedule, or
+    when the parent's end of either pipe closes, so a parent that dies
+    leaves it running for at most the draw in progress. Fork it before the
+    parent starts a thread: the child calls no BLAS, and it copies the
+    parent's memory, shards and config included, only as the parent writes
+    it."""
+
+    def __init__(self, shards: Sequence[Matrix], cfg: FedConfig, first_round: int,
+                 last_round: int, workers: int):
+        self._shards, self._slots = shards, min(workers, cfg.sample_size) + 1
+        self._pairs = cfg.local_epochs + 1
+        self._slot_bytes = 2 * self._pairs * max(s.nbytes for s in shards)
+        self._map = mmap.mmap(-1, self._slots * self._slot_bytes)
+        self._next = 0
+        ready, self._ready_w = os.pipe()
+        self._release_r, release = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (ready, self._ready_w, self._release_r, release):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(ready)
+            os.close(release)
+            self._serve(cfg, first_round, last_round)
+        os.close(self._ready_w)
+        os.close(self._release_r)
+        self._ready, self._release_w = ready, release
+
+    def _slot(self, task: int, client: int) -> np.ndarray:
+        """Client round ``task``'s slot as (pair, view, row, column)."""
+        shape = self._shards[client].shape
+        return np.frombuffer(self._map, np.float64, 2 * self._pairs * shape[0] * shape[1],
+                             (task % self._slots) * self._slot_bytes
+                             ).reshape(self._pairs, 2, *shape)
+
+    def _serve(self, cfg: FedConfig, first_round: int, last_round: int) -> None:
+        """The child: fill the slots, then exit; never returns."""
+        status = 1
+        try:
+            gc.freeze()  # the parent's garbage, open files included, is the parent's
+            rng, released = RngStream(cfg.seed), set()
+            schedule = ((t, k) for t in range(first_round, last_round + 1)
+                        for k in _selection(cfg.num_clients, cfg.sample_size, t, rng))
+            for task, (t, k) in enumerate(schedule):
+                while task >= self._slots and task - self._slots not in released:
+                    message = _read_exact(self._release_r, 4)
+                    if len(message) < 4:  # the parent is gone
+                        status = 0
+                        return
+                    released.add(struct.unpack("<i", message)[0])
+                released.discard(task - self._slots)
+                evals, epochs = _draw_client_round(self._shards[k], cfg, k, t)
+                slot = self._slot(task, k)
+                for pair, views in enumerate(itertools.chain([evals], epochs)):
+                    slot[pair, 0], slot[pair, 1] = views
+                os.write(self._ready_w, _TASK.pack(task, t, k))
+            status = 0
+        except BrokenPipeError:  # the parent is gone
+            status = 0
+        except BaseException as exc:  # reported, not raised: the child never returns
+            try:
+                os.write(self._ready_w, _TASK.pack(-1, 0, 0)
+                         + f"{type(exc).__name__}: {exc}".encode()[:4000])
+            except OSError:
+                pass
+        finally:
+            os._exit(status)
+
+    def _take(self, round_index: int,
+              client: int) -> Tuple[int, Tuple[ViewPair, List[ViewPair]]]:
+        """The next client round's number and draws, once the child has
+        drawn them; the views are read-only views of its slot."""
+        task = self._next
+        message = _read_exact(self._ready, _TASK.size)
+        got = _TASK.unpack(message) if len(message) == _TASK.size else None
+        if got != (task, round_index, client):
+            if got is None:
+                why = "exited"
+            elif got[0] == -1:
+                why = "failed: " + _read_exact(self._ready, 4096).decode(errors="replace")
+            else:
+                why = f"sent client round {got} for {(task, round_index, client)}"
+            raise ProtocolError(f"view producer (pid {self.pid}) {why}, before drawing "
+                                f"client {client} of round {round_index}")
+        self._next += 1
+        slot = self._slot(task, client)
+        slot.flags.writeable = False
+        pairs = [tuple(pair) for pair in slot]
+        return task, (pairs[0], pairs[1:])
+
+    def _release(self, task: int) -> None:
+        try:
+            os.write(self._release_w, struct.pack("<i", task))
+        except BrokenPipeError:  # the child has ended; if early, the next _take says so
+            pass
+
+    def map(self, pool: ThreadPoolExecutor, fn, round_index: int,
+            clients: Sequence[int]) -> List[dict]:
+        """``[fn(k, draws) for k in clients]`` on the pool, each call started
+        once its views are drawn and its slot released when it ends."""
+        def run(task: int, k: int, draws) -> dict:
+            try:
+                return fn(k, draws)
+            finally:
+                self._release(task)
+
+        futures = []
+        for k in clients:
+            task, draws = self._take(round_index, k)
+            futures.append(pool.submit(run, task, k, draws))
+        return [f.result() for f in futures]
+
+    def close(self) -> None:
+        """Close both pipes and reap the child, which may still be drawing."""
+        os.close(self._ready)
+        os.close(self._release_w)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(self.pid, 0)
 
 
 def run_training(
@@ -716,26 +926,37 @@ def run_training(
         writer.write([record])
     server.reference = server_aggregate([], weights, registry)
 
+    # the pool starts its threads at its first task, after the producer's fork
     pool = ThreadPoolExecutor(max_workers=workers)
+    producer = None
     try:
         for t in range(start_round + 1, last_round + 1):
             selected = select_clients(
                 cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
             )
+            if t == start_round + 1 and _use_producer(cfg):
+                try:
+                    producer = _ViewProducer(shards, cfg, t, last_round, workers)
+                except OSError:  # no process to spare: the views are drawn in the tasks
+                    pass
 
-            def task(k: int) -> dict:
+            def task(k: int, draws=None) -> dict:
                 # the client's copy is built here, so at most ``workers``
                 # copies are alive at once
                 t0 = time.perf_counter()
                 reference, down = _send_reference(server.reference, registry, k, cfg)
-                out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t)
+                out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t,
+                                        draws)
                 out["record"]["downstream_bytes"] = down
                 out["wall"] = time.perf_counter() - t0
                 return out
 
-            # selected is ascending and map keeps its order, so outs is in
-            # client order whatever the worker count.
-            outs = list(pool.map(task, selected))
+            # selected is ascending and both maps keep its order, so outs is
+            # in client order whatever the worker count.
+            if producer is None:
+                outs = list(pool.map(task, selected))
+            else:
+                outs = producer.map(pool, task, t, selected)
             reports = []
             for out in outs:
                 k = out["client"]
@@ -774,7 +995,9 @@ def run_training(
             if checkpoint_dir:
                 _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)  # no task writes to the producer after this
+        if producer is not None:
+            producer.close()
 
     return RunResult(models, log, rad, plan, server)
 

@@ -274,8 +274,12 @@ def _ssl_loss_grad(
     when wanted. With ``normalize`` the target rows come normalized, as
     ``target_rows`` gives them."""
     batch = pred.shape[0]
-    rp = _row_norms(pred) if normalize else None
-    p_hat = _divide_rows(pred, rp) if normalize else pred
+    if normalize:
+        rp = _row_norms(pred)
+        positive = bool((rp > 0.0).all())
+        p_hat = _divide_rows(pred, rp, positive)
+    else:
+        p_hat = pred
     diff = p_hat - target
     loss = float((diff * diff).sum()) / batch
     if not want_grad or not normalize:
@@ -283,12 +287,13 @@ def _ssl_loss_grad(
     # d/dp ||p_hat - t_hat||^2 = (2/r) (I - p_hat p_hat^T)(p_hat - t_hat);
     # a zero prediction row takes the zero subgradient.
     proj = (p_hat * diff).sum(axis=1)
-    return loss, _divide_rows((2.0 / batch) * (diff - p_hat * proj[:, None]), rp)
+    return loss, _divide_rows((2.0 / batch) * (diff - p_hat * proj[:, None]), rp, positive)
 
 
-def _divide_rows(m: Matrix, norms: np.ndarray) -> Matrix:
-    """Row p divided by norms[p]; rows with a zero norm become zero."""
-    if (norms > 0.0).all():
+def _divide_rows(m: Matrix, norms: np.ndarray, positive: bool) -> Matrix:
+    """Row p divided by norms[p]; rows with a zero norm become zero.
+    ``positive`` says whether every norm is positive."""
+    if positive:
         return m / norms[:, None]
     return np.divide(m, norms[:, None], out=np.zeros_like(m), where=norms[:, None] > 0.0)
 
@@ -398,7 +403,8 @@ def target_rows(model: ClientModel, views: Tuple[Matrix, Matrix], obj: Objective
     if not np.isfinite(target).all():
         raise NumericalFailureError("target forward")
     if obj.normalize:
-        target = _divide_rows(target, _row_norms(target))
+        norms = _row_norms(target)
+        target = _divide_rows(target, norms, bool((norms > 0.0).all()))
     return (target[:v2.shape[0]], target[v2.shape[0]:]) if obj.symmetrize else (target,)
 
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,103 @@ class TestShippedDefaults:
         out = tmp_path / "run"
         assert run_cli(*run_args(data_csv, str(out), "--rounds", "3")) == 0
         assert read_json(out, "run_summary.json")["rounds_completed"] == 3
+
+
+# the README run, shortened to 8 rounds of 2 epochs
+KILLED_RUN = ("--arch", "32,16,8", "--arch", "32,24,16", "--clients", "5",
+              "--partition", "noniid", "--rounds", "8", "--epochs", "2", "--lr", "0.1",
+              "--tau", "0.9", "--mu", "0.5", "--aug-noise", "0.3", "--aug-mask", "0.1",
+              "--normalize-loss", "--seed", "0")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_process(*args) -> subprocess.Popen:
+    """``python -m hssfl.cli`` on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, "-m", "hssfl.cli", *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def line_count(path: Path) -> int:
+    try:
+        return path.read_bytes().count(b"\n")
+    except FileNotFoundError:
+        return 0
+
+
+def children(pid: int) -> set:
+    return {int(c) for task in Path(f"/proc/{pid}/task").iterdir()
+            for c in (task / "children").read_text().split()}
+
+
+def ended(pid: int) -> bool:
+    """Whether the process is gone or a zombie that waits to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+class TestKilledRun:
+    """A run killed with SIGKILL at any point resumes with --resume to the
+    log and weights of the uninterrupted run, and its view producer ends
+    with it."""
+
+    def test_sigkill_then_resume_is_the_uninterrupted_run(self, tmp_path, readme_csv):
+        full = tmp_path / "full"
+        assert run_cli("run", "--data", readme_csv, "--out", str(full), *KILLED_RUN) == 0
+        # the kill comes when the file holds that many lines: when the
+        # manifest appears, before any checkpoint, then after rounds 2 and 5
+        for trial, (name, lines) in enumerate((("manifest.json", 0), ("log.jsonl", 1 + 2 * 6),
+                                               ("log.jsonl", 1 + 5 * 6))):
+            out = tmp_path / f"killed{trial}"
+            proc = cli_process("run", "--data", readme_csv, "--out", str(out), *KILLED_RUN)
+            deadline = time.monotonic() + 60.0
+            try:
+                while not (out / name).exists() or line_count(out / name) < lines:
+                    assert proc.poll() is None, proc.stderr.read().decode()
+                    assert time.monotonic() < deadline, "the run stalled"
+                    time.sleep(0.001)
+                producers = children(proc.pid)
+                proc.kill()
+            finally:
+                proc.kill()
+                proc.wait()
+                proc.stderr.close()
+            if lines:
+                assert len(producers) == 1
+            else:
+                assert not (out / "checkpoints" / "checkpoint.npz").exists()
+            deadline = time.monotonic() + 1.0
+            while not all(ended(pid) for pid in producers):
+                assert time.monotonic() < deadline, f"producer {producers} outlived its run"
+                time.sleep(0.01)
+
+            resumed = cli_process("run", "--data", readme_csv, "--out", str(out), *KILLED_RUN,
+                                  "--resume")
+            _, err = resumed.communicate(timeout=60)
+            assert resumed.returncode == 0, err.decode()
+            assert (out / "log.jsonl").read_bytes() == (full / "log.jsonl").read_bytes()
+            for k in range(5):
+                model = Path("models", f"client_{k}", "model.npz")
+                assert (out / model).read_bytes() == (full / model).read_bytes()
+
+
+    def test_resume_restarts_a_run_that_made_no_checkpoint(self, tmp_path, data_csv, capsys):
+        full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+        assert run_cli(*run_args(data_csv, full)) == 0
+        assert run_cli(*run_args(data_csv, cut)) == 0
+        os.remove(os.path.join(cut, "checkpoints", "checkpoint.npz"))
+        # another config's manifest is no run of this one
+        assert run_cli(*run_args(data_csv, cut, "--resume", "--seed", "6")) == 2
+        assert "checkpoint.npz" in capsys.readouterr().err
+        assert run_cli(*run_args(data_csv, cut, "--resume")) == 0
+        assert tree_bytes(cut).keys() == tree_bytes(full).keys()
+        for name in ("log.jsonl", "config.resolved.json", "checkpoints/checkpoint.npz",
+                     "models/client_0/model.npz", "models/client_1/model.npz"):
+            assert Path(cut, name).read_bytes() == Path(full, name).read_bytes(), name
 
 
 class TestEvalAndTheory:

@@ -605,9 +605,9 @@ def _received_references(monkeypatch, run):
     received, aggregates = {}, []
     real_train, real_aggregate = federation._train_one_client, federation.server_aggregate
 
-    def train(k, model, shard, rad, reference, cfg, t):
+    def train(k, model, shard, rad, reference, cfg, t, draws=None):
         received[(t, k)] = reference
-        return real_train(k, model, shard, rad, reference, cfg, t)
+        return real_train(k, model, shard, rad, reference, cfg, t, draws)
 
     def aggregate(*args):
         aggregates.append(real_aggregate(*args))
@@ -1205,3 +1205,175 @@ class TestRunProperties:
                 assert (tmp / f"{k}.jsonl").read_bytes() == (tmp / "full.jsonl").read_bytes()
                 assert _files(tmp / str(k)) == _files(tmp / "full")
                 assert same_models(resumed.models, full.models)
+
+
+def desk_cfg(**overrides):
+    """The benchmark's desk shape (RAD 128, batch 64, five tanh clients of
+    two widths), three rounds."""
+    specs = tuple(MlpSpec((32, 16, 8), "tanh") if k < 3 else MlpSpec((32, 24, 16), "tanh")
+                  for k in range(5))
+    return FedConfig(**{**dict(
+        num_clients=5, rounds=3, local_epochs=5, eta=0.1, momentum=0.9, batch_size=64,
+        mu=0.5, proximal_form="one_minus_cka", tau=0.9, client_specs=specs, rad_size=128,
+        seed=1, partition="noniid", noise_std=0.3, mask_prob=0.1, normalize_loss=True),
+        **overrides})
+
+
+def desk_data():
+    return dataset(seed=1, dim=32, per_class=200)
+
+
+def _children() -> set:
+    """The pids of this process's children, from every thread's list."""
+    pids = set()
+    for task in pathlib.Path("/proc/self/task").iterdir():
+        pids.update(int(p) for p in (task / "children").read_text().split())
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_dir_files(tmp_path, name, cfg, workers=1, legs=({},)):
+    """Log, checkpoint and final weights of a run, as bytes."""
+    run_dir = tmp_path / name
+    run_dir.mkdir()
+    for leg in legs:
+        result = run_training(cfg, desk_data(), workers=workers,
+                              log_path=str(run_dir / "log.jsonl"),
+                              checkpoint_dir=str(run_dir / "ck"), **leg)
+    files = {"log": (run_dir / "log.jsonl").read_bytes(),
+             "checkpoint": (run_dir / "ck" / federation.CHECKPOINT_FILE).read_bytes()}
+    for k, model in enumerate(result.models):
+        files.update((f"{k}/{name}", a.tobytes()) for name, a in model_arrays(model).items())
+    return files
+
+
+PRODUCER_CASES = {
+    "desk": ({}, 1, ({},)),
+    "desk_two_workers": ({}, 2, ({},)),
+    "partial_participation": ({"sample_size": 3, "rounds": 4}, 2, ({},)),
+    "symmetrized_probed": ({"symmetrize_loss": True, "theory_probes": True, "local_epochs": 2},
+                           1, ({},)),
+    "stopped_and_resumed": ({"rounds": 4}, 1, ({"stop_after_round": 2}, {"resume": True})),
+}
+
+
+class TestViewProducer:
+    """A forked child draws each client round's views ahead of training;
+    the run is the inline run, byte for byte, and leaves no process."""
+
+    @pytest.mark.parametrize("overrides,workers,legs", PRODUCER_CASES.values(),
+                             ids=PRODUCER_CASES.keys())
+    def test_same_bytes_as_drawing_inline(self, tmp_path, monkeypatch, overrides, workers,
+                                          legs):
+        cfg = desk_cfg(**overrides)
+        inline_draws = collections.Counter()
+        real_draw = federation._draw_client_round
+
+        def draw(shard, cfg, client, round_index):
+            inline_draws[os.getpid()] += 1
+            return real_draw(shard, cfg, client, round_index)
+
+        monkeypatch.setattr(federation, "_draw_client_round", draw)
+        files = {}
+        for producer in (False, True):
+            monkeypatch.setattr(federation, "_use_producer", lambda cfg: producer)
+            files[producer] = _run_dir_files(tmp_path, str(producer), cfg, workers, legs)
+            _no_child_left()
+        # the producer's draws are the child's, not the parent's
+        client_rounds = sum(len(select_clients(cfg.num_clients, cfg.sample_size, t,
+                                        RngStream(cfg.seed)))
+                     for t in range(1, cfg.rounds + 1))
+        assert inline_draws == {os.getpid(): client_rounds}
+        assert files[True].keys() == files[False].keys()
+        for name in files[False]:
+            assert files[True][name] == files[False][name], name
+
+    def test_no_process_outlives_a_failed_run(self, monkeypatch):
+        from hssfl import sslnet
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        rounds, seen = [], set()
+        real_select, real_step = federation.select_clients, sslnet.combined_step
+
+        def select(num_clients, sample_size, round_index, rng):
+            rounds.append(round_index)
+            return real_select(num_clients, sample_size, round_index, rng)
+
+        def step(*args):
+            if rounds[-1] == 2:
+                seen.update(_children())
+                raise _Killed
+            return real_step(*args)
+
+        monkeypatch.setattr(federation, "select_clients", select)
+        monkeypatch.setattr(sslnet, "combined_step", step)
+        with pytest.raises(_Killed):
+            run_training(desk_cfg(), desk_data(), workers=2)
+        assert len(seen) == 1
+        _no_child_left()
+        assert not pathlib.Path(f"/proc/{seen.pop()}").exists()
+
+    def test_a_failed_draw_names_the_producer(self, monkeypatch):
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+
+        def draw(shard, cfg, client, round_index):
+            raise ValueError(f"no views for client {client}")
+
+        monkeypatch.setattr(federation, "_draw_client_round", draw)
+        with pytest.raises(ProtocolError, match=r"view producer \(pid \d+\) failed: "
+                           r"ValueError: no views for client 0, before drawing client 0 "
+                           r"of round 1"):
+            run_training(desk_cfg(), desk_data())
+        _no_child_left()
+
+    def test_a_dead_producer_is_named(self, monkeypatch):
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        real_draw = federation._draw_client_round
+
+        def draw(shard, cfg, client, round_index):
+            if (round_index, client) == (2, 3):
+                os._exit(0)
+            return real_draw(shard, cfg, client, round_index)
+
+        monkeypatch.setattr(federation, "_draw_client_round", draw)
+        with pytest.raises(ProtocolError, match=r"view producer \(pid \d+\) exited, before "
+                           "drawing client 3 of round 2"):
+            run_training(desk_cfg(), desk_data())
+        _no_child_left()
+
+    def test_no_fork_to_spare_draws_inline(self, tmp_path, monkeypatch):
+        cfg = desk_cfg(rounds=2)
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg: False)
+        inline = _run_dir_files(tmp_path, "inline", cfg)
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        monkeypatch.setattr(os, "fork", fork)
+        assert _run_dir_files(tmp_path, "no_fork", cfg) == inline
+
+
+class TestProducerRule:
+    """The producer runs where fork exists, two CPUs are free, the views
+    are not the rows themselves, and L is at most four batches."""
+
+    @pytest.fixture()
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_desk_gets_the_producer(self, two_cpus):
+        assert federation._use_producer(desk_cfg())
+
+    def test_wide_rad_stays_inline(self, two_cpus):
+        assert not federation._use_producer(desk_cfg(rad_size=512))
+
+    def test_identity_views_stay_inline(self, two_cpus):
+        assert not federation._use_producer(desk_cfg(noise_std=0.0, mask_prob=0.0))
+
+    def test_one_cpu_stays_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not federation._use_producer(desk_cfg())

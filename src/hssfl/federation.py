@@ -28,20 +28,28 @@ client uploads) is encoded as npy, counted, decoded by ``numkit.decode_npy``
 and checked for its shape and for finiteness once. One atomically replaced
 ``checkpoint.npz`` holds each round's client tensors and uploads
 (``upload_k``, as held); a resume cuts ``log.jsonl`` back to the rounds it
-holds, so a run killed at any point resumes to the uninterrupted result. One
-thread pool runs the clients for every worker count. All randomness flows
-through value-like streams keyed by (seed, client, round, epoch, purpose),
-so runs are bit-reproducible whatever the worker count. Wall-clock timings
-never enter the round log, which stays byte-comparable across machines and
-worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
+holds, so a run killed at any point resumes to the uninterrupted result.
+With one worker the round's clients train in order in the calling process.
+With ``k >= 2`` workers, ``_train_clients`` forks ``min(k, S) - 1`` children
+each round, after the reference is aggregated; they and the parent each
+train a fixed contiguous share of the S selected clients, from the state
+the children inherit, and the parent gathers the shares in client order.
+The rounds run with OpenBLAS held to one thread
+(``numkit.one_blas_thread``), whatever the worker count: that is
+process-wide state, given back when ``run_training`` returns or raises. All
+randomness flows through value-like streams keyed by (seed, client, round,
+epoch, purpose), so runs are bit-reproducible whatever the worker count.
+Wall-clock timings never enter the round log, which stays byte-comparable
+across machines and worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
 each client round through the epoch hook and fills its ``probe`` entry.
 A client's local epoch draws all its views and runs the target branch once,
 before its steps: the views never depend on the model, and the target
 changes only at the EMA update that ends the epoch (see ``sslnet``). Every
-view of a client round comes from ``_draw_client_round``. Where a second CPU
-is free and the draws are a large share of a step (``_use_producer``), a
-forked child, the ``_ViewProducer``, runs that function one client round
-ahead of the training, on the same streams, so the bits do not change.
+view of a client round comes from ``_draw_client_round``. Where one worker
+leaves a second CPU free and the draws are a large share of a step
+(``_use_producer``), a forked child, the ``_ViewProducer``, runs that
+function one client round ahead of the training, on the same streams, so
+the bits do not change.
 
 Inputs are checked once, where they enter: ``FedConfig`` checks every number,
 the weights, the form and, under l2_rep, that the clients share one
@@ -58,10 +66,10 @@ import itertools
 import json
 import mmap
 import os
+import pickle
 import signal
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
@@ -92,6 +100,7 @@ from .numkit import (
     check_finite,
     decode_npy,
     load_arrays,
+    one_blas_thread,
     save_arrays,
 )
 from .sslnet import AugmentConfig, ClientModel, MlpSpec
@@ -519,11 +528,11 @@ def _train_one_client(
     round_index: int,
     draws: Optional[Tuple[ViewPair, Iterable[ViewPair]]] = None,
 ) -> dict:
-    """Full client-side work for one round; pure function, safe to run in
-    any worker thread. ``draws`` is the round's ``_draw_client_round``,
-    drawn here when not given. The returned payload is the server's decoded
-    copy of the upload, with its wire size; ``phi`` is the representations
-    it was built from."""
+    """Full client-side work for one round; a pure function of what it is
+    given, so any process forked with that state can run it. ``draws`` is
+    the round's ``_draw_client_round``, drawn here when not given. The
+    returned payload is the server's decoded copy of the upload, with its
+    wire size; ``phi`` is the representations it was built from."""
     crng = RngStream(cfg.seed, client=client_id)
     obj = _client_objective(cfg, cfg.mu, rad, reference)
     probe = None
@@ -700,14 +709,14 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
     return round_index, models, registry
 
 
-def _use_producer(cfg: FedConfig) -> bool:
-    """Whether a run draws its views in a ``_ViewProducer``: where a process
-    can fork, a second CPU is free to draw, the views are not the rows
-    themselves, and the draws are a large share of a step. A step's passes
-    cover batch + L rows and its views batch rows, so with L > 4 batch the
-    draws' share is small, and the step's products grow large enough for
-    BLAS to take the second CPU."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+def _use_producer(cfg: FedConfig, workers: int) -> bool:
+    """Whether a run draws its views in a ``_ViewProducer``: where one
+    worker trains, a process can fork, a second CPU is free to draw, the
+    views are not the rows themselves, and the draws are a large share of a
+    step. A step's passes cover batch + L rows and its views batch rows, so
+    with L > 4 batch the draws' share is small, and the producer does not
+    pay for its process."""
+    return (workers == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and not cfg.augment_cfg.is_identity
             and cfg.rad_size <= 4 * cfg.batch_size)
 
@@ -728,25 +737,26 @@ _TASK = struct.Struct("<iii")  # client round number, round, client; -1 on failu
 
 class _ViewProducer:
     """A forked child that draws each client round's views
-    (``_draw_client_round``) one client round ahead of the training.
+    (``_draw_client_round``) one client round ahead of the training, which
+    runs in the parent, one client round at a time.
 
     It walks the leg's schedule, rounds and then selected clients in
-    ascending order, and writes client round ``i`` into slot ``i % S`` of an
+    ascending order, and writes client round ``i`` into slot ``i % 2`` of an
     anonymous shared map, once the parent has released client round
-    ``i - S`` from that slot. S is one more than the client rounds that
-    train at once, ``min(workers, sample_size)``. It reports each filled
-    slot on one pipe and reads the releases on another. The child was
-    forked from the same program with the same streams, so its views have
-    the bits the parent would draw. It ends at the end of the schedule, or
-    when the parent's end of either pipe closes, so a parent that dies
-    leaves it running for at most the draw in progress. Fork it before the
-    parent starts a thread: the child calls no BLAS, and it copies the
+    ``i - 2`` from that slot. It reports each filled slot on one pipe and
+    reads the releases on another. The child was forked from the same
+    program with the same streams, so its views have the bits the parent
+    would draw. It ends at the end of the schedule, or when the parent's end
+    of either pipe closes, so a parent that dies leaves it running for at
+    most the draw in progress. The child calls no BLAS, and it copies the
     parent's memory, shards and config included, only as the parent writes
     it."""
 
+    _slots = 2
+
     def __init__(self, shards: Sequence[Matrix], cfg: FedConfig, first_round: int,
-                 last_round: int, workers: int):
-        self._shards, self._slots = shards, min(workers, cfg.sample_size) + 1
+                 last_round: int):
+        self._shards = shards
         self._pairs = cfg.local_epochs + 1
         self._slot_bytes = 2 * self._pairs * max(s.nbytes for s in shards)
         self._map = mmap.mmap(-1, self._slots * self._slot_bytes)
@@ -835,21 +845,17 @@ class _ViewProducer:
         except BrokenPipeError:  # the child has ended; if early, the next _take says so
             pass
 
-    def map(self, pool: ThreadPoolExecutor, fn, round_index: int,
-            clients: Sequence[int]) -> List[dict]:
-        """``[fn(k, draws) for k in clients]`` on the pool, each call started
-        once its views are drawn and its slot released when it ends."""
-        def run(task: int, k: int, draws) -> dict:
-            try:
-                return fn(k, draws)
-            finally:
-                self._release(task)
-
-        futures = []
+    def map(self, fn, round_index: int, clients: Sequence[int]) -> List[dict]:
+        """``[fn(k, draws) for k in clients]``, each call made once its views
+        are drawn and its slot released when it ends."""
+        outs = []
         for k in clients:
             task, draws = self._take(round_index, k)
-            futures.append(pool.submit(run, task, k, draws))
-        return [f.result() for f in futures]
+            try:
+                outs.append(fn(k, draws))
+            finally:
+                self._release(task)
+        return outs
 
     def close(self) -> None:
         """Close both pipes and reap the child, which may still be drawing."""
@@ -862,6 +868,128 @@ class _ViewProducer:
         os.waitpid(self.pid, 0)
 
 
+class _ShareWorker:
+    """A forked child that trains one share of a round's clients with the
+    round's ``task``, from the state it inherits (models, registry,
+    reference, shards, alignment rows), so nothing is sent to it. It pickles
+    back, on a pipe, the share's results or the first failure among them. It
+    checks that its parent lives before each client round, and a parent that
+    dies closes the pipe it writes to, so it never outlives the parent by
+    more than a client round."""
+
+    def __init__(self, task, share: Sequence[int], round_index: int,
+                 siblings: Sequence["_ShareWorker"]):
+        self.share, self._round = list(share), round_index
+        parent = os.getpid()
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            os.close(read)
+            for sibling in siblings:
+                os.close(sibling._read)
+            self._serve(task, parent, write)
+        os.close(write)
+        self._read: Optional[int] = read
+        self._reaped = False
+
+    def _serve(self, task, parent: int, fd: int) -> None:
+        """The child: train the share, report, exit; never returns."""
+        status = 1
+        try:
+            gc.freeze()  # the parent's garbage, open files included, is the parent's
+            try:
+                outs = []
+                for k in self.share:
+                    if os.getppid() != parent:
+                        status = 0
+                        return
+                    outs.append(task(k))
+                data = pickle.dumps(outs, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # reported, not raised: the child never returns
+                try:
+                    data = pickle.dumps(exc)
+                    pickle.loads(data)  # one that cannot be rebuilt travels as its text
+                except Exception:
+                    data = pickle.dumps(ProtocolError(
+                        f"client worker (pid {os.getpid()}) failed in round {self._round}: "
+                        f"{type(exc).__name__}: {exc}"))
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        except BrokenPipeError:  # the parent is gone
+            status = 0
+        finally:
+            os._exit(status)
+
+    def result(self) -> List[dict]:
+        """The share's results in client order, once the child has ended;
+        its failure is raised here."""
+        fd, self._read = self._read, None
+        with open(fd, "rb") as fh:
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self._reaped = True
+        if status != 0 or not data:
+            raise ProtocolError(
+                f"client worker (pid {self.pid}) ended with exit code "
+                f"{os.waitstatus_to_exitcode(status)} and no result for clients {self.share} "
+                f"of round {self._round}")
+        result = pickle.loads(data)  # written by this program's own child
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def close(self) -> None:
+        """Close the pipe and reap the child, killing it if it still runs."""
+        if self._read is not None:
+            os.close(self._read)
+            self._read = None
+        if not self._reaped:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(self.pid, 0)
+            self._reaped = True
+
+
+def _train_clients(task, clients: Sequence[int], workers: int,
+                   round_index: int) -> List[dict]:
+    """``[task(k) for k in clients]``. With ``n = min(workers, len(clients))
+    >= 2`` where a process can fork, the clients are cut into n contiguous
+    shares: the caller trains the first while n - 1 ``_ShareWorker``
+    children train the rest. The caller then gathers the children's shares
+    in order, so the first failure in client order is the one raised, as at
+    one worker. The caller trains the shares it could fork no child for
+    after the others. Every child is reaped before this returns or raises."""
+    n = min(workers, len(clients))
+    if n < 2 or not hasattr(os, "fork"):
+        return [task(k) for k in clients]
+    # ceil(i m / n): the caller's share is the largest (wide_rad rounds ran
+    # 5-20% shorter than with the caller's share the smallest)
+    bounds = [(i * len(clients) + n - 1) // n for i in range(n + 1)]
+    shares = [clients[a:b] for a, b in zip(bounds, bounds[1:])]
+    children: List[_ShareWorker] = []
+    try:
+        try:
+            for share in shares[1:]:
+                children.append(_ShareWorker(task, share, round_index, children))
+        except OSError:  # no process to spare
+            pass
+        outs = [task(k) for k in shares[0]]
+        for child in children:
+            outs += child.result()
+        return outs + [task(k) for share in shares[1 + len(children):] for k in share]
+    finally:
+        for child in children:
+            child.close()
+
+
 def run_training(
     cfg: FedConfig,
     data: Dataset,
@@ -871,7 +999,8 @@ def run_training(
     resume: bool = False,
     stop_after_round: Optional[int] = None,
 ) -> RunResult:
-    """Execute the full protocol for cfg.rounds global rounds.
+    """Execute the full protocol for cfg.rounds global rounds; up to
+    ``workers`` processes train each round's clients (``_train_clients``).
 
     With ``checkpoint_dir`` set, a resumable checkpoint is written after
     every completed round; ``resume=True`` continues from the last one.
@@ -926,78 +1055,84 @@ def run_training(
         writer.write([record])
     server.reference = server_aggregate([], weights, registry)
 
-    # the pool starts its threads at its first task, after the producer's fork
-    pool = ThreadPoolExecutor(max_workers=workers)
+    # The rounds run on one BLAS thread, whatever the worker count, so no
+    # bit depends on it: on two threads OpenBLAS splits the inner sums of
+    # some products (paper shape's 5,200-row weight gradients). One thread
+    # is also what lets a round's processes share the CPUs; where it cannot
+    # be held, the clients train in this process. The count is set before
+    # any fork, since setting it after one restarts OpenBLAS's thread pool,
+    # whose new thread spins for about 0.1 s.
     producer = None
-    try:
-        for t in range(start_round + 1, last_round + 1):
-            selected = select_clients(
-                cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
-            )
-            if t == start_round + 1 and _use_producer(cfg):
-                try:
-                    producer = _ViewProducer(shards, cfg, t, last_round, workers)
-                except OSError:  # no process to spare: the views are drawn in the tasks
-                    pass
+    with one_blas_thread() as held:
+        try:
+            for t in range(start_round + 1, last_round + 1):
+                selected = select_clients(
+                    cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed)
+                )
+                if t == start_round + 1 and _use_producer(cfg, workers):
+                    try:
+                        producer = _ViewProducer(shards, cfg, t, last_round)
+                    except OSError:  # no process to spare: the views are drawn in the tasks
+                        pass
 
-            def task(k: int, draws=None) -> dict:
-                # the client's copy is built here, so at most ``workers``
-                # copies are alive at once
-                t0 = time.perf_counter()
-                reference, down = _send_reference(server.reference, registry, k, cfg)
-                out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t,
-                                        draws)
-                out["record"]["downstream_bytes"] = down
-                out["wall"] = time.perf_counter() - t0
-                return out
+                def task(k: int, draws=None) -> dict:
+                    # the client's copy is built in the process that trains it
+                    t0 = time.perf_counter()
+                    reference, down = _send_reference(server.reference, registry, k, cfg)
+                    out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t,
+                                            draws)
+                    out["record"]["downstream_bytes"] = down
+                    out["wall"] = time.perf_counter() - t0
+                    return out
 
-            # selected is ascending and both maps keep its order, so outs is
-            # in client order whatever the worker count.
-            if producer is None:
-                outs = list(pool.map(task, selected))
-            else:
-                outs = producer.map(pool, task, t, selected)
-            reports = []
-            for out in outs:
-                k = out["client"]
-                models[k] = out["model"]
-                nbytes = out["upload_bytes"]
-                reports.append((k, out["payload"]))
-                out["record"]["upstream_bytes"] = nbytes
-                log.messages.append(RoundMessage("server->client", t, k, "reference",
-                                                 out["record"]["downstream_bytes"]))
-                log.messages.append(
-                    RoundMessage("client->server", t, k, cfg.payload_kind, nbytes))
-                log.timings[(t, k)] = out["wall"]
+                # selected is ascending and both paths keep its order, so outs
+                # is in client order whatever the worker count.
+                if producer is None:
+                    outs = _train_clients(task, selected, workers if held else 1, t)
+                else:
+                    outs = producer.map(task, t, selected)
+                reports = []
+                for out in outs:
+                    k = out["client"]
+                    models[k] = out["model"]
+                    nbytes = out["upload_bytes"]
+                    reports.append((k, out["payload"]))
+                    out["record"]["upstream_bytes"] = nbytes
+                    log.messages.append(RoundMessage("server->client", t, k, "reference",
+                                                     out["record"]["downstream_bytes"]))
+                    log.messages.append(
+                        RoundMessage("client->server", t, k, cfg.payload_kind, nbytes))
+                    log.timings[(t, k)] = out["wall"]
 
-            # The new reference scores this round's clients, then serves as
-            # the next round's reference. Each client's copy has its bits, so
-            # the server scores against its own.
-            server.reference = server_aggregate(reports, weights, registry)
+                # The new reference scores this round's clients, then serves as
+                # the next round's reference. Each client's copy has its bits, so
+                # the server scores against its own.
+                server.reference = server_aggregate(reports, weights, registry)
 
-            new_records = []
-            for out in outs:
-                rec = out["record"]
-                rec["loss_total_swap"], rec["loss_ssl_swap"], rec["loss_prox_swap"] = _swap_eval(
-                    out["client"], out["phi"], rec["loss_ssl_end"], server.reference, cfg, t)
-                new_records.append(rec)
-            server_record = {
-                "type": "server",
-                "round": t,
-                "selected": selected,
-                "reference_norm": _reference_norm(server.reference, t),
-            }
-            new_records.append(server_record)
-            log.records.extend(new_records)
-            writer.write(new_records)
+                new_records = []
+                for out in outs:
+                    rec = out["record"]
+                    (rec["loss_total_swap"], rec["loss_ssl_swap"],
+                     rec["loss_prox_swap"]) = _swap_eval(out["client"], out["phi"],
+                                                         rec["loss_ssl_end"], server.reference,
+                                                         cfg, t)
+                    new_records.append(rec)
+                server_record = {
+                    "type": "server",
+                    "round": t,
+                    "selected": selected,
+                    "reference_norm": _reference_norm(server.reference, t),
+                }
+                new_records.append(server_record)
+                log.records.extend(new_records)
+                writer.write(new_records)
 
-            server.round = t
-            if checkpoint_dir:
-                _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
-    finally:
-        pool.shutdown(cancel_futures=True)  # no task writes to the producer after this
-        if producer is not None:
-            producer.close()
+                server.round = t
+                if checkpoint_dir:
+                    _save_checkpoint(checkpoint_dir, t, models, registry, cfg)
+        finally:
+            if producer is not None:
+                producer.close()
 
     return RunResult(models, log, rad, plan, server)
 
@@ -1013,7 +1148,8 @@ def standalone_training(
     model = init_models(cfg)[client_id]
     crng = RngStream(cfg.seed, client=client_id)
     obj = _client_objective(cfg, 0.0, None, None)
-    for t in range(1, cfg.rounds + 1):
-        result = local_training(model, shard, obj, cfg, t, crng)
-        model = result["model"]
+    with one_blas_thread():  # as run_training's client rounds
+        for t in range(1, cfg.rounds + 1):
+            result = local_training(model, shard, obj, cfg, t, crng)
+            model = result["model"]
     return model

@@ -16,10 +16,13 @@ Model files and checkpoints go through ``save_arrays``/``load_arrays``: one
 CSV, written and read a row at a time (``save_matrix_csv``,
 ``load_matrix_csv``) through the row formatter and parser that
 ``matrix_to_csv`` and ``matrix_from_csv`` use for text in memory.
+``one_blas_thread`` holds the loaded OpenBLAS to one thread for a block.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import io
 import itertools
@@ -28,6 +31,7 @@ import math
 import numbers
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -274,3 +278,47 @@ def load_arrays(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
         bad = next(name for name, a in arrays.items() if not np.isfinite(a).all())
         raise ParseError(f"{path}: entry {bad!r} is not finite")
     return meta, arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """The thread-count getter and setter of the OpenBLAS this process has
+    loaded, found through its memory map; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Hold the loaded OpenBLAS to one thread for the block, and give its
+    count back after, a raise included; yields whether it found one. The
+    count is process-wide state, and a child forked inside the block starts
+    with one thread too."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)

@@ -520,6 +520,11 @@ class _Views(tuple):
         out.vector = vector
         return out
 
+    def __reduce__(self):
+        # a client round trained in a worker process comes back pickled: the
+        # views are cut again from the unpickled vector, which stays attached
+        return _Views, (self.vector, tuple(self))
+
 
 def _flat(tensors: Params) -> np.ndarray:
     """The tensors as one vector: the one they were cut from, else a copy."""

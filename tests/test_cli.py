@@ -245,41 +245,45 @@ def ended(pid: int) -> bool:
 
 class TestKilledRun:
     """A run killed with SIGKILL at any point resumes with --resume to the
-    log and weights of the uninterrupted run, and its view producer ends
-    with it."""
+    log and weights of the uninterrupted run, and its view producer, or the
+    round's client workers, end with it."""
 
     def test_sigkill_then_resume_is_the_uninterrupted_run(self, tmp_path, readme_csv):
         full = tmp_path / "full"
         assert run_cli("run", "--data", readme_csv, "--out", str(full), *KILLED_RUN) == 0
         # the kill comes when the file holds that many lines: when the
-        # manifest appears, before any checkpoint, then after rounds 2 and 5
-        for trial, (name, lines) in enumerate((("manifest.json", 0), ("log.jsonl", 1 + 2 * 6),
-                                               ("log.jsonl", 1 + 5 * 6))):
+        # manifest appears, before any checkpoint, then after rounds 2 and 5;
+        # on two workers, after round 2 once a round's child trains
+        for trial, (name, lines, workers) in enumerate((
+                ("manifest.json", 0, ()), ("log.jsonl", 1 + 2 * 6, ()),
+                ("log.jsonl", 1 + 5 * 6, ()), ("log.jsonl", 1 + 2 * 6, ("--workers", "2")))):
             out = tmp_path / f"killed{trial}"
-            proc = cli_process("run", "--data", readme_csv, "--out", str(out), *KILLED_RUN)
+            args = ("run", "--data", readme_csv, "--out", str(out), *KILLED_RUN, *workers)
+            proc = cli_process(*args)
             deadline = time.monotonic() + 60.0
             try:
-                while not (out / name).exists() or line_count(out / name) < lines:
+                while (not (out / name).exists() or line_count(out / name) < lines
+                       or workers and not children(proc.pid)):
                     assert proc.poll() is None, proc.stderr.read().decode()
                     assert time.monotonic() < deadline, "the run stalled"
                     time.sleep(0.001)
-                producers = children(proc.pid)
+                forked = children(proc.pid)
                 proc.kill()
             finally:
                 proc.kill()
                 proc.wait()
                 proc.stderr.close()
             if lines:
-                assert len(producers) == 1
+                # the view producer, or the one child of a round on two workers
+                assert len(forked) == 1
             else:
                 assert not (out / "checkpoints" / "checkpoint.npz").exists()
             deadline = time.monotonic() + 1.0
-            while not all(ended(pid) for pid in producers):
-                assert time.monotonic() < deadline, f"producer {producers} outlived its run"
+            while not all(ended(pid) for pid in forked):
+                assert time.monotonic() < deadline, f"child {forked} outlived its run"
                 time.sleep(0.01)
 
-            resumed = cli_process("run", "--data", readme_csv, "--out", str(out), *KILLED_RUN,
-                                  "--resume")
+            resumed = cli_process(*args, "--resume")
             _, err = resumed.communicate(timeout=60)
             assert resumed.returncode == 0, err.decode()
             assert (out / "log.jsonl").read_bytes() == (full / "log.jsonl").read_bytes()

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import io
+import itertools
 import os
 import pathlib
 import sys
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from hssfl import federation, numkit
 from hssfl.cka import GramMatrix, gram_linear, packed_size
 from hssfl.datahub import synth_mixture
-from hssfl.errors import (ConfigError, ParseError, ProtocolError, ShapeError,
-                          UnsupportedCombinationError)
+from hssfl.errors import (ConfigError, NumericalFailureError, ParseError, ProtocolError,
+                          ShapeError, UnsupportedCombinationError)
 from hssfl.federation import (
     FedConfig,
     RoundLog,
@@ -62,6 +63,34 @@ def small_cfg(**overrides):
             MlpSpec((16, 8), "relu") for _ in range(base["num_clients"])
         )
     return FedConfig(**base)
+
+
+class CallLog:
+    """Calls recorded in every process of a run, the forked client workers
+    included: each call appends one line to a file."""
+
+    def __init__(self, directory):
+        self.path = pathlib.Path(directory) / "calls.txt"
+        self.path.write_text("")
+
+    def wrap(self, name, real, note=lambda *args: ""):
+        def call(*args, **kwargs):
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {name} {note(*args)}\n")
+            return real(*args, **kwargs)
+        return call
+
+    def calls(self):
+        """(pid, name, note) per call, in the order each process made them."""
+        return [tuple(line.split(" ", 2)) for line in self.path.read_text().splitlines()]
+
+    def counts(self):
+        """Calls by (pid, name)."""
+        return collections.Counter((int(pid), name) for pid, name, _ in self.calls())
+
+    def total(self, name):
+        """Calls of ``name`` in every process."""
+        return sum(1 for _, called, _ in self.calls() if called == name)
 
 
 class TestSelectClients:
@@ -372,21 +401,26 @@ class TestRunTraining:
         with pytest.raises(UnsupportedCombinationError):
             run_training(small_cfg(proximal_form="l2_rep", client_specs=specs), dataset())
 
-    def test_each_reference_aggregated_and_sent_once(self, monkeypatch):
-        counts = {"server_aggregate": 0, "_transmit": 0}
-        for name in counts:
-            def counted(*args, _name=name, _real=getattr(federation, name)):
-                counts[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(federation, name, counted)
+    def test_each_reference_aggregated_and_sent_once(self, monkeypatch, tmp_path):
+        # counted in every process: with two workers, one client a round
+        # trains in a forked child
+        log = CallLog(tmp_path)
+        for name in ("server_aggregate", "_transmit"):
+            monkeypatch.setattr(federation, name, log.wrap(name, getattr(federation, name)))
         cfg = small_cfg(rounds=3, sample_size=2)
         run_training(cfg, dataset(), workers=2)
-        assert counts["server_aggregate"] == cfg.rounds + 1
+        counts = log.counts()
+        assert counts[(os.getpid(), "server_aggregate")] == log.total("server_aggregate") == (
+            cfg.rounds + 1)
         # the RAD and the bootstrap uploads, then each selected client's
         # copy of the reference and its upload, every round
-        assert counts["_transmit"] == (
+        assert log.total("_transmit") == (
             1 + cfg.num_clients + cfg.rounds * 2 * cfg.sample_size
         )
+        # half of each round's copies and uploads in the parent, half in
+        # that round's child
+        assert counts[(os.getpid(), "_transmit")] == 1 + cfg.num_clients + cfg.rounds * 2
+        assert len({pid for pid, _ in counts} - {os.getpid()}) == cfg.rounds
 
     def test_no_gram_built_on_the_step_path(self, monkeypatch):
         from hssfl import cka, sslnet
@@ -601,22 +635,27 @@ class TestFactoredPayloads:
 
 def _received_references(monkeypatch, run):
     """Each client's copy of the reference, by (round, client), and the
-    server's aggregates in the order it made them, from ``run()``."""
-    received, aggregates = {}, []
+    server's aggregates in the order it made them, from ``run()``. A copy is
+    written to a file by the process that trains the client, so the forked
+    client workers' copies are read as well."""
+    aggregates = []
     real_train, real_aggregate = federation._train_one_client, federation.server_aggregate
 
-    def train(k, model, shard, rad, reference, cfg, t, draws=None):
-        received[(t, k)] = reference
-        return real_train(k, model, shard, rad, reference, cfg, t, draws)
+    with tempfile.TemporaryDirectory() as copies:
+        def train(k, model, shard, rad, reference, cfg, t, draws=None):
+            np.save(os.path.join(copies, f"{t}_{k}.npy"), reference.data)
+            return real_train(k, model, shard, rad, reference, cfg, t, draws)
 
-    def aggregate(*args):
-        aggregates.append(real_aggregate(*args))
-        return aggregates[-1]
+        def aggregate(*args):
+            aggregates.append(real_aggregate(*args))
+            return aggregates[-1]
 
-    with monkeypatch.context() as m:
-        m.setattr(federation, "_train_one_client", train)
-        m.setattr(federation, "server_aggregate", aggregate)
-        run()
+        with monkeypatch.context() as m:
+            m.setattr(federation, "_train_one_client", train)
+            m.setattr(federation, "server_aggregate", aggregate)
+            run()
+        received = {tuple(map(int, name[:-4].split("_"))): GramMatrix(np.load(
+                    os.path.join(copies, name))) for name in os.listdir(copies)}
     return received, aggregates
 
 
@@ -1261,6 +1300,32 @@ PRODUCER_CASES = {
 }
 
 
+def _fail_in_round_2_on_two_workers(monkeypatch):
+    """Fail every step of round 2 on two workers; the one child alive then
+    is reaped when the run raises."""
+    from hssfl import sslnet
+    rounds, seen = [], set()
+    real_select, real_step = federation.select_clients, sslnet.combined_step
+
+    def select(num_clients, sample_size, round_index, rng):
+        rounds.append(round_index)
+        return real_select(num_clients, sample_size, round_index, rng)
+
+    def step(*args):
+        if rounds[-1] == 2:
+            seen.update(_children())
+            raise _Killed
+        return real_step(*args)
+
+    monkeypatch.setattr(federation, "select_clients", select)
+    monkeypatch.setattr(sslnet, "combined_step", step)
+    with pytest.raises(_Killed):
+        run_training(desk_cfg(), desk_data(), workers=2)
+    assert len(seen) == 1
+    _no_child_left()
+    assert not pathlib.Path(f"/proc/{seen.pop()}").exists()
+
+
 class TestViewProducer:
     """A forked child draws each client round's views ahead of training;
     the run is the inline run, byte for byte, and leaves no process."""
@@ -1270,54 +1335,41 @@ class TestViewProducer:
     def test_same_bytes_as_drawing_inline(self, tmp_path, monkeypatch, overrides, workers,
                                           legs):
         cfg = desk_cfg(**overrides)
-        inline_draws = collections.Counter()
         real_draw = federation._draw_client_round
-
-        def draw(shard, cfg, client, round_index):
-            inline_draws[os.getpid()] += 1
-            return real_draw(shard, cfg, client, round_index)
-
-        monkeypatch.setattr(federation, "_draw_client_round", draw)
-        files = {}
+        files, draws = {}, {}
         for producer in (False, True):
-            monkeypatch.setattr(federation, "_use_producer", lambda cfg: producer)
-            files[producer] = _run_dir_files(tmp_path, str(producer), cfg, workers, legs)
+            log = CallLog(tmp_path)
+            monkeypatch.setattr(federation, "_draw_client_round", log.wrap("draw", real_draw))
+            monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: producer)
+            # the producer serves one worker; more train in their own processes
+            files[producer] = _run_dir_files(tmp_path, str(producer), cfg,
+                                             1 if producer else workers, legs)
             _no_child_left()
-        # the producer's draws are the child's, not the parent's
-        client_rounds = sum(len(select_clients(cfg.num_clients, cfg.sample_size, t,
-                                        RngStream(cfg.seed)))
-                     for t in range(1, cfg.rounds + 1))
-        assert inline_draws == {os.getpid(): client_rounds}
+            draws[producer] = log.counts()
+        # each client round's views are drawn once, by the process that
+        # trains it: this one for a round's first and largest share, and on
+        # two workers that round's child for the rest
+        me = os.getpid()
+        selections = [select_clients(cfg.num_clients, cfg.sample_size, t, RngStream(cfg.seed))
+                      for t in range(1, cfg.rounds + 1)]
+        mine = sum(-(-len(chosen) // min(workers, len(chosen))) for chosen in selections)
+        assert draws[False][(me, "draw")] == mine
+        assert sum(draws[False].values()) == sum(map(len, selections))
+        assert len(draws[False]) - 1 == (0 if workers == 1 else len(selections))
+        # the producer's draws are its own, one child a leg, not the parent's
+        assert (me, "draw") not in draws[True]
+        assert len(draws[True]) == len(legs)
+        assert sum(draws[True].values()) == sum(map(len, selections))
         assert files[True].keys() == files[False].keys()
         for name in files[False]:
             assert files[True][name] == files[False][name], name
 
     def test_no_process_outlives_a_failed_run(self, monkeypatch):
-        from hssfl import sslnet
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
-        rounds, seen = [], set()
-        real_select, real_step = federation.select_clients, sslnet.combined_step
-
-        def select(num_clients, sample_size, round_index, rng):
-            rounds.append(round_index)
-            return real_select(num_clients, sample_size, round_index, rng)
-
-        def step(*args):
-            if rounds[-1] == 2:
-                seen.update(_children())
-                raise _Killed
-            return real_step(*args)
-
-        monkeypatch.setattr(federation, "select_clients", select)
-        monkeypatch.setattr(sslnet, "combined_step", step)
-        with pytest.raises(_Killed):
-            run_training(desk_cfg(), desk_data(), workers=2)
-        assert len(seen) == 1
-        _no_child_left()
-        assert not pathlib.Path(f"/proc/{seen.pop()}").exists()
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
+        _fail_in_round_2_on_two_workers(monkeypatch)
 
     def test_a_failed_draw_names_the_producer(self, monkeypatch):
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
 
         def draw(shard, cfg, client, round_index):
             raise ValueError(f"no views for client {client}")
@@ -1330,7 +1382,7 @@ class TestViewProducer:
         _no_child_left()
 
     def test_a_dead_producer_is_named(self, monkeypatch):
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
         real_draw = federation._draw_client_round
 
         def draw(shard, cfg, client, round_index):
@@ -1346,13 +1398,13 @@ class TestViewProducer:
 
     def test_no_fork_to_spare_draws_inline(self, tmp_path, monkeypatch):
         cfg = desk_cfg(rounds=2)
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg: False)
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: False)
         inline = _run_dir_files(tmp_path, "inline", cfg)
 
         def fork():
             raise BlockingIOError("no process to spare")
 
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg: True)
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
         monkeypatch.setattr(os, "fork", fork)
         assert _run_dir_files(tmp_path, "no_fork", cfg) == inline
 
@@ -1366,14 +1418,172 @@ class TestProducerRule:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def test_desk_gets_the_producer(self, two_cpus):
-        assert federation._use_producer(desk_cfg())
+        assert federation._use_producer(desk_cfg(), 1)
 
     def test_wide_rad_stays_inline(self, two_cpus):
-        assert not federation._use_producer(desk_cfg(rad_size=512))
+        assert not federation._use_producer(desk_cfg(rad_size=512), 1)
 
     def test_identity_views_stay_inline(self, two_cpus):
-        assert not federation._use_producer(desk_cfg(noise_std=0.0, mask_prob=0.0))
+        assert not federation._use_producer(desk_cfg(noise_std=0.0, mask_prob=0.0), 1)
 
     def test_one_cpu_stays_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not federation._use_producer(desk_cfg())
+        assert not federation._use_producer(desk_cfg(), 1)
+
+    def test_two_workers_train_in_their_own_processes(self, two_cpus):
+        assert not federation._use_producer(desk_cfg(), 2)
+
+
+class _Unrebuildable(Exception):
+    """An exception that pickles but cannot be unpickled."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _in_client_round(monkeypatch, at, act):
+    """Make ``act(model)`` happen when each (round, client) of ``at`` starts
+    training; what it returns is the model the client trains."""
+    real = federation._train_one_client
+
+    def train(k, model, shard, rad, reference, cfg, t, draws=None):
+        if (t, k) in at:
+            model = act(model)
+        return real(k, model, shard, rad, reference, cfg, t, draws)
+
+    monkeypatch.setattr(federation, "_train_one_client", train)
+
+
+def _nan_weights(model):
+    return dataclasses.replace(model, online=tuple(np.full_like(p, np.nan)
+                                                    for p in model.online))
+
+
+def _blas_threads():
+    blas = numkit._openblas()
+    return blas[0]() if blas else None
+
+
+WORKER_CASES = {
+    "desk": ({}, ({},)),
+    "wide_rad_stopped_and_resumed": ({"rad_size": 512, "rounds": 2},
+                                     ({"stop_after_round": 1}, {"resume": True})),
+    "partial_participation": ({"sample_size": 3, "rounds": 4}, ({},)),
+}
+
+
+class TestClientWorkers:
+    """With two or more workers, forked children train all but the first
+    share of each round's clients: the run is the one-worker run, byte for
+    byte, fails as it does, and leaves no process."""
+
+    @pytest.mark.parametrize("overrides,legs", WORKER_CASES.values(), ids=WORKER_CASES.keys())
+    def test_same_bytes_at_every_worker_count(self, tmp_path, overrides, legs):
+        cfg = desk_cfg(**overrides)
+        blas = _blas_threads()
+        files = {w: _run_dir_files(tmp_path, str(w), cfg, w, legs) for w in (1, 2, 3, 4)}
+        _no_child_left()
+        assert _blas_threads() == blas
+        for w in (2, 3, 4):
+            assert files[w].keys() == files[1].keys()
+            for name in files[1]:
+                assert files[w][name] == files[1][name], (w, name)
+
+    def test_same_bytes_where_blas_splits_inner_sums(self, tmp_path):
+        # OpenBLAS on two threads splits the inner sum of a weight gradient
+        # over more than about 4,096 rows (alignment rows plus a batch), so
+        # every client round trains on one thread, standalone ones included
+        cfg = desk_cfg(num_clients=2, client_specs=desk_cfg().client_specs[:2], rounds=1,
+                       local_epochs=1, batch_size=150, rad_size=4200, partition="iid")
+        data = lambda: dataset(seed=1, dim=32, per_class=450)
+        files = {}
+        for w in (1, 2):
+            log = tmp_path / f"{w}.jsonl"
+            models = run_training(cfg, data(), workers=w, log_path=str(log)).models
+            files[w] = log.read_bytes(), [a.tobytes() for m in models
+                                          for a in model_arrays(m).values()]
+        assert files[1] == files[2]
+        # with mu = 0 a step takes only its batch, so the batch is that long
+        mu_zero = dataclasses.replace(cfg, mu=0.0, rad_size=8, batch_size=4400)
+        big = lambda: dataset(seed=1, dim=32, per_class=900)
+        alone = [standalone_training(mu_zero, big(), k) for k in range(2)]
+        assert same_models(run_training(mu_zero, big()).models, alone)
+
+    @pytest.mark.skipif(numkit._openblas() is None, reason="no OpenBLAS loaded")
+    def test_each_process_trains_on_one_blas_thread(self, tmp_path, monkeypatch):
+        cfg = desk_cfg(rounds=2)
+        log = CallLog(tmp_path)
+        monkeypatch.setattr(federation, "_train_one_client", log.wrap(
+            "train", federation._train_one_client, lambda *args: _blas_threads()))
+        run_training(cfg, desk_data(), workers=3)
+        calls = log.calls()
+        assert len(calls) == cfg.rounds * cfg.num_clients
+        assert {note for _, _, note in calls} == {"1"}
+        # the parent and one child for each of the last two shares, a round
+        assert len({pid for pid, _, _ in calls}) == 1 + 2 * cfg.rounds
+
+    @pytest.mark.parametrize("workers,at,first", [
+        (2, {3}, 3),  # in the child's share
+        (2, {1, 3}, 1),  # in the parent's share and the child's
+        (3, {3, 4}, 3),  # in both children's shares
+    ])
+    def test_a_failure_reads_as_at_one_worker(self, monkeypatch, workers, at, first):
+        _in_client_round(monkeypatch, {(2, k) for k in at}, _nan_weights)
+        blas = _blas_threads()
+        errors = {}
+        for w in (1, workers):
+            with pytest.raises(NumericalFailureError) as info:
+                run_training(desk_cfg(), desk_data(), workers=w)
+            errors[w] = (type(info.value), str(info.value))
+            _no_child_left()
+            assert _blas_threads() == blas
+        assert errors[workers] == errors[1]
+        assert f": client {first} round 2" in errors[1][1]
+
+    def test_no_process_outlives_a_failed_run(self, monkeypatch):
+        # the parent fails in its own share while the round's child trains
+        _fail_in_round_2_on_two_workers(monkeypatch)
+
+    def test_a_dead_worker_is_named(self, monkeypatch):
+        _in_client_round(monkeypatch, {(2, 3)}, lambda model: os._exit(3))
+        with pytest.raises(ProtocolError, match=r"client worker \(pid \d+\) ended with exit "
+                           r"code 3 and no result for clients \[3, 4\] of round 2$"):
+            run_training(desk_cfg(), desk_data(), workers=2)
+        _no_child_left()
+
+    def test_a_failure_that_cannot_travel_is_sent_as_text(self, monkeypatch):
+        def fail(model):
+            raise _Unrebuildable("client 3", "no model")
+
+        _in_client_round(monkeypatch, {(2, 3)}, fail)
+        with pytest.raises(ProtocolError, match=r"client worker \(pid \d+\) failed in round "
+                           r"2: _Unrebuildable: client 3: no model$"):
+            run_training(desk_cfg(), desk_data(), workers=2)
+        _no_child_left()
+
+    @pytest.mark.parametrize("missing", ["blas", "fork", "second_fork"])
+    def test_without_blas_or_fork_the_clients_train_here(self, tmp_path, monkeypatch,
+                                                         missing):
+        cfg = desk_cfg(rounds=2)
+        one = _run_dir_files(tmp_path, "one", cfg)
+        log = CallLog(tmp_path)
+        monkeypatch.setattr(federation, "_train_one_client",
+                            log.wrap("train", federation._train_one_client))
+        forks, real_fork = itertools.count(), os.fork
+
+        def fork():
+            if missing == "fork" or next(forks) % 2:
+                raise BlockingIOError("no process to spare")
+            return real_fork()
+
+        if missing == "blas":
+            monkeypatch.setattr(numkit, "_openblas", lambda: None)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a BLAS to hold"))
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        assert _run_dir_files(tmp_path, missing, cfg, workers=3) == one
+        _no_child_left()
+        # with the second fork of a round refused, the first child trains
+        # the second share and the parent the first and the third
+        children = len({pid for pid, _ in log.counts()} - {os.getpid()})
+        assert children == (cfg.rounds if missing == "second_fork" else 0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hssfl import numkit
 from hssfl.errors import ConfigError, NumericalFailureError, ParseError, ShapeError
 from hssfl.numkit import (
     RngStream,
@@ -16,6 +17,7 @@ from hssfl.numkit import (
     load_matrix_csv,
     matrix_from_csv,
     matrix_to_csv,
+    one_blas_thread,
     save_arrays,
     save_matrix_csv,
 )
@@ -326,6 +328,37 @@ class TestRngStream:
                          lambda g: g.choice(50, size=10, replace=False)):
                 assert draw(ours).tobytes() == draw(oracle).tobytes()
             assert _plain(ours.bit_generator.state) == _plain(oracle.bit_generator.state)
+
+
+class TestOneBlasThread:
+    """The loaded OpenBLAS runs on one thread inside the block, and on as
+    many as before it after, whether the block returns or raises."""
+
+    @pytest.fixture()
+    def blas_threads(self):
+        blas = numkit._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        return blas[0]
+
+    def test_given_back_after_a_return(self, blas_threads):
+        before = blas_threads()
+        with one_blas_thread() as held:
+            assert held and blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_given_back_after_a_raise(self, blas_threads):
+        before = blas_threads()
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                assert blas_threads() == 1
+                raise KeyError("inside")
+        assert blas_threads() == before
+
+    def test_without_openblas_nothing_is_held(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_openblas", lambda: None)
+        with one_blas_thread() as held:
+            assert held is False
 
 
 def _plain(state):

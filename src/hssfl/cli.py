@@ -70,6 +70,17 @@ def _parse_arch(text: str) -> MlpSpec:
     return MlpSpec(parsed, activation)
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_json(path: str, what: str, parse=json.loads):
     """The parsed contents of a JSON file (``parse`` reads JSON lines); a
     missing or unreadable file is a ConfigError, bad JSON a ParseError."""
@@ -177,6 +188,7 @@ def _resolve_config(args) -> FedConfig:
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     data = datahub.load_csv(args.data)
+    federation.check_input_widths(cfg.client_specs, data.dim)  # before anything is written
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.jsonl")
     checkpoint_dir = os.path.join(args.out, "checkpoints")
@@ -350,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--paper-defaults", action="store_true",
                    help="start from the full-scale defaults instead of desk scale")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=_at_least_one, default=1)
     r.add_argument("--resume", action="store_true")
-    r.add_argument("--stop-after", type=int, default=None,
+    r.add_argument("--stop-after", type=_at_least_one, default=None,
                    help="stop after this round, at least 1 (testing aid; checkpoint remains)")
     r.set_defaults(func=cmd_run)
 

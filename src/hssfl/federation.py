@@ -29,27 +29,34 @@ and checked for its shape and for finiteness once. One atomically replaced
 ``checkpoint.npz`` holds each round's client tensors and uploads
 (``upload_k``, as held); a resume cuts ``log.jsonl`` back to the rounds it
 holds, so a run killed at any point resumes to the uninterrupted result.
-With one worker the round's clients train in order in the calling process.
-With ``k >= 2`` workers, ``_train_clients`` forks ``min(k, S) - 1`` children
-each round, after the reference is aggregated; they and the parent each
-train a fixed contiguous share of the S selected clients, from the state
-the children inherit, and the parent gathers the shares in client order.
 The rounds run with OpenBLAS held to one thread
 (``numkit.one_blas_thread``), whatever the worker count: that is
 process-wide state, given back when ``run_training`` returns or raises. All
 randomness flows through value-like streams keyed by (seed, client, round,
 epoch, purpose), so runs are bit-reproducible whatever the worker count.
 Wall-clock timings never enter the round log, which stays byte-comparable
-across machines and worker counts. With ``theory_probes`` set, a ``theory.RoundProbe`` watches
-each client round through the epoch hook and fills its ``probe`` entry.
-A client's local epoch draws all its views and runs the target branch once,
-before its steps: the views never depend on the model, and the target
-changes only at the EMA update that ends the epoch (see ``sslnet``). Every
-view of a client round comes from ``_draw_client_round``. Where one worker
-leaves a second CPU free and the draws are a large share of a step
-(``_use_producer``), a forked child, the ``_ViewProducer``, runs that
-function one client round ahead of the training, on the same streams, so
-the bits do not change.
+across machines and worker counts. With ``theory_probes`` set, a
+``theory.RoundProbe`` watches each client round through the epoch hook and
+fills its ``probe`` entry. A client's local epoch draws all its views and
+runs the target branch once, before its steps: the views never depend on
+the model, and the target changes only at the EMA update that ends the
+epoch (see ``sslnet``). Every view of a client round comes from
+``_draw_client_round``.
+
+With one worker the round's clients train in order in the calling process.
+Forked children (``_Child``) take part of that work, each on the state it
+inherits, and send back pickled messages, so the bits do not change. The
+view producer (``_ViewProducer``), forked once per ``run_training`` call
+where one worker leaves a second CPU free and the draws are a large share
+of a step (``_use_producer``), runs ``_draw_client_round`` one client round
+ahead of the training. With ``k >= 2`` workers, ``min(k, S) - 1`` client
+workers, forked each round after the reference is aggregated
+(``_train_clients``), and the parent each train a fixed contiguous share of
+the S selected clients. A child's failure is raised in the parent as the
+in-process path raises it, one that ends without what it owed is a
+ProtocolError naming it, and each is killed and reaped before the call that
+forked it returns or raises. Where no process can be forked, the work runs
+in the calling process.
 
 Inputs are checked once, where they enter: ``FedConfig`` checks every number,
 the weights, the form and, under l2_rep, that the clients share one
@@ -68,9 +75,8 @@ import mmap
 import os
 import pickle
 import signal
-import struct
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -721,36 +727,108 @@ def _use_producer(cfg: FedConfig, workers: int) -> bool:
             and cfg.rad_size <= 4 * cfg.batch_size)
 
 
-def _read_exact(fd: int, size: int) -> bytes:
-    """``size`` bytes from a pipe, or fewer at end of file."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
+class _Child:
+    """A forked child that runs ``work(channel, *args)`` on the state it
+    inherits and exits, never returning into the caller's code. This object
+    is the channel: ``send`` and ``recv`` carry pickled messages on two
+    pipes, one each way. The child sends a failure of ``work`` as its last
+    message, and ends when its parent's end of the channel is gone; it
+    closes the parent's ends of its live ``siblings``' channels, so that
+    each sees its parent go. ``close`` kills and reaps it."""
 
+    def __init__(self, role: str, work, *args, siblings: Sequence["_Child"] = ()):
+        self.role = role
+        fds: List[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        down_r, down_w, up_r, up_w = fds
+        if self.pid == 0:
+            self._serve(down_r, up_w, [down_w, up_r], siblings, work, args)
+        os.close(down_r)
+        os.close(up_w)
+        self._in, self._out = open(up_r, "rb"), open(down_w, "wb")
+        self._status: Optional[int] = None
 
-_TASK = struct.Struct("<iii")  # client round number, round, client; -1 on failure
+    def _serve(self, read: int, write: int, parents: List[int],
+               siblings: Sequence["_Child"], work, args) -> None:
+        """The child: run ``work``, send its failure, exit; never returns."""
+        status = 1
+        try:
+            gc.freeze()  # the parent's garbage, open files included, is the parent's
+            for sibling in siblings:
+                parents += (sibling._in.fileno(), sibling._out.fileno())
+            for fd in parents:
+                os.close(fd)
+            self._in, self._out = open(read, "rb"), open(write, "wb")
+            try:
+                work(self, *args)
+            except BaseException as exc:  # sent, not raised: the child never returns
+                try:
+                    pickle.loads(pickle.dumps(exc))  # one that cannot be rebuilt goes as text
+                except Exception:
+                    exc = ProtocolError(f"{self.role} (pid {os.getpid()}) failed: "
+                                        f"{type(exc).__name__}: {exc}")
+                self.send(exc)
+            status = 0
+        finally:  # a parent that is gone ends the child here, by a broken pipe
+            os._exit(status)
+
+    def send(self, message) -> None:
+        """Pickle ``message`` to the other end. In the parent, a message to a
+        child that has ended is dropped; the next ``recv`` says so."""
+        try:
+            self._out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+            self._out.flush()
+        except BrokenPipeError:
+            if self.pid == 0:
+                raise
+
+    def recv(self, owed: str = "message"):
+        """The next message from the other end. In the parent, a failure the
+        child sent is raised, and a channel that ends first is a
+        ProtocolError naming ``owed``."""
+        try:
+            message = pickle.load(self._in)
+        except (EOFError, pickle.UnpicklingError):
+            if self.pid == 0:  # the parent is gone
+                raise
+            raise ProtocolError(f"{self.role} (pid {self.pid}) ended with exit code "
+                                f"{self._reap()} and no {owed}") from None
+        if isinstance(message, BaseException):  # the child's failure
+            raise message
+        return message
+
+    def _reap(self) -> int:
+        """The child's exit code, once it has ended."""
+        if self._status is None:
+            self._status = os.waitpid(self.pid, 0)[1]
+        return os.waitstatus_to_exitcode(self._status)
+
+    def close(self) -> None:
+        """Close the parent's ends of the channel, then kill and reap the
+        child, which may still be running."""
+        self._in.close()
+        with suppress(BrokenPipeError):  # a message the ended child never read
+            self._out.close()
+        if self._status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
 
 
 class _ViewProducer:
-    """A forked child that draws each client round's views
-    (``_draw_client_round``) one client round ahead of the training, which
-    runs in the parent, one client round at a time.
-
-    It walks the leg's schedule, rounds and then selected clients in
-    ascending order, and writes client round ``i`` into slot ``i % 2`` of an
-    anonymous shared map, once the parent has released client round
-    ``i - 2`` from that slot. It reports each filled slot on one pipe and
-    reads the releases on another. The child was forked from the same
-    program with the same streams, so its views have the bits the parent
-    would draw. It ends at the end of the schedule, or when the parent's end
-    of either pipe closes, so a parent that dies leaves it running for at
-    most the draw in progress. The child calls no BLAS, and it copies the
-    parent's memory, shards and config included, only as the parent writes
-    it."""
+    """The view producer, a ``_Child``, and the parent's side of it. The
+    child walks the leg's schedule, rounds and then selected clients in
+    ascending order, draws client round ``i`` into slot ``i % 2`` of an
+    anonymous shared map and sends ``(i, round, client)``; before it fills a
+    slot again it reads the parent's release of the client round before,
+    sent in order. It calls no BLAS, and it copies the parent's memory,
+    shards and config included, only as the parent writes it."""
 
     _slots = 2
 
@@ -761,21 +839,7 @@ class _ViewProducer:
         self._slot_bytes = 2 * self._pairs * max(s.nbytes for s in shards)
         self._map = mmap.mmap(-1, self._slots * self._slot_bytes)
         self._next = 0
-        ready, self._ready_w = os.pipe()
-        self._release_r, release = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (ready, self._ready_w, self._release_r, release):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            os.close(ready)
-            os.close(release)
-            self._serve(cfg, first_round, last_round)
-        os.close(self._ready_w)
-        os.close(self._release_r)
-        self._ready, self._release_w = ready, release
+        self._child = _Child("view producer", self._draw, cfg, first_round, last_round)
 
     def _slot(self, task: int, client: int) -> np.ndarray:
         """Client round ``task``'s slot as (pair, view, row, column)."""
@@ -784,66 +848,35 @@ class _ViewProducer:
                              (task % self._slots) * self._slot_bytes
                              ).reshape(self._pairs, 2, *shape)
 
-    def _serve(self, cfg: FedConfig, first_round: int, last_round: int) -> None:
-        """The child: fill the slots, then exit; never returns."""
-        status = 1
-        try:
-            gc.freeze()  # the parent's garbage, open files included, is the parent's
-            rng, released = RngStream(cfg.seed), set()
-            schedule = ((t, k) for t in range(first_round, last_round + 1)
-                        for k in _selection(cfg.num_clients, cfg.sample_size, t, rng))
-            for task, (t, k) in enumerate(schedule):
-                while task >= self._slots and task - self._slots not in released:
-                    message = _read_exact(self._release_r, 4)
-                    if len(message) < 4:  # the parent is gone
-                        status = 0
-                        return
-                    released.add(struct.unpack("<i", message)[0])
-                released.discard(task - self._slots)
-                evals, epochs = _draw_client_round(self._shards[k], cfg, k, t)
-                slot = self._slot(task, k)
-                for pair, views in enumerate(itertools.chain([evals], epochs)):
-                    slot[pair, 0], slot[pair, 1] = views
-                os.write(self._ready_w, _TASK.pack(task, t, k))
-            status = 0
-        except BrokenPipeError:  # the parent is gone
-            status = 0
-        except BaseException as exc:  # reported, not raised: the child never returns
-            try:
-                os.write(self._ready_w, _TASK.pack(-1, 0, 0)
-                         + f"{type(exc).__name__}: {exc}".encode()[:4000])
-            except OSError:
-                pass
-        finally:
-            os._exit(status)
+    def _draw(self, channel: _Child, cfg: FedConfig, first_round: int,
+              last_round: int) -> None:
+        """The child's work: fill the slots in schedule order."""
+        rng = RngStream(cfg.seed)
+        schedule = ((t, k) for t in range(first_round, last_round + 1)
+                    for k in _selection(cfg.num_clients, cfg.sample_size, t, rng))
+        for task, (t, k) in enumerate(schedule):
+            if task >= self._slots:
+                channel.recv()  # the release of client round task - 2
+            evals, epochs = _draw_client_round(self._shards[k], cfg, k, t)
+            slot = self._slot(task, k)
+            for pair, views in enumerate(itertools.chain([evals], epochs)):
+                slot[pair, 0], slot[pair, 1] = views
+            channel.send((task, t, k))
 
     def _take(self, round_index: int,
               client: int) -> Tuple[int, Tuple[ViewPair, List[ViewPair]]]:
         """The next client round's number and draws, once the child has
         drawn them; the views are read-only views of its slot."""
         task = self._next
-        message = _read_exact(self._ready, _TASK.size)
-        got = _TASK.unpack(message) if len(message) == _TASK.size else None
+        got = self._child.recv(f"views for client {client} of round {round_index}")
         if got != (task, round_index, client):
-            if got is None:
-                why = "exited"
-            elif got[0] == -1:
-                why = "failed: " + _read_exact(self._ready, 4096).decode(errors="replace")
-            else:
-                why = f"sent client round {got} for {(task, round_index, client)}"
-            raise ProtocolError(f"view producer (pid {self.pid}) {why}, before drawing "
-                                f"client {client} of round {round_index}")
+            raise ProtocolError(f"{self._child.role} (pid {self._child.pid}) sent client "
+                                f"round {got} for {(task, round_index, client)}")
         self._next += 1
         slot = self._slot(task, client)
         slot.flags.writeable = False
         pairs = [tuple(pair) for pair in slot]
         return task, (pairs[0], pairs[1:])
-
-    def _release(self, task: int) -> None:
-        try:
-            os.write(self._release_w, struct.pack("<i", task))
-        except BrokenPipeError:  # the child has ended; if early, the next _take says so
-            pass
 
     def map(self, fn, round_index: int, clients: Sequence[int]) -> List[dict]:
         """``[fn(k, draws) for k in clients]``, each call made once its views
@@ -854,118 +887,33 @@ class _ViewProducer:
             try:
                 outs.append(fn(k, draws))
             finally:
-                self._release(task)
+                self._child.send(task)
         return outs
 
     def close(self) -> None:
-        """Close both pipes and reap the child, which may still be drawing."""
-        os.close(self._ready)
-        os.close(self._release_w)
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        os.waitpid(self.pid, 0)
+        self._child.close()
 
 
-class _ShareWorker:
-    """A forked child that trains one share of a round's clients with the
-    round's ``task``, from the state it inherits (models, registry,
-    reference, shards, alignment rows), so nothing is sent to it. It pickles
-    back, on a pipe, the share's results or the first failure among them. It
-    checks that its parent lives before each client round, and a parent that
-    dies closes the pipe it writes to, so it never outlives the parent by
-    more than a client round."""
-
-    def __init__(self, task, share: Sequence[int], round_index: int,
-                 siblings: Sequence["_ShareWorker"]):
-        self.share, self._round = list(share), round_index
-        parent = os.getpid()
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            os.close(read)
-            for sibling in siblings:
-                os.close(sibling._read)
-            self._serve(task, parent, write)
-        os.close(write)
-        self._read: Optional[int] = read
-        self._reaped = False
-
-    def _serve(self, task, parent: int, fd: int) -> None:
-        """The child: train the share, report, exit; never returns."""
-        status = 1
-        try:
-            gc.freeze()  # the parent's garbage, open files included, is the parent's
-            try:
-                outs = []
-                for k in self.share:
-                    if os.getppid() != parent:
-                        status = 0
-                        return
-                    outs.append(task(k))
-                data = pickle.dumps(outs, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # reported, not raised: the child never returns
-                try:
-                    data = pickle.dumps(exc)
-                    pickle.loads(data)  # one that cannot be rebuilt travels as its text
-                except Exception:
-                    data = pickle.dumps(ProtocolError(
-                        f"client worker (pid {os.getpid()}) failed in round {self._round}: "
-                        f"{type(exc).__name__}: {exc}"))
-            with open(fd, "wb") as fh:
-                fh.write(data)
-            status = 0
-        except BrokenPipeError:  # the parent is gone
-            status = 0
-        finally:
-            os._exit(status)
-
-    def result(self) -> List[dict]:
-        """The share's results in client order, once the child has ended;
-        its failure is raised here."""
-        fd, self._read = self._read, None
-        with open(fd, "rb") as fh:
-            data = fh.read()
-        _, status = os.waitpid(self.pid, 0)
-        self._reaped = True
-        if status != 0 or not data:
-            raise ProtocolError(
-                f"client worker (pid {self.pid}) ended with exit code "
-                f"{os.waitstatus_to_exitcode(status)} and no result for clients {self.share} "
-                f"of round {self._round}")
-        result = pickle.loads(data)  # written by this program's own child
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def close(self) -> None:
-        """Close the pipe and reap the child, killing it if it still runs."""
-        if self._read is not None:
-            os.close(self._read)
-            self._read = None
-        if not self._reaped:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(self.pid, 0)
-            self._reaped = True
+def _train_share(channel: _Child, task, share: Sequence[int], parent: int) -> None:
+    """A client worker's work: train ``share`` with the round's ``task`` and
+    send the results, checking before each client round that the parent
+    lives."""
+    outs = []
+    for k in share:
+        if os.getppid() != parent:
+            return
+        outs.append(task(k))
+    channel.send(outs)
 
 
 def _train_clients(task, clients: Sequence[int], workers: int,
                    round_index: int) -> List[dict]:
     """``[task(k) for k in clients]``. With ``n = min(workers, len(clients))
     >= 2`` where a process can fork, the clients are cut into n contiguous
-    shares: the caller trains the first while n - 1 ``_ShareWorker``
-    children train the rest. The caller then gathers the children's shares
-    in order, so the first failure in client order is the one raised, as at
-    one worker. The caller trains the shares it could fork no child for
+    shares: the caller trains the first while n - 1 client workers
+    (``_train_share``) train the rest. The caller then gathers the children's
+    shares in order, so the first failure in client order is the one raised,
+    as at one worker. The caller trains the shares it could fork no child for
     after the others. Every child is reaped before this returns or raises."""
     n = min(workers, len(clients))
     if n < 2 or not hasattr(os, "fork"):
@@ -974,16 +922,17 @@ def _train_clients(task, clients: Sequence[int], workers: int,
     # 5-20% shorter than with the caller's share the smallest)
     bounds = [(i * len(clients) + n - 1) // n for i in range(n + 1)]
     shares = [clients[a:b] for a, b in zip(bounds, bounds[1:])]
-    children: List[_ShareWorker] = []
+    children: List[_Child] = []
     try:
         try:
             for share in shares[1:]:
-                children.append(_ShareWorker(task, share, round_index, children))
+                children.append(_Child("client worker", _train_share, task, share,
+                                       os.getpid(), siblings=children))
         except OSError:  # no process to spare
             pass
         outs = [task(k) for k in shares[0]]
-        for child in children:
-            outs += child.result()
+        for child, share in zip(children, shares[1:]):
+            outs += child.recv(f"result for clients {share} of round {round_index}")
         return outs + [task(k) for share in shares[1 + len(children):] for k in share]
     finally:
         for child in children:

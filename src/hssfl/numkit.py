@@ -254,7 +254,8 @@ def load_arrays(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
     """``(meta, arrays)`` as ``save_arrays`` wrote them, views of the data
     vector, both members read by ``decode_npy`` (nothing is unpickled). Any
     other file, one member per tensor as earlier layouts wrote included, an
-    index that does not fit the data or a non-finite tensor raises ParseError."""
+    index that does not fit the data, a meta that is not a JSON object or a
+    non-finite tensor raises ParseError."""
     try:
         with zipfile.ZipFile(path) as zf:
             if zf.namelist() != _MEMBERS:
@@ -274,6 +275,8 @@ def load_arrays(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
             raise ValueError(f"{len(index['entries'])} entries of {end} numbers")
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path} is not an index and its float64 data ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: meta is {json.dumps(meta)[:40]}, not a JSON object")
     if not np.isfinite(data).all():
         bad = next(name for name, a in arrays.items() if not np.isfinite(a).all())
         raise ParseError(f"{path}: entry {bad!r} is not finite")

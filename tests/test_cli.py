@@ -447,6 +447,40 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "checkpoint.npz" in err and named in err
 
+    @pytest.mark.parametrize("meta", [["round", 1], "round 1", None],
+                             ids=["list", "string", "null"])
+    def test_resume_from_checkpoint_whose_meta_is_not_an_object(self, tmp_path, data_csv,
+                                                                capsys, meta):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out), "--stop-after", "1") == 0
+        path = os.path.join(out, "checkpoints", "checkpoint.npz")
+        save_arrays(path, load_arrays(path)[1], meta)
+        assert run_cli(*run_args(data_csv, out), "--resume") == 2
+        assert f"{path}: meta is " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda args: [*args, "--workers", "0", "--clients", "4"],
+         "argument --workers: must be at least 1, got 0"),
+        (lambda args: [*args, "--stop-after", "0"],
+         "argument --stop-after: must be at least 1, got 0"),
+        (lambda args: ["12,6" if a == "8,6" else a for a in args],
+         "client 0: encoder input width 12 != dataset width 8"),
+    ], ids=["no-workers", "stop-before-round-1", "encoder-width"])
+    def test_a_refused_run_leaves_its_directory_as_it_was(self, tmp_path, data_csv, capsys,
+                                                          change, named):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        try:
+            code = run_cli(*change(run_args(data_csv, out)))
+        except SystemExit as exc:  # refused as the arguments are parsed
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 0
+
     def test_resume_from_per_member_checkpoint(self, tmp_path, data_csv, capsys):
         # the layout of earlier versions: a JSON member, then one per tensor
         out = str(tmp_path / "run")

@@ -5,6 +5,7 @@ import io
 import itertools
 import os
 import pathlib
+import re
 import sys
 import tempfile
 import threading
@@ -1300,9 +1301,9 @@ PRODUCER_CASES = {
 }
 
 
-def _fail_in_round_2_on_two_workers(monkeypatch):
-    """Fail every step of round 2 on two workers; the one child alive then
-    is reaped when the run raises."""
+def _fail_in_round_2(monkeypatch, workers):
+    """Fail every step of round 2, which the parent trains at least in part;
+    the one child alive then is reaped when the run raises."""
     from hssfl import sslnet
     rounds, seen = [], set()
     real_select, real_step = federation.select_clients, sslnet.combined_step
@@ -1320,15 +1321,111 @@ def _fail_in_round_2_on_two_workers(monkeypatch):
     monkeypatch.setattr(federation, "select_clients", select)
     monkeypatch.setattr(sslnet, "combined_step", step)
     with pytest.raises(_Killed):
-        run_training(desk_cfg(), desk_data(), workers=2)
+        run_training(desk_cfg(), desk_data(), workers=workers)
     assert len(seen) == 1
     _no_child_left()
     assert not pathlib.Path(f"/proc/{seen.pop()}").exists()
 
 
-class TestViewProducer:
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class _Unrebuildable(Exception):
+    """An exception that pickles but cannot be unpickled."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+class _ChildRules:
+    """The failure and reaping rule of a forked child, ``federation._Child``,
+    run for each of its roles. A subclass names the role and the message its
+    child owes the parent for client 3 of round 2, sets a run up to fork the
+    child or not (``workers``), and makes something happen in the child as
+    it starts that client round (``in_child``)."""
+
+    role = owed = None
+
+    def workers(self, monkeypatch, forked: bool) -> int:
+        raise NotImplementedError
+
+    def in_child(self, monkeypatch, act) -> None:
+        raise NotImplementedError
+
+    def run(self, monkeypatch, forked=True):
+        return run_training(desk_cfg(), desk_data(), workers=self.workers(monkeypatch, forked))
+
+    def test_a_failure_raises_as_in_process(self, monkeypatch):
+        def fail():
+            raise ValueError("nothing for client 3 of round 2")
+
+        self.in_child(monkeypatch, fail)
+        errors = {}
+        for forked in (False, True):
+            with pytest.raises(ValueError) as info:
+                self.run(monkeypatch, forked)
+            errors[forked] = (type(info.value), str(info.value))
+            _no_child_left()
+        assert errors[True] == errors[False] == (ValueError, "nothing for client 3 of round 2")
+
+    def test_a_failure_that_cannot_travel_is_sent_as_text(self, monkeypatch):
+        def fail():
+            raise _Unrebuildable("client 3", "no model")
+
+        self.in_child(monkeypatch, fail)
+        with pytest.raises(ProtocolError, match=rf"^{self.role} \(pid \d+\) failed: "
+                           r"_Unrebuildable: client 3: no model$"):
+            self.run(monkeypatch)
+        _no_child_left()
+
+    def test_a_dead_child_is_named(self, monkeypatch):
+        self.in_child(monkeypatch, lambda: os._exit(3))
+        fds = _open_fds()
+        with pytest.raises(ProtocolError, match=rf"^{self.role} \(pid \d+\) ended with exit "
+                           rf"code 3 and no {re.escape(self.owed)}$"):
+            self.run(monkeypatch)
+        _no_child_left()
+        assert _open_fds() == fds
+
+    def test_no_fork_to_spare_draws_inline(self, tmp_path, monkeypatch):
+        cfg = desk_cfg(rounds=2)
+        inline = _run_dir_files(tmp_path, "inline", cfg, self.workers(monkeypatch, False))
+        fds = _open_fds()
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        workers = self.workers(monkeypatch, True)
+        assert _run_dir_files(tmp_path, "no_fork", cfg, workers) == inline
+        assert _open_fds() == fds
+
+    def test_no_process_outlives_a_failed_run(self, monkeypatch):
+        # the parent fails in its own client round while the child runs
+        _fail_in_round_2(monkeypatch, self.workers(monkeypatch, True))
+
+
+class TestViewProducer(_ChildRules):
     """A forked child draws each client round's views ahead of training;
-    the run is the inline run, byte for byte, and leaves no process."""
+    the run is the inline run, byte for byte, fails as it does, and leaves
+    no process."""
+
+    role, owed = "view producer", "views for client 3 of round 2"
+
+    def workers(self, monkeypatch, forked):
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: forked)
+        return 1
+
+    def in_child(self, monkeypatch, act):
+        real = federation._draw_client_round
+
+        def draw(shard, cfg, client, round_index):
+            if (round_index, client) == (2, 3):
+                act()
+            return real(shard, cfg, client, round_index)
+
+        monkeypatch.setattr(federation, "_draw_client_round", draw)
 
     @pytest.mark.parametrize("overrides,workers,legs", PRODUCER_CASES.values(),
                              ids=PRODUCER_CASES.keys())
@@ -1364,50 +1461,6 @@ class TestViewProducer:
         for name in files[False]:
             assert files[True][name] == files[False][name], name
 
-    def test_no_process_outlives_a_failed_run(self, monkeypatch):
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
-        _fail_in_round_2_on_two_workers(monkeypatch)
-
-    def test_a_failed_draw_names_the_producer(self, monkeypatch):
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
-
-        def draw(shard, cfg, client, round_index):
-            raise ValueError(f"no views for client {client}")
-
-        monkeypatch.setattr(federation, "_draw_client_round", draw)
-        with pytest.raises(ProtocolError, match=r"view producer \(pid \d+\) failed: "
-                           r"ValueError: no views for client 0, before drawing client 0 "
-                           r"of round 1"):
-            run_training(desk_cfg(), desk_data())
-        _no_child_left()
-
-    def test_a_dead_producer_is_named(self, monkeypatch):
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
-        real_draw = federation._draw_client_round
-
-        def draw(shard, cfg, client, round_index):
-            if (round_index, client) == (2, 3):
-                os._exit(0)
-            return real_draw(shard, cfg, client, round_index)
-
-        monkeypatch.setattr(federation, "_draw_client_round", draw)
-        with pytest.raises(ProtocolError, match=r"view producer \(pid \d+\) exited, before "
-                           "drawing client 3 of round 2"):
-            run_training(desk_cfg(), desk_data())
-        _no_child_left()
-
-    def test_no_fork_to_spare_draws_inline(self, tmp_path, monkeypatch):
-        cfg = desk_cfg(rounds=2)
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: False)
-        inline = _run_dir_files(tmp_path, "inline", cfg)
-
-        def fork():
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: True)
-        monkeypatch.setattr(os, "fork", fork)
-        assert _run_dir_files(tmp_path, "no_fork", cfg) == inline
-
 
 class TestProducerRule:
     """The producer runs where fork exists, two CPUs are free, the views
@@ -1432,13 +1485,6 @@ class TestProducerRule:
 
     def test_two_workers_train_in_their_own_processes(self, two_cpus):
         assert not federation._use_producer(desk_cfg(), 2)
-
-
-class _Unrebuildable(Exception):
-    """An exception that pickles but cannot be unpickled."""
-
-    def __init__(self, what, why):
-        super().__init__(f"{what}: {why}")
 
 
 def _in_client_round(monkeypatch, at, act):
@@ -1472,10 +1518,19 @@ WORKER_CASES = {
 }
 
 
-class TestClientWorkers:
+class TestClientWorkers(_ChildRules):
     """With two or more workers, forked children train all but the first
     share of each round's clients: the run is the one-worker run, byte for
     byte, fails as it does, and leaves no process."""
+
+    role, owed = "client worker", "result for clients [3, 4] of round 2"
+
+    def workers(self, monkeypatch, forked):
+        monkeypatch.setattr(federation, "_use_producer", lambda cfg, workers: False)
+        return 2 if forked else 1
+
+    def in_child(self, monkeypatch, act):
+        _in_client_round(monkeypatch, {(2, 3)}, lambda model: act())
 
     @pytest.mark.parametrize("overrides,legs", WORKER_CASES.values(), ids=WORKER_CASES.keys())
     def test_same_bytes_at_every_worker_count(self, tmp_path, overrides, legs):
@@ -1539,27 +1594,6 @@ class TestClientWorkers:
             assert _blas_threads() == blas
         assert errors[workers] == errors[1]
         assert f": client {first} round 2" in errors[1][1]
-
-    def test_no_process_outlives_a_failed_run(self, monkeypatch):
-        # the parent fails in its own share while the round's child trains
-        _fail_in_round_2_on_two_workers(monkeypatch)
-
-    def test_a_dead_worker_is_named(self, monkeypatch):
-        _in_client_round(monkeypatch, {(2, 3)}, lambda model: os._exit(3))
-        with pytest.raises(ProtocolError, match=r"client worker \(pid \d+\) ended with exit "
-                           r"code 3 and no result for clients \[3, 4\] of round 2$"):
-            run_training(desk_cfg(), desk_data(), workers=2)
-        _no_child_left()
-
-    def test_a_failure_that_cannot_travel_is_sent_as_text(self, monkeypatch):
-        def fail(model):
-            raise _Unrebuildable("client 3", "no model")
-
-        _in_client_round(monkeypatch, {(2, 3)}, fail)
-        with pytest.raises(ProtocolError, match=r"client worker \(pid \d+\) failed in round "
-                           r"2: _Unrebuildable: client 3: no model$"):
-            run_training(desk_cfg(), desk_data(), workers=2)
-        _no_child_left()
 
     @pytest.mark.parametrize("missing", ["blas", "fork", "second_fork"])
     def test_without_blas_or_fork_the_clients_train_here(self, tmp_path, monkeypatch,

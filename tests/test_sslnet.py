@@ -8,7 +8,7 @@ from hssfl import sslnet
 from hssfl.cka import ProximalForm, gram_linear
 from hssfl.errors import ConfigError, NumericalFailureError, ParseError
 from hssfl.federation import FedConfig
-from hssfl.numkit import RngStream
+from hssfl.numkit import RngStream, load_arrays, save_arrays
 from hssfl.sslnet import (
     AugmentConfig,
     _ssl_loss_grad,
@@ -508,6 +508,15 @@ class TestCheckpoint:
         assert loaded.tau == model.tau
         assert list(model_arrays(loaded)) == list(model_arrays(model))
         assert same_tensors(loaded, model)
+
+    @pytest.mark.parametrize("meta", [["spec", "tau"], "spec", None],
+                             ids=["list", "string", "null"])
+    def test_meta_not_an_object_is_named(self, tmp_path, meta):
+        save_model(stepped_model(), str(tmp_path / "ckpt"))
+        path = str(tmp_path / "ckpt" / "model.npz")
+        save_arrays(path, load_arrays(path)[1], meta)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: meta is ")):
+            load_model(str(tmp_path / "ckpt"))
 
     def test_entry_names(self):
         names = list(model_arrays(make_model()))

@@ -3,6 +3,8 @@
 Every run writes a manifest (resolved configuration, seed, version,
 timestamps, output paths) before training starts; the emitted logs,
 checkpoints, and reports are reproducible byte-for-byte from that manifest.
+A run refused for its flags, its config or its data exits 2 before it
+writes anything.
 Flag precedence: command line > config file > defaults. HSSFL_SEED serves
 as a seed fallback when --seed is absent.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -23,15 +26,11 @@ from .federation import FedConfig
 from .numkit import RngStream, as_int
 from .sslnet import MlpSpec
 
+# applied on top of DESK_DEFAULTS, so it holds only what differs
 PAPER_DEFAULTS = {
     "rounds": 200,
-    "local_epochs": 5,
-    "momentum": 0.9,
-    "eta": 0.032,
     "batch_size": 200,
-    "mu": 0.5,
     "rad_size": 5000,
-    "normalize_loss": True,
 }
 
 DESK_DEFAULTS = {
@@ -188,8 +187,8 @@ def _resolve_config(args) -> FedConfig:
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     data = datahub.load_csv(args.data)
-    federation.check_input_widths(cfg.client_specs, data.dim)  # before anything is written
-    os.makedirs(args.out, exist_ok=True)
+    # every refusal of the data comes before anything is written
+    federation.prepare_data(cfg, dataclasses.replace(data, reserved=set()))
     log_path = os.path.join(args.out, "log.jsonl")
     checkpoint_dir = os.path.join(args.out, "checkpoints")
     manifest_path = os.path.join(args.out, "manifest.json")
@@ -201,6 +200,7 @@ def cmd_run(args) -> int:
         fresh = isinstance(manifest, dict) and manifest.get("config") == cfg.to_dict()
     if fresh:
         # the manifest last: it marks a run of the config as started
+        os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "config.resolved.json"), cfg.to_dict())
         _write_json(manifest_path, {
             "kind": "run",

@@ -47,16 +47,19 @@ With one worker the round's clients train in order in the calling process.
 Forked children (``_Child``) take part of that work, each on the state it
 inherits, and send back pickled messages, so the bits do not change. The
 view producer (``_ViewProducer``), forked once per ``run_training`` call
-where one worker leaves a second CPU free and the draws are a large share
-of a step (``_use_producer``), runs ``_draw_client_round`` one client round
-ahead of the training. With ``k >= 2`` workers, ``min(k, S) - 1`` client
-workers, forked each round after the reference is aggregated
-(``_train_clients``), and the parent each train a fixed contiguous share of
-the S selected clients. A child's failure is raised in the parent as the
-in-process path raises it, one that ends without what it owed is a
-ProtocolError naming it, and each is killed and reaped before the call that
-forked it returns or raises. Where no process can be forked, the work runs
-in the calling process.
+where one worker leaves a second CPU free and the views are not the rows
+themselves (``_use_producer``), runs ``_draw_client_round`` one client round
+ahead of the training, into two shared slots of 2 (E + 1) rows dim 8 bytes
+for the largest shard's rows: about 2.3 MB in all at desk shape and 6 MB at
+paper shape. Each client round takes its views as an argument, from the
+producer or drawn in the process that trains it. With ``k >= 2`` workers,
+``min(k, S) - 1`` client workers, forked each round after the reference is
+aggregated (``_train_clients``), and the parent each train a fixed
+contiguous share of the S selected clients. A child's failure is raised in
+the parent as the in-process path raises it, one that ends without what it
+owed is a ProtocolError naming it, and each is killed and reaped before the
+call that forked it returns or raises. Where no process can be forked, the
+work runs in the calling process.
 
 Inputs are checked once, where they enter: ``FedConfig`` checks every number,
 the weights, the form and, under l2_rep, that the clients share one
@@ -314,13 +317,7 @@ def select_clients(
 ) -> List[int]:
     """Uniform sample without replacement, ascending, fixed per (seed, round);
     FedConfig keeps sample_size in [1, num_clients]. The server calls it
-    once a round; the view producer walks the schedule through
-    ``_selection``."""
-    return _selection(num_clients, sample_size, round_index, rng)
-
-
-def _selection(num_clients: int, sample_size: int, round_index: int,
-               rng: RngStream) -> List[int]:
+    once a round; the view producer walks the schedule with it."""
     if sample_size == num_clients:
         return list(range(num_clients))
     gen = rng.child(round=round_index, purpose="select").generator()
@@ -411,7 +408,7 @@ def _upload(
 ) -> Tuple[Payload, int, Matrix]:
     """The client's alignment payload as the server receives it, its wire
     size, and the representations it was built from. Run it inside
-    ``_client_work``, which names the client of a numerical failure."""
+    ``_numerics``, which names the client of a numerical failure."""
     phi = check_finite(sslnet.representations(model, rad, clip_radius=cfg.clip_radius),
                        "representations")
     payload = gram_linear(phi) if cfg.payload_kind == KERNEL else phi
@@ -465,27 +462,21 @@ def _draw_client_round(shard: Matrix, cfg: FedConfig, client: int,
 
 def local_training(
     model: ClientModel,
-    shard: Matrix,
     obj: sslnet.Objective,
     cfg: FedConfig,
-    round_index: int,
-    rng: RngStream,
+    epochs: Iterable[ViewPair],
     epoch_hook=None,
-    epochs: Optional[Iterable[ViewPair]] = None,
 ) -> dict:
     """E local epochs against a fixed reference: minibatch steps, then one
     EMA update per epoch. Returns the updated model with per-epoch mean
-    losses and gradient norms. ``epoch_hook(epoch, model)``, when given, is
+    losses and gradient norms. ``epochs`` are the epochs' view pairs, as
+    ``_epoch_views`` draws them. ``epoch_hook(epoch, model)``, when given, is
     called after each epoch; it must not mutate the model (used for theory
-    probes, which draw from their own streams). ``epochs`` are the epochs'
-    view pairs from ``_draw_client_round``; by default they are drawn here
-    from the client stream ``rng``. Each epoch runs the target branch once;
-    each step takes its batch's rows."""
+    probes, which draw from their own streams). Each epoch runs the target
+    branch once; each step takes its batch's rows."""
     epoch_losses: List[float] = []
     epoch_grad_norms: List[float] = []
     size = cfg.batch_size
-    if epochs is None:
-        epochs = _epoch_views(shard, cfg, rng, round_index)
     for epoch, views in enumerate(epochs):
         losses, norms, b = [], [], 0
         try:  # the epoch's targets are taken before batch 0, so a failure names it
@@ -513,15 +504,15 @@ def local_training(
 
 
 @contextmanager
-def _client_work(client_id: int, round_index: int):
-    """Client-side numerics: numpy float warnings are silenced, since the
-    finiteness checks raise NumericalFailureError instead, and that error is
-    tagged with the client and round."""
+def _numerics(where: str):
+    """Numerics whose failure is checked: numpy float warnings are silenced,
+    since the finiteness checks raise NumericalFailureError instead, and
+    that error is tagged with ``where``."""
     try:
         with np.errstate(all="ignore"):
             yield
     except NumericalFailureError as exc:
-        raise exc.within(f"client {client_id} round {round_index}") from exc
+        raise exc.within(where) from exc
 
 
 def _train_one_client(
@@ -532,27 +523,24 @@ def _train_one_client(
     reference: Payload,
     cfg: FedConfig,
     round_index: int,
-    draws: Optional[Tuple[ViewPair, Iterable[ViewPair]]] = None,
+    draws: Tuple[ViewPair, Iterable[ViewPair]],
 ) -> dict:
     """Full client-side work for one round; a pure function of what it is
     given, so any process forked with that state can run it. ``draws`` is
-    the round's ``_draw_client_round``, drawn here when not given. The
-    returned payload is the server's decoded copy of the upload, with its
-    wire size; ``phi`` is the representations it was built from."""
-    crng = RngStream(cfg.seed, client=client_id)
+    the round's ``_draw_client_round``. The returned payload is the server's
+    decoded copy of the upload, with its wire size; ``phi`` is the
+    representations it was built from."""
     obj = _client_objective(cfg, cfg.mu, rad, reference)
+    views, epochs = draws  # start and end are scored on one view pair
     probe = None
-    with _client_work(client_id, round_index):
-        # start and end are scored on one view pair
-        views, epochs = draws or _draw_client_round(shard, cfg, client_id, round_index)
+    with _numerics(f"client {client_id} round {round_index}"):
         start = sslnet.combined_loss(model, views, obj)
         if cfg.theory_probes:
-            rrng = crng.child(round=round_index)
+            rrng = RngStream(cfg.seed, client=client_id).child(round=round_index)
             probe = theory.RoundProbe(model, shard, obj, rrng, _epoch_batches(
                 shard.shape[0], cfg.batch_size, rrng.sub("order")))
-        result = local_training(model, shard, obj, cfg, round_index, crng,
-                                epoch_hook=probe.after_epoch if probe else None,
-                                epochs=epochs)
+        result = local_training(model, obj, cfg, epochs,
+                                epoch_hook=probe.after_epoch if probe else None)
         model = result["model"]
         end = sslnet.combined_loss(model, views, obj)
         upload, upload_bytes, phi = _upload(model, rad, cfg, client_id)
@@ -586,13 +574,10 @@ def _train_one_client(
 def _reference_norm(reference: Payload, round_index: int) -> float:
     """||Kbar||_F of a kernel reference, ||phibar||_F of a representation
     one; an overflow is a NumericalFailureError naming the round."""
-    try:
-        with np.errstate(all="ignore"):
-            norm = (reference.norm if isinstance(reference, GramMatrix)
-                    else float(np.linalg.norm(reference)))
+    with _numerics(f"round {round_index}"):
+        norm = (reference.norm if isinstance(reference, GramMatrix)
+                else float(np.linalg.norm(reference)))
         return check_finite(norm, "reference norm")
-    except NumericalFailureError as exc:
-        raise exc.within(f"round {round_index}") from exc
 
 
 def _swap_eval(
@@ -606,7 +591,7 @@ def _swap_eval(
     """End-of-round losses against the next round's reference, weights held
     fixed. The regression loss does not depend on the reference, so it is
     the end loss; the penalty is taken on the uploaded representations."""
-    with _client_work(client_id, round_index):
+    with _numerics(f"client {client_id} round {round_index}"):
         prox = check_finite(proximal_value(phi, new_reference, cfg.proximal_form, cfg.mu),
                             "swap penalty")
         return loss_ssl_end + prox, loss_ssl_end, prox
@@ -631,7 +616,8 @@ def check_input_widths(specs: Sequence[MlpSpec], dim: int) -> None:
 
 def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[Matrix, PartitionPlan]:
     """The alignment rows and the client shards. The alignment rows are
-    reserved in ``data``, so a dataset serves one call only."""
+    reserved in ``data``, so a dataset serves one call only. Every refusal
+    of the data, an empty shard included, is raised here."""
     if data.reserved:
         raise ConfigError(f"the dataset already has {len(data.reserved)} rows reserved "
                           "by an earlier run; load or build it afresh for each run")
@@ -646,6 +632,9 @@ def prepare_data(cfg: FedConfig, data: Dataset) -> Tuple[Matrix, PartitionPlan]:
         plan = partition_noniid(data, cfg.num_clients, root.with_purpose("partition"))
     else:
         plan = partition_iid(data, cfg.num_clients, root.with_purpose("partition"))
+    for k, idx in enumerate(plan.client_indices):
+        if len(idx) == 0:
+            raise ConfigError(f"client {k} received an empty shard")
     return rad, plan
 
 
@@ -717,14 +706,10 @@ def load_checkpoint(directory: str, cfg: FedConfig) -> Tuple[int, List[ClientMod
 
 def _use_producer(cfg: FedConfig, workers: int) -> bool:
     """Whether a run draws its views in a ``_ViewProducer``: where one
-    worker trains, a process can fork, a second CPU is free to draw, the
-    views are not the rows themselves, and the draws are a large share of a
-    step. A step's passes cover batch + L rows and its views batch rows, so
-    with L > 4 batch the draws' share is small, and the producer does not
-    pay for its process."""
+    worker trains, a process can fork, a second CPU is free to draw, and the
+    views are not the rows themselves."""
     return (workers == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and not cfg.augment_cfg.is_identity
-            and cfg.rad_size <= 4 * cfg.batch_size)
+            and len(os.sched_getaffinity(0)) >= 2 and not cfg.augment_cfg.is_identity)
 
 
 class _Child:
@@ -826,9 +811,11 @@ class _ViewProducer:
     child walks the leg's schedule, rounds and then selected clients in
     ascending order, draws client round ``i`` into slot ``i % 2`` of an
     anonymous shared map and sends ``(i, round, client)``; before it fills a
-    slot again it reads the parent's release of the client round before,
-    sent in order. It calls no BLAS, and it copies the parent's memory,
-    shards and config included, only as the parent writes it."""
+    slot again it reads the parent's release of the client round before.
+    The parent takes the client rounds in order (``take``), so taking one
+    releases the one before. The child calls no BLAS, and it copies the
+    parent's memory, shards and config included, only as the parent writes
+    it."""
 
     _slots = 2
 
@@ -853,7 +840,7 @@ class _ViewProducer:
         """The child's work: fill the slots in schedule order."""
         rng = RngStream(cfg.seed)
         schedule = ((t, k) for t in range(first_round, last_round + 1)
-                    for k in _selection(cfg.num_clients, cfg.sample_size, t, rng))
+                    for k in select_clients(cfg.num_clients, cfg.sample_size, t, rng))
         for task, (t, k) in enumerate(schedule):
             if task >= self._slots:
                 channel.recv()  # the release of client round task - 2
@@ -863,11 +850,13 @@ class _ViewProducer:
                 slot[pair, 0], slot[pair, 1] = views
             channel.send((task, t, k))
 
-    def _take(self, round_index: int,
-              client: int) -> Tuple[int, Tuple[ViewPair, List[ViewPair]]]:
-        """The next client round's number and draws, once the child has
-        drawn them; the views are read-only views of its slot."""
+    def take(self, round_index: int, client: int) -> Tuple[ViewPair, List[ViewPair]]:
+        """The next client round's draws, once the child has drawn them, as
+        read-only views of its slot. The client round before, whose views
+        are no longer read, is released."""
         task = self._next
+        if task:
+            self._child.send(task - 1)
         got = self._child.recv(f"views for client {client} of round {round_index}")
         if got != (task, round_index, client):
             raise ProtocolError(f"{self._child.role} (pid {self._child.pid}) sent client "
@@ -876,19 +865,7 @@ class _ViewProducer:
         slot = self._slot(task, client)
         slot.flags.writeable = False
         pairs = [tuple(pair) for pair in slot]
-        return task, (pairs[0], pairs[1:])
-
-    def map(self, fn, round_index: int, clients: Sequence[int]) -> List[dict]:
-        """``[fn(k, draws) for k in clients]``, each call made once its views
-        are drawn and its slot released when it ends."""
-        outs = []
-        for k in clients:
-            task, draws = self._take(round_index, k)
-            try:
-                outs.append(fn(k, draws))
-            finally:
-                self._child.send(task)
-        return outs
+        return pairs[0], pairs[1:]
 
     def close(self) -> None:
         self._child.close()
@@ -965,9 +942,6 @@ def run_training(
         last_round = min(last_round, stop_after_round)
     rad, plan = prepare_data(cfg, data)
     shards = [data.features[list(idx)] for idx in plan.client_indices]
-    for k, shard in enumerate(shards):
-        if shard.shape[0] == 0:
-            raise ConfigError(f"client {k} received an empty shard")
 
     log = RoundLog()
     start_round = 0
@@ -993,7 +967,7 @@ def run_training(
         boot_bytes = []
         for k in range(cfg.num_clients):
             log.messages.append(RoundMessage("server->client", 0, k, "rad", rad_bytes))
-            with _client_work(k, 0):
+            with _numerics(f"client {k} round 0"):
                 registry[k], nbytes, _ = _upload(models[k], rad_rows, cfg, k)
             boot_bytes.append(nbytes)
             log.messages.append(RoundMessage("client->server", 0, k, cfg.payload_kind, nbytes))
@@ -1024,9 +998,12 @@ def run_training(
                     except OSError:  # no process to spare: the views are drawn in the tasks
                         pass
 
-                def task(k: int, draws=None) -> dict:
-                    # the client's copy is built in the process that trains it
+                def task(k: int) -> dict:
+                    # the views and the client's copy of the reference are
+                    # made in the process that trains it
                     t0 = time.perf_counter()
+                    draws = (_draw_client_round(shards[k], cfg, k, t) if producer is None
+                             else producer.take(t, k))
                     reference, down = _send_reference(server.reference, registry, k, cfg)
                     out = _train_one_client(k, models[k], shards[k], rad_rows, reference, cfg, t,
                                             draws)
@@ -1034,12 +1011,11 @@ def run_training(
                     out["wall"] = time.perf_counter() - t0
                     return out
 
-                # selected is ascending and both paths keep its order, so outs
-                # is in client order whatever the worker count.
-                if producer is None:
-                    outs = _train_clients(task, selected, workers if held else 1, t)
-                else:
-                    outs = producer.map(task, t, selected)
+                # selected is ascending and _train_clients keeps its order,
+                # so outs is in client order whatever the worker count. The
+                # producer serves this process only.
+                outs = _train_clients(task, selected,
+                                      workers if held and producer is None else 1, t)
                 reports = []
                 for out in outs:
                     k = out["client"]
@@ -1099,6 +1075,5 @@ def standalone_training(
     obj = _client_objective(cfg, 0.0, None, None)
     with one_blas_thread():  # as run_training's client rounds
         for t in range(1, cfg.rounds + 1):
-            result = local_training(model, shard, obj, cfg, t, crng)
-            model = result["model"]
+            model = local_training(model, obj, cfg, _epoch_views(shard, cfg, crng, t))["model"]
     return model

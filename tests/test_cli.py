@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hssfl import cli
 from hssfl.cli import main
 from hssfl.numkit import load_arrays, save_arrays
 
@@ -117,17 +118,16 @@ class TestRun:
         assert cfg["mu"] == 0.5
 
     def test_paper_defaults_full_scale_echo(self, tmp_path, data_csv):
-        # with nothing overridden the manifest records the full-scale values;
-        # the run itself then refuses because the toy dataset is too small
+        # with nothing overridden the config holds the full-scale values; the
+        # toy dataset is too small for them, so the run is refused before it
+        # writes a manifest
         out = str(tmp_path / "pd_full")
-        rc = run_cli("run", "--data", data_csv, "--out", out,
-                     "--arch", "8,6", "--clients", "2", "--partition", "iid",
-                     "--paper-defaults", "--seed", "1")
-        assert rc == 2
-        cfg = read_json(out, "manifest.json")["config"]
-        assert cfg["rounds"] == 200
-        assert cfg["rad_size"] == 5000
-        assert cfg["eta"] == 0.032
+        flags = ["run", "--data", data_csv, "--out", out, "--arch", "8,6", "--clients", "2",
+                 "--partition", "iid", "--paper-defaults", "--seed", "1"]
+        assert run_cli(*flags) == 2
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+        cfg = cli._resolve_config(cli.build_parser().parse_args(flags))
+        assert (cfg.rounds, cfg.batch_size, cfg.rad_size, cfg.eta) == (200, 200, 5000, 0.032)
 
     def test_stop_and_resume_matches_uninterrupted(self, tmp_path, data_csv):
         full = str(tmp_path / "full")
@@ -344,6 +344,7 @@ class TestBadInput:
     def test_resume_without_checkpoint(self, tmp_path, data_csv, capsys):
         assert run_cli(*run_args(data_csv, str(tmp_path / "run")), "--resume") == 2
         assert "checkpoint.npz" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key(self, tmp_path, data_csv, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -465,7 +466,12 @@ class TestBadInput:
          "argument --stop-after: must be at least 1, got 0"),
         (lambda args: ["12,6" if a == "8,6" else a for a in args],
          "client 0: encoder input width 12 != dataset width 8"),
-    ], ids=["no-workers", "stop-before-round-1", "encoder-width"])
+        (lambda args: [*args, "--clients", "3", "--partition", "noniid"],
+         "4 classes do not divide evenly over 3 clients"),
+        (lambda args: [*args, "--rad-size", "500"],
+         "alignment size 500 exceeds the 160 unreserved pool rows"),
+    ], ids=["no-workers", "stop-before-round-1", "encoder-width", "indivisible-partition",
+            "rad-larger-than-pool"])
     def test_a_refused_run_leaves_its_directory_as_it_was(self, tmp_path, data_csv, capsys,
                                                           change, named):
         out = str(tmp_path / "run")

@@ -24,6 +24,7 @@ from hssfl.federation import (
     FedConfig,
     RoundLog,
     _client_objective,
+    _epoch_views,
     _transmit,
     local_training,
     run_training,
@@ -171,7 +172,8 @@ class TestLocalTraining:
         from hssfl.federation import init_models
         model = init_models(cfg)[0]
         obj = _client_objective(cfg, cfg.mu, rad, gram_linear(np.ones((10, 8))))
-        out = local_training(model, shard, obj, cfg, 1, RngStream(cfg.seed, client=0))
+        out = local_training(model, obj, cfg,
+                             _epoch_views(shard, cfg, RngStream(cfg.seed, client=0), 1))
         assert len(out["epoch_losses"]) == 1
         for a, b in zip(out["model"].online, model.online):
             assert np.array_equal(a, b)
@@ -185,8 +187,8 @@ class TestLocalTraining:
         model = init_models(cfg)[0]
         ref = gram_linear(RngStream(5, purpose="r").generator().normal(size=(20, 8)))
         obj = _client_objective(cfg, cfg.mu, rad, ref)
-        first = local_training(model, shard, obj, cfg, 2, RngStream(cfg.seed, client=0))
-        second = local_training(model, shard, obj, cfg, 2, RngStream(cfg.seed, client=0))
+        first, second = (local_training(model, obj, cfg, _epoch_views(
+            shard, cfg, RngStream(cfg.seed, client=0), 2)) for _ in range(2))
         assert first["epoch_losses"] == second["epoch_losses"]
         assert first["epoch_grad_norms"] == second["epoch_grad_norms"]
         for a, b in zip(first["model"].online, second["model"].online):
@@ -258,7 +260,7 @@ class TestEpochPass:
             views_seen.append(views)
             return real_step(model, views, *args)
         monkeypatch.setattr(sslnet, "combined_step", recording)
-        out = local_training(model, shard, obj, cfg, 3, rng)
+        out = local_training(model, obj, cfg, _epoch_views(shard, cfg, rng, 3))
         monkeypatch.undo()
         losses, norms, oracle, oracle_views = per_step_training(model, shard, obj, cfg, 3, rng)
 
@@ -490,7 +492,8 @@ class TestRunTraining:
         model = federation.init_models(cfg)[0]
         reference = gram_linear(sslnet.representations(model, rad))
         counts.clear()
-        out = federation._train_one_client(0, model, shard, rad, reference, cfg, 1)
+        out = federation._train_one_client(0, model, shard, rad, reference, cfg, 1,
+                                           federation._draw_client_round(shard, cfg, 0, 1))
         steps = cfg.local_epochs * -(-shard.shape[0] // cfg.batch_size)
         assert counts["combined_step"] == steps
         assert counts["forward_target"] == cfg.local_epochs + 2
@@ -643,7 +646,7 @@ def _received_references(monkeypatch, run):
     real_train, real_aggregate = federation._train_one_client, federation.server_aggregate
 
     with tempfile.TemporaryDirectory() as copies:
-        def train(k, model, shard, rad, reference, cfg, t, draws=None):
+        def train(k, model, shard, rad, reference, cfg, t, draws):
             np.save(os.path.join(copies, f"{t}_{k}.npy"), reference.data)
             return real_train(k, model, shard, rad, reference, cfg, t, draws)
 
@@ -1463,8 +1466,8 @@ class TestViewProducer(_ChildRules):
 
 
 class TestProducerRule:
-    """The producer runs where fork exists, two CPUs are free, the views
-    are not the rows themselves, and L is at most four batches."""
+    """The producer runs where fork exists, two CPUs are free and the views
+    are not the rows themselves, whatever the shape."""
 
     @pytest.fixture()
     def two_cpus(self, monkeypatch):
@@ -1473,8 +1476,11 @@ class TestProducerRule:
     def test_desk_gets_the_producer(self, two_cpus):
         assert federation._use_producer(desk_cfg(), 1)
 
-    def test_wide_rad_stays_inline(self, two_cpus):
-        assert not federation._use_producer(desk_cfg(rad_size=512), 1)
+    def test_wide_rad_gets_the_producer(self, two_cpus):
+        assert federation._use_producer(desk_cfg(rad_size=512), 1)
+
+    def test_paper_shape_gets_the_producer(self, two_cpus):
+        assert federation._use_producer(desk_cfg(rad_size=5000, batch_size=200), 1)
 
     def test_identity_views_stay_inline(self, two_cpus):
         assert not federation._use_producer(desk_cfg(noise_std=0.0, mask_prob=0.0), 1)
@@ -1492,7 +1498,7 @@ def _in_client_round(monkeypatch, at, act):
     training; what it returns is the model the client trains."""
     real = federation._train_one_client
 
-    def train(k, model, shard, rad, reference, cfg, t, draws=None):
+    def train(k, model, shard, rad, reference, cfg, t, draws):
         if (t, k) in at:
             model = act(model)
         return real(k, model, shard, rad, reference, cfg, t, draws)

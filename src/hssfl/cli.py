@@ -12,6 +12,7 @@ as a seed fallback when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -69,25 +70,38 @@ def _parse_arch(text: str) -> MlpSpec:
     return MlpSpec(parsed, activation)
 
 
-def _at_least_one(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_at_least_zero, _at_least_one = _int_at_least(0), _int_at_least(1)
+
+
+@contextlib.contextmanager
+def _file(verb: str, what: str, path: str):
+    """An OSError in the block, a missing directory or file say, is a
+    ConfigError: ``cannot <verb> <what> <path>: <reason>``."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {verb} {what} {path}: {exc.strerror}") from None
 
 
 def _read_json(path: str, what: str, parse=json.loads):
     """The parsed contents of a JSON file (``parse`` reads JSON lines); a
     missing or unreadable file is a ConfigError, bad JSON a ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _file("read", what, path), open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
 
@@ -112,7 +126,8 @@ def cmd_gen_data(args) -> int:
                 f"{args.classes} classes do not divide over {args.clients} clients; "
                 "pick a divisible pair or use --partition iid"
             )
-    datahub.save_csv(ds, args.out)
+    with _file("write", "dataset", args.out):
+        datahub.save_csv(ds, args.out)
     _write_json(args.out + ".manifest.json", {
         "kind": "dataset",
         "classes": args.classes,
@@ -257,13 +272,14 @@ def cmd_eval(args) -> int:
         rows.append({"client": k, "architecture": f"{arch}-{model.spec.activation}",
                      "accuracy": acc})
     out_csv = args.out or os.path.join(run_dir, "eval.csv")
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["client", "architecture", "accuracy"])
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(os.path.splitext(out_csv)[0] + ".jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with _file("write", "evaluation", out_csv):
+        with open(out_csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["client", "architecture", "accuracy"])
+            writer.writeheader()
+            writer.writerows(rows)
+        with open(os.path.splitext(out_csv)[0] + ".jsonl", "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
     for row in rows:
         print(f"client {row['client']:>3} {row['architecture']:>20} "
               f"accuracy {row['accuracy']:.4f}")
@@ -286,7 +302,7 @@ def cmd_check_theory(args) -> int:
         proximal_form=cfg.proximal_form.value,
     )
     out_path = args.out or os.path.join(run_dir, "bounds.jsonl")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _file("write", "bound report", out_path), open(out_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"estimates": est.to_dict()}, sort_keys=True) + "\n")
         for rep in reports:
             fh.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
@@ -372,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--run-dir", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--out", default=None)
-    e.add_argument("--probe-epochs", type=int, default=50)
+    e.add_argument("--probe-epochs", type=_at_least_zero, default=50)
     e.add_argument("--probe-lr", type=float, default=0.003)
-    e.add_argument("--probe-batch", type=int, default=128)
+    e.add_argument("--probe-batch", type=_at_least_one, default=128)
     e.set_defaults(func=cmd_eval)
 
     t = sub.add_parser("check-theory", help="verify the convergence bounds on a run log")

@@ -69,6 +69,8 @@ def synth_mixture(
     """Gaussian mixture with class means on a sphere of the given radius."""
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
     if separation <= 0:

@@ -439,12 +439,11 @@ def _epoch_views(shard: Matrix, cfg: FedConfig, rng: RngStream,
     """Each local epoch's view pair, drawn as it is iterated: the shard's
     rows in the epoch's batch order, each batch's block from its step's
     stream. ``rng`` is the client's stream."""
-    obj = sslnet.Objective(augment=cfg.augment_cfg)
     for epoch in range(cfg.local_epochs):
         erng = rng.child(round=round_index, epoch=epoch)
         batches = _epoch_batches(shard.shape[0], cfg.batch_size, erng.sub("order"))
         yield sslnet.objective_views(
-            shard[np.concatenate(batches)], obj,
+            shard[np.concatenate(batches)], cfg.augment_cfg,
             *(erng.sub(f"step{b}") for b in range(len(batches))), block=cfg.batch_size)
 
 
@@ -455,7 +454,7 @@ def _draw_client_round(shard: Matrix, cfg: FedConfig, client: int,
     on a model, so they can be drawn anywhere, ahead of training (see
     ``_ViewProducer``); drawn here, the epochs' pairs come as iterated."""
     crng = RngStream(cfg.seed, client=client)
-    evals = sslnet.objective_views(shard, sslnet.Objective(augment=cfg.augment_cfg),
+    evals = sslnet.objective_views(shard, cfg.augment_cfg,
                                    crng.child(round=round_index, purpose="eval"))
     return evals, _epoch_views(shard, cfg, crng, round_index)
 

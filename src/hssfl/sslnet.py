@@ -8,10 +8,10 @@ target branch's output on a second view, optionally plus a mu-weighted
 proximal penalty coupling the client's representations of a shared
 alignment batch to a fixed reference received from the server.
 
-All models are updated functionally: operations return new ClientModel
-values and never write a tensor in place, so models can be shared across
-parallel workers safely. A step's tensors are views of the vectors its
-momentum update wrote.
+A model is three float64 vectors, and ``tensors`` cuts one into views of
+its weights and biases. All models are updated functionally: operations
+return new ClientModel values and never write a vector in place, so models
+can be shared across parallel workers safely.
 
 An epoch does once what the online weights never touch: the views come only
 from fixed random streams, and the target branch changes only at the
@@ -32,6 +32,7 @@ check only for numerical failure.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -93,49 +94,63 @@ Params = Tuple[np.ndarray, ...]
 
 @dataclass(frozen=True, eq=False)
 class ClientModel:
-    """Online encoder + predictor, EMA target encoder, momentum buffers.
+    """Online encoder + predictor, EMA target encoder, momentum buffer.
 
-    ``online`` is ``(W0, b0, ..., W_{n-1}, b_{n-1}, Wp, bp)``: the encoder
-    layers, then the predictor. ``target`` is the encoder part of that
-    layout, updated only by EMA; ``velocity`` holds one momentum buffer per
-    entry of ``online``.
+    ``online`` is one vector of ``(W0, b0, ..., W_{n-1}, b_{n-1}, Wp, bp)``,
+    each tensor raveled in turn: the encoder layers, then the predictor.
+    ``target`` is the encoder prefix of that layout, updated only by EMA;
+    ``velocity`` is the momentum buffer of ``online``. ``tensors`` cuts any
+    of them into its tensors.
     """
 
     spec: MlpSpec
     tau: float
-    online: Params
-    target: Params
-    velocity: Params
+    online: np.ndarray
+    target: np.ndarray
+    velocity: np.ndarray
 
 
 _PARTS = ("online", "target", "velocity")
 
 
-def _online_shapes(spec: MlpSpec) -> List[Tuple[int, ...]]:
-    """The shapes of ``online``, in order."""
-    shapes = []
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        shapes += [(fan_in, fan_out), (fan_out,)]
-    return shapes + [(spec.output_width, spec.output_width), (spec.output_width,)]
+@functools.lru_cache(maxsize=None)
+def _layout(spec: MlpSpec) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+    """(start, stop, shape) of each tensor of ``online`` in its vector, in
+    order: (W, b) of each encoder layer, then of the predictor, one more
+    layer of the representation width. A step cuts three vectors by it."""
+    widths, cuts = spec.layer_widths + (spec.output_width,), []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            start = cuts[-1][1] if cuts else 0
+            cuts.append((start, start + math.prod(shape), shape))
+    return tuple(cuts)
+
+
+def tensors(vector: np.ndarray, spec: MlpSpec) -> Tuple[np.ndarray, ...]:
+    """An ``online`` or ``velocity`` vector, or a ``target`` (the encoder
+    prefix), cut into its tensors in order: views of it, to be read only."""
+    return tuple([vector[start:stop].reshape(shape) for start, stop, shape in _layout(spec)
+                  if stop <= vector.size])
 
 
 def _entry_shapes(spec: MlpSpec) -> Dict[str, Tuple[int, ...]]:
     """The shape of every tensor of a model by its ``model_arrays`` name."""
-    online = _online_shapes(spec)
+    online = [shape for _, _, shape in _layout(spec)]
     parts = zip(_PARTS, (online, online[:-2], online))
     return {f"{part}{i}": s for part, shapes in parts for i, s in enumerate(shapes)}
 
 
 def model_arrays(model: ClientModel) -> Dict[str, np.ndarray]:
     """Every tensor of the model by name (``online0``, ``target1``, ...)."""
-    return {f"{part}{i}": a for part in _PARTS for i, a in enumerate(getattr(model, part))}
+    return {f"{part}{i}": a for part in _PARTS
+            for i, a in enumerate(tensors(getattr(model, part), model.spec))}
 
 
 def model_from_arrays(spec: MlpSpec, tau: float, arrays: Dict[str, np.ndarray],
                       source: str = "model") -> ClientModel:
-    """Inverse of ``model_arrays``; the model holds the given arrays. An entry
-    missing, unexpected or of the wrong shape for ``spec`` raises ParseError
-    naming ``source`` and the entry."""
+    """Inverse of ``model_arrays``; the model holds copies of the given
+    arrays. An entry missing, unexpected or of the wrong shape for ``spec``
+    raises ParseError naming ``source`` and the entry."""
     expected = _entry_shapes(spec)
     for what, names in (("missing", set(expected) - set(arrays)),
                         ("unexpected", set(arrays) - set(expected))):
@@ -145,7 +160,8 @@ def model_from_arrays(spec: MlpSpec, tau: float, arrays: Dict[str, np.ndarray],
         if arrays[name].shape != shape:
             raise ParseError(f"{source}: entry {name!r} has shape {arrays[name].shape}, "
                              f"the spec needs {shape}")
-    return ClientModel(spec, tau, *(tuple(arrays[n] for n in expected if n.startswith(part))
+    return ClientModel(spec, tau, *(np.concatenate([arrays[n].ravel() for n in expected
+                                                    if n.startswith(part)])
                                     for part in _PARTS))
 
 
@@ -210,14 +226,11 @@ def init_client_model(spec: MlpSpec, tau: float, rng: RngStream) -> ClientModel:
     online encoder. The predictor maps the representation width to itself,
     so the regression target is well-formed."""
     gen = rng.generator()
-    online = []
-    for shape in _online_shapes(spec):
-        if len(shape) == 2:
-            online.append(gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape))
-        else:
-            online.append(np.zeros(shape))
-    online = tuple(online)
-    return ClientModel(spec, tau, online, online[:-2], tuple(np.zeros_like(p) for p in online))
+    online = np.concatenate([gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape).ravel()
+                             if len(shape) == 2 else np.zeros(shape)
+                             for _, _, shape in _layout(spec)])
+    predictor = spec.output_width * (spec.output_width + 1)
+    return ClientModel(spec, tau, online, online[:-predictor], np.zeros_like(online))
 
 
 def _act(z: Matrix, activation: str) -> Matrix:
@@ -252,14 +265,15 @@ def _encoder_forward(
 
 def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, ActivationTape]:
     """Predictor output plus the cached activations needed for backprop."""
-    enc_out, inputs, pre_acts = _encoder_forward(model.online[:-2], model.spec.activation, batch)
-    pred_w, pred_b = model.online[-2:]
+    online = tensors(model.online, model.spec)
+    enc_out, inputs, pre_acts = _encoder_forward(online[:-2], model.spec.activation, batch)
+    pred_w, pred_b = online[-2:]
     return enc_out @ pred_w + pred_b, ActivationTape(inputs, pre_acts, enc_out)
 
 
 def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
     """Target-encoder output; never contributes gradients."""
-    return _encoder_forward(model.target, model.spec.activation, batch)[0]
+    return _encoder_forward(tensors(model.target, model.spec), model.spec.activation, batch)[0]
 
 
 def _row_norms(m: Matrix) -> np.ndarray:
@@ -337,22 +351,25 @@ def _clip_rows_backward(
     return grad
 
 
-def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> Params:
-    """Gradients of a scalar loss in ``online`` order, given dLoss/d(predictor
-    output)."""
-    grads = [tape.enc_out.T @ d_pred, d_pred.sum(axis=0)]
-    dh = d_pred @ model.online[-2].T
-    weights = model.online[:-2:2]
-    last = len(weights) - 1
+def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> np.ndarray:
+    """The gradient of a scalar loss as one vector in the layout of
+    ``online``, given dLoss/d(predictor output)."""
+    grad = np.empty_like(model.online)
+    grads, online = tensors(grad, model.spec), tensors(model.online, model.spec)
+    np.matmul(tape.enc_out.T, d_pred, out=grads[-2])
+    np.add.reduce(d_pred, axis=0, out=grads[-1])
+    dh = d_pred @ online[-2].T
+    last = len(online) // 2 - 2
     for i in range(last, -1, -1):
         if i == last:
             dz = dh
         else:
             dz = dh * _act_grad(tape.pre_acts[i], tape.inputs[i + 1], model.spec.activation)
-        grads[:0] = [tape.inputs[i].T @ dz, dz.sum(axis=0)]
+        np.matmul(tape.inputs[i].T, dz, out=grads[2 * i])
+        np.add.reduce(dz, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            dh = dz @ weights[i].T
-    return tuple(grads)
+            dh = dz @ online[2 * i].T
+    return grad
 
 
 def _stacked(blocks: Sequence[Matrix]) -> Matrix:
@@ -361,7 +378,7 @@ def _stacked(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def objective_views(
-    rows: Matrix, obj: Objective, *streams: RngStream, block: Optional[int] = None
+    rows: Matrix, augment: AugmentConfig, *streams: RngStream, block: Optional[int] = None
 ) -> Tuple[Matrix, Matrix]:
     """The view pair (v1, v2) on which the objective scores ``rows``:
     additive Gaussian noise, then independent zero-masking. Block b of
@@ -369,10 +386,9 @@ def objective_views(
     ``streams[b]``, one stream per block, each view from its own sub-stream,
     normals before uniforms, so a block's pair has the bits it has when
     drawn alone."""
-    cfg = obj.augment
-    if cfg.is_identity:
+    if augment.is_identity:
         return rows, rows
-    block, masked = block or len(rows), cfg.mask_prob > 0.0
+    block, masked = block or len(rows), augment.mask_prob > 0.0
     uniform = np.empty_like(rows) if masked else None
 
     def one_view(tag: str) -> Matrix:
@@ -384,11 +400,11 @@ def objective_views(
                 gen.random(out=uniform[part])
         # numpy's gen.normal(0, s) is 0 + s z of these z, so this is its noise
         # bit for bit (adding 0.0 turns -0.0 into 0.0, as that sum does)
-        view *= cfg.noise_std
+        view *= augment.noise_std
         view += 0.0
         view += rows
         if masked:
-            view[uniform < cfg.mask_prob] = 0.0
+            view[uniform < augment.mask_prob] = 0.0
         return view
 
     return one_view("view1"), one_view("view2")
@@ -419,8 +435,8 @@ def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix]
     directions is scaled by their number (1 or 2, an exact scaling).
 
     Returns (loss_total, loss_ssl, loss_prox, grad, grad_norm): grad is the
-    ``flatten_grads`` vector of the gradients and grad_norm its 2-norm, both
-    None when want_grad is False.
+    gradient, a vector in the layout of ``online``, and grad_norm its
+    2-norm, both None when want_grad is False.
     """
     online_in = list(views) if obj.symmetrize else [views[0]]
     directions = len(online_in)
@@ -460,16 +476,17 @@ def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix]
         raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
     if not want_grad:
         return loss_total, loss_ssl, loss_prox, None, None
-    grads = _backprop(model, tape, d_pred)
-    flat = flatten_grads(grads)
-    grad_norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(flat), bit for bit
+    grad = _backprop(model, tape, d_pred)
+    grad_norm = math.sqrt(grad.dot(grad))  # np.linalg.norm(grad), bit for bit
     # A non-finite entry makes the norm NaN or inf; an inf norm of finite
     # entries is an overflow of the sum, which is no failure.
     if not math.isfinite(grad_norm):
-        for name, arrs in (("encoder gradient", grads[:-2]), ("predictor gradient", grads[-2:])):
-            if not all(np.isfinite(a).all() for a in arrs):
+        encoder = model.target.size
+        for name, part in (("encoder gradient", grad[:encoder]),
+                           ("predictor gradient", grad[encoder:])):
+            if not np.isfinite(part).all():
                 raise NumericalFailureError(name)
-    return loss_total, loss_ssl, loss_prox, flat, grad_norm
+    return loss_total, loss_ssl, loss_prox, grad, grad_norm
 
 
 def combined_loss(
@@ -487,57 +504,21 @@ def combined_loss(
 def loss_and_grad(model: ClientModel, local_batch: Matrix, obj: Objective, rng: RngStream):
     """Losses and analytic gradients of the combined objective, no update.
 
-    Returns (loss_total, loss_ssl, loss_prox, grad), grad the gradients as
-    one ``flatten_grads`` vector. The proximal branch treats the reference
-    as a constant and is skipped entirely when mu == 0 so that path is
-    bit-identical to plain SSL.
+    Returns (loss_total, loss_ssl, loss_prox, grad), grad the gradient as
+    one vector in the layout of ``online``. The proximal branch treats the
+    reference as a constant and is skipped entirely when mu == 0 so that
+    path is bit-identical to plain SSL.
     """
-    views = objective_views(local_batch, obj, rng)
+    views = objective_views(local_batch, obj.augment, rng)
     return _objective(True, model, views, target_rows(model, views, obj), obj)[:4]
 
 
-def flatten_grads(grads: Params) -> np.ndarray:
-    """Tensors in ``online`` order as one vector."""
-    return np.concatenate([g.ravel() for g in grads])
-
-
-def flatten_params(model: ClientModel) -> np.ndarray:
-    """Trainable parameters (online encoder + predictor) as one vector, in
-    the order of ``flatten_grads``."""
-    return flatten_grads(model.online)
-
-
-class _Views(tuple):
-    """``vector`` cut, in order, into views shaped as the tensors of ``like``;
-    it stays attached, so the next momentum update reads it without a copy."""
-
-    def __new__(cls, vector: np.ndarray, like: Params):
-        views, start = [], 0
-        for p in like:
-            views.append(vector[start:start + p.size].reshape(p.shape))
-            start += p.size
-        out = super().__new__(cls, views)
-        out.vector = vector
-        return out
-
-    def __reduce__(self):
-        # a client round trained in a worker process comes back pickled: the
-        # views are cut again from the unpickled vector, which stays attached
-        return _Views, (self.vector, tuple(self))
-
-
-def _flat(tensors: Params) -> np.ndarray:
-    """The tensors as one vector: the one they were cut from, else a copy."""
-    return tensors.vector if isinstance(tensors, _Views) else flatten_grads(tensors)
-
-
 def set_params(model: ClientModel, vec: np.ndarray) -> ClientModel:
-    """Inverse of flatten_params; returns a new model with the given
-    trainable parameters (target and buffers unchanged)."""
-    size = sum(p.size for p in model.online)
-    if vec.size != size:
-        raise ShapeError(f"parameter vector length {vec.size} != expected {size}")
-    return replace(model, online=_Views(np.array(vec, dtype=np.float64), model.online))
+    """A new model whose ``online`` vector is a copy of ``vec`` (target and
+    buffer unchanged)."""
+    if vec.shape != model.online.shape:
+        raise ShapeError(f"parameter vector shape {vec.shape} != expected {model.online.shape}")
+    return replace(model, online=np.array(vec, dtype=np.float64))
 
 
 def combined_step(
@@ -552,25 +533,23 @@ def combined_step(
     its ``target_rows``.
 
     The target branch is untouched. Reported losses and the gradient norm
-    are the pre-step values. The update runs on whole vectors, so it has the
-    bits of the update tensor by tensor, and it writes only new ones.
+    are the pre-step values. The update writes only new vectors.
     """
     loss_total, loss_ssl, loss_prox, grad, grad_norm = _objective(
         True, model, views, targets, obj)
-    velocity = momentum * _flat(model.velocity)
+    velocity = momentum * model.velocity
     velocity += grad
     online = eta * velocity
-    np.subtract(_flat(model.online), online, out=online)
-    return StepResult(ClientModel(model.spec, model.tau, _Views(online, model.online),
-                                  model.target, _Views(velocity, model.velocity)),
+    np.subtract(model.online, online, out=online)
+    return StepResult(ClientModel(model.spec, model.tau, online, model.target, velocity),
                       loss_total, loss_ssl, loss_prox, grad_norm)
 
 
 def ema_update(model: ClientModel) -> ClientModel:
-    """Target <- tau * target + (1 - tau) * online, per encoder tensor."""
+    """Target <- tau * target + (1 - tau) * online, on the encoder prefix."""
     tau = model.tau
-    return replace(model, target=tuple(tau * t + (1.0 - tau) * o
-                                       for t, o in zip(model.target, model.online)))
+    return replace(model, target=tau * model.target
+                   + (1.0 - tau) * model.online[:model.target.size])
 
 
 def save_model(model: ClientModel, directory: str, round_index: Optional[int] = None) -> None:

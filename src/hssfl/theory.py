@@ -70,7 +70,7 @@ class RoundProbe:
         total, _, _, grad = sslnet.loss_and_grad(model, self._shard, self._obj, self._rng)
         self._losses.append(total)
         self._grads.append(grad)
-        self._params.append(sslnet.flatten_params(model))
+        self._params.append(model.online)
         self._phis.append(sslnet.representations(model, self._obj.rad,
                                                  clip_radius=self._obj.clip_radius))
 

@@ -19,8 +19,6 @@ from hssfl.numkit import RngStream
 from hssfl.sslnet import (
     AugmentConfig,
     MlpSpec,
-    flatten_grads,
-    flatten_params,
     init_client_model,
     loss_and_grad,
     model_arrays,
@@ -101,8 +99,7 @@ def _safe_random_point(spec, form, normalize, seed):
         gen = RngStream(seed, epoch=attempt, purpose="c2-point").generator()
         model = init_client_model(spec, 0.99,
                                   RngStream(seed, epoch=attempt, purpose="c2-init"))
-        vec = flatten_params(model) + 0.3 * gen.normal(size=flatten_params(model).size)
-        model = set_params(model, vec)
+        model = set_params(model, model.online + 0.3 * gen.normal(size=model.online.size))
         batch = gen.normal(size=(batch_rows, spec.input_width))
         rad = gen.normal(size=(rad_rows, spec.input_width))
         if form is ProximalForm.L2_REP:
@@ -148,13 +145,12 @@ def test_c02_combined_gradient_oracle():
                     obj = sslnet.Objective(mu, form, rad, ref, aug, normalize)
 
                     def value(vec):
-                        views = sslnet.objective_views(batch, obj, rng)
+                        views = sslnet.objective_views(batch, aug, rng)
                         loss, _, _ = sslnet.combined_loss(set_params(model, vec), views, obj)
                         return loss
 
-                    _, _, _, grads = loss_and_grad(model, batch, obj, rng)
-                    analytic = flatten_grads(grads)
-                    x0 = flatten_params(model)
+                    _, _, _, analytic = loss_and_grad(model, batch, obj, rng)
+                    x0 = model.online
                     numeric = np.empty_like(x0)
                     for j in range(x0.size):
                         xp = x0.copy()

@@ -10,7 +10,7 @@ PACKAGE = ROOT / "src" / "hssfl"
 # Public names the tests call on purpose although the program does not.
 TEST_ONLY_ALLOWED = {
     "standalone_training": "local-only training, the mu = 0 oracle of acceptance c03",
-    "set_params": "inverse of flatten_params, moves the weights in gradient oracles",
+    "set_params": "copies a vector into the online weights, for the gradient oracles",
     "collab_report": "collaboration-benefit report of acceptance c08",
     "eta_max_lemma1": "the paper's step-size threshold, checked by acceptance c10",
     "lipschitz_ratio_max": "the paper's Lipschitz estimator, checked by acceptance c10",

@@ -487,6 +487,36 @@ class TestBadInput:
         assert tree_bytes(out) == before
         assert run_cli("eval", "--run-dir", out, "--data", data_csv) == 0
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--probe-batch", "0", "argument --probe-batch: must be at least 1, got 0"),
+        ("--probe-batch", "-5", "argument --probe-batch: must be at least 1, got -5"),
+        ("--probe-epochs", "-1", "argument --probe-epochs: must be at least 0, got -1"),
+    ], ids=["batch-zero", "batch-negative", "epochs-negative"])
+    def test_eval_probe_arguments(self, tmp_path, data_csv, capsys, flag, value, named):
+        out = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, out)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # refused as the arguments are parsed
+            run_cli("eval", "--run-dir", out, "--data", data_csv, flag, value)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "eval.csv"))
+
+    @pytest.mark.parametrize("command, what", [
+        ("gen-data", "dataset"), ("eval", "evaluation"), ("check-theory", "bound report"),
+    ])
+    def test_out_in_missing_directory(self, tmp_path, data_csv, capsys, command, what):
+        run, out = str(tmp_path / "run"), str(tmp_path / "absent" / "out")
+        assert run_cli(*run_args(data_csv, run, "--theory-probes", "--form", "trace_alignment",
+                                 "--clip-radius", "1.0", "--batch-size", "4096")) == 0
+        capsys.readouterr()
+        args = {"gen-data": ("--per-class", "5"), "eval": ("--run-dir", run, "--data", data_csv),
+                "check-theory": ("--run-dir", run)}[command]
+        assert run_cli(command, *args, "--out", out) == 2
+        assert (f"error: cannot write {what} {out}: No such file or directory"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "absent").exists()
+
     def test_resume_from_per_member_checkpoint(self, tmp_path, data_csv, capsys):
         # the layout of earlier versions: a JSON member, then one per tensor
         out = str(tmp_path / "run")

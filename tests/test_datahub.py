@@ -53,6 +53,8 @@ class TestSynthMixture:
             synth_mixture(3, 4, 0, 1.0, 1.0, RngStream(0))
         with pytest.raises(ConfigError):
             synth_mixture(3, 4, 5, -1.0, 1.0, RngStream(0))
+        with pytest.raises(ConfigError, match="dim must be >= 1, got 0"):
+            synth_mixture(3, 0, 5, 1.0, 1.0, RngStream(0))
 
 
 class TestCsvIO:

@@ -120,11 +120,11 @@ class TestProbeOnEncoder:
         spec = MlpSpec((8, 4), "relu")
         model = init_client_model(spec, 0.99, RngStream(8, purpose="init"))
         ds = synth_mixture(4, 8, 40, 4.0, 0.5, RngStream(9, purpose="synth"))
-        before = [p.tobytes() for p in model.online]
+        before = model.online.tobytes()
         train, test = stratified_split(ds.labels, 0.2, RngStream(10, purpose="split"))
         probe_accuracy_for_model(model, ds.features, ds.labels, train, test,
                                  ProbeConfig(epochs=5))
-        after = [p.tobytes() for p in model.online]
+        after = model.online.tobytes()
         assert before == after
 
 

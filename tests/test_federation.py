@@ -175,8 +175,7 @@ class TestLocalTraining:
         out = local_training(model, obj, cfg,
                              _epoch_views(shard, cfg, RngStream(cfg.seed, client=0), 1))
         assert len(out["epoch_losses"]) == 1
-        for a, b in zip(out["model"].online, model.online):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out["model"].online, model.online)
 
     def test_replay_oracle(self):
         cfg = small_cfg()
@@ -191,8 +190,7 @@ class TestLocalTraining:
             shard, cfg, RngStream(cfg.seed, client=0), 2)) for _ in range(2))
         assert first["epoch_losses"] == second["epoch_losses"]
         assert first["epoch_grad_norms"] == second["epoch_grad_norms"]
-        for a, b in zip(first["model"].online, second["model"].online):
-            assert a.tobytes() == b.tobytes()
+        assert first["model"].online.tobytes() == second["model"].online.tobytes()
 
 
 def per_step_training(model, shard, obj, cfg, round_index, rng):
@@ -206,8 +204,8 @@ def per_step_training(model, shard, obj, cfg, round_index, rng):
         order = erng.sub("order").generator().permutation(shard.shape[0])
         steps = []
         for b, start in enumerate(range(0, shard.shape[0], cfg.batch_size)):
-            views = sslnet.objective_views(shard[order[start:start + cfg.batch_size]], obj,
-                                           erng.sub(f"step{b}"))
+            views = sslnet.objective_views(shard[order[start:start + cfg.batch_size]],
+                                           obj.augment, erng.sub(f"step{b}"))
             step = sslnet.combined_step(model, views, sslnet.target_rows(model, views, obj),
                                         obj, cfg.eta, cfg.momentum)
             model = step.model
@@ -291,8 +289,7 @@ class TestRunTraining:
         fresh = init_models(cfg)
         assert res.log.records == []
         for m, f in zip(res.models, fresh):
-            for a, b in zip(m.online, f.online):
-                assert np.array_equal(a, b)
+            assert np.array_equal(m.online, f.online)
 
     def test_mu_zero_equivalence(self):
         cfg = small_cfg(mu=0.0, rounds=2)
@@ -300,10 +297,8 @@ class TestRunTraining:
         for k in range(cfg.num_clients):
             alone = standalone_training(cfg, dataset(), k)
             model = res.models[k]
-            for a, b in zip(model.online, alone.online):
-                assert a.tobytes() == b.tobytes()
-            for a, b in zip(model.target, alone.target):
-                assert a.tobytes() == b.tobytes()
+            assert model.online.tobytes() == alone.online.tobytes()
+            assert model.target.tobytes() == alone.target.tobytes()
 
     def test_workers_do_not_change_log(self, tmp_path):
         cfg = small_cfg(rounds=3)
@@ -311,8 +306,7 @@ class TestRunTraining:
         b = run_training(cfg, dataset(), workers=4, log_path=str(tmp_path / "b.jsonl"))
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         for ma, mb in zip(a.models, b.models):
-            for x, y in zip(ma.online, mb.online):
-                assert x.tobytes() == y.tobytes()
+            assert ma.online.tobytes() == mb.online.tobytes()
 
     def test_heterogeneous_widths_kernel_payloads(self):
         specs = tuple(
@@ -367,10 +361,7 @@ class TestRunTraining:
         fresh = init_models(cfg)
         selected = res.log.records[-1]["selected"]
         for k in range(cfg.num_clients):
-            same = all(
-                a.tobytes() == b.tobytes()
-                for a, b in zip(res.models[k].online, fresh[k].online)
-            )
+            same = res.models[k].online.tobytes() == fresh[k].online.tobytes()
             assert same == (k not in selected)
 
     def test_sampled_records_complete(self):
@@ -505,7 +496,8 @@ class TestRunTraining:
         eval_rng = RngStream(cfg.seed, client=0, round=1, purpose="eval")
         rec = out["record"]
         for when, m in (("start", model), ("end", out["model"])):
-            own = sslnet.combined_loss(m, sslnet.objective_views(shard, obj, eval_rng), obj)
+            own = sslnet.combined_loss(m, sslnet.objective_views(shard, obj.augment, eval_rng),
+                                       obj)
             assert own == (rec[f"loss_total_{when}"], rec[f"loss_ssl_{when}"],
                            rec[f"loss_prox_{when}"])
 
@@ -832,8 +824,7 @@ class TestCheckpointResume:
         assert (full.server.reference.entries.tobytes()
                 == resumed.server.reference.entries.tobytes())
         for a, b in zip(full.models, resumed.models):
-            for x, y in zip(a.online, b.online):
-                assert x.tobytes() == y.tobytes()
+            assert a.online.tobytes() == b.online.tobytes()
 
     def test_no_csv_on_run_path(self, tmp_path, monkeypatch):
         def no_csv(*args, **kwargs):
@@ -1507,8 +1498,7 @@ def _in_client_round(monkeypatch, at, act):
 
 
 def _nan_weights(model):
-    return dataclasses.replace(model, online=tuple(np.full_like(p, np.nan)
-                                                    for p in model.online))
+    return dataclasses.replace(model, online=np.full_like(model.online, np.nan))
 
 
 def _blas_threads():

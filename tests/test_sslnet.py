@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -17,8 +18,6 @@ from hssfl.sslnet import (
     Objective,
     combined_step,
     ema_update,
-    flatten_grads,
-    flatten_params,
     forward_online,
     forward_target,
     init_client_model,
@@ -31,6 +30,7 @@ from hssfl.sslnet import (
     save_model,
     set_params,
     target_rows,
+    tensors,
 )
 
 RELU = MlpSpec((4, 5, 3), "relu")
@@ -47,9 +47,15 @@ def unit_rows(m):
     return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
 
 
+def vector(*parts):
+    """The tensors raveled in turn into one vector, as a model holds them."""
+    return np.concatenate([np.ravel(p) for p in parts])
+
+
 def zero_predictor(m):
     """m with its predictor weights set to zero."""
-    return replace(m, online=m.online[:-2] + (np.zeros_like(m.online[-2]), m.online[-1]))
+    online = tensors(m.online, m.spec)
+    return replace(m, online=vector(*online[:-2], np.zeros_like(online[-2]), online[-1]))
 
 
 def same_tensors(a, b):
@@ -63,12 +69,8 @@ def batch_for(spec, seed=1, rows=6):
 
 def one_step(m, x, obj, eta, momentum, rng):
     """combined_step on the view pair of x that rng draws, as in a one-batch epoch."""
-    views = objective_views(x, obj, rng)
+    views = objective_views(x, obj.augment, rng)
     return combined_step(m, views, target_rows(m, views, obj), obj, eta, momentum)
-
-
-def views_of(x, cfg, rng):
-    return objective_views(x, Objective(augment=cfg), rng)
 
 
 class TestInit:
@@ -86,55 +88,59 @@ class TestInit:
         spec = MlpSpec((256, 256), "relu")
         m = init_client_model(spec, 0.99, RngStream(5, purpose="init"))
         expected = np.sqrt(2.0 / 256)
-        assert abs(m.online[0].std() - expected) < 0.1 * expected
+        assert abs(tensors(m.online, spec)[0].std() - expected) < 0.1 * expected
 
     def test_zero_biases_and_buffers(self):
         m = make_model()
-        assert all(np.all(b == 0) for b in m.online[1::2])
-        assert len(m.velocity) == len(m.online)
-        assert all(np.all(v == 0) and v.shape == p.shape for v, p in zip(m.velocity, m.online))
+        assert all(np.all(b == 0) for b in tensors(m.online, m.spec)[1::2])
+        assert m.velocity.shape == m.online.shape and not np.any(m.velocity)
 
     def test_layout(self):
-        # (W0, b0, W1, b1, Wp, bp); the target is the encoder part
+        # one vector of (W0, b0, W1, b1, Wp, bp); the target is its encoder
+        # prefix, and tensors cuts either into views of it
         m = make_model()
-        assert [p.shape for p in m.online] == [(4, 5), (5,), (5, 3), (3,), (3, 3), (3,)]
-        assert [p.shape for p in m.target] == [(4, 5), (5,), (5, 3), (3,)]
+        online, target = tensors(m.online, m.spec), tensors(m.target, m.spec)
+        assert [p.shape for p in online] == [(4, 5), (5,), (5, 3), (3,), (3, 3), (3,)]
+        assert [p.shape for p in target] == [(4, 5), (5,), (5, 3), (3,)]
+        assert m.online.shape == (55,) and m.target.shape == (43,)
+        assert np.array_equal(vector(*online), m.online)
+        assert all(np.shares_memory(p, m.online) for p in online)
 
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):
-            make_model().online = ()
+            make_model().online = np.zeros(55)
 
 
 class TestAugment:
     def test_identity_config(self):
         x = batch_for(RELU)
-        v1, v2 = views_of(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
+        v1, v2 = objective_views(x, AugmentConfig(0.0, 0.0), RngStream(0, purpose="aug"))
         assert np.array_equal(v1, x)
         assert np.array_equal(v2, x)
 
     def test_mask_fraction(self):
         x = np.ones((200, 100))
-        v1, _ = views_of(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
+        v1, _ = objective_views(x, AugmentConfig(0.0, 0.5), RngStream(1, purpose="aug"))
         frac = np.mean(v1 == 0.0)
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_per_stream(self):
         x = batch_for(RELU)
         s = RngStream(2, client=1, round=4, purpose="aug")
-        p1 = views_of(x, AugmentConfig(0.3, 0.1), s)
-        p2 = views_of(x, AugmentConfig(0.3, 0.1), s)
+        p1 = objective_views(x, AugmentConfig(0.3, 0.1), s)
+        p2 = objective_views(x, AugmentConfig(0.3, 0.1), s)
         assert np.array_equal(p1[0], p2[0])
         assert np.array_equal(p1[1], p2[1])
 
     def test_views_differ(self):
         x = batch_for(RELU)
-        v1, v2 = views_of(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
+        v1, v2 = objective_views(x, AugmentConfig(0.3, 0.0), RngStream(3, purpose="aug"))
         assert not np.array_equal(v1, v2)
 
     def test_noise_then_mask_from_each_views_stream(self):
         x = batch_for(RELU, rows=7)
         rng = RngStream(4, purpose="step")
-        for tag, view in zip(("view1", "view2"), views_of(x, AugmentConfig(0.3, 0.2), rng)):
+        for tag, view in zip(("view1", "view2"), objective_views(x, AugmentConfig(0.3, 0.2), rng)):
             gen = rng.sub("aug").sub(tag).generator()
             want = x + gen.normal(0.0, 0.3, size=x.shape)
             want = np.where(gen.random(x.shape) < 0.2, 0.0, want)
@@ -152,15 +158,16 @@ class TestAugment:
 class TestForward:
     def test_zero_weights_zero_output(self):
         m = make_model()
-        m = replace(m, online=tuple(np.zeros_like(p) if p.ndim == 2 else p for p in m.online))
+        m = replace(m, online=vector(*(np.zeros_like(p) if p.ndim == 2 else p
+                                       for p in tensors(m.online, m.spec))))
         out, _ = forward_online(m, batch_for(RELU))
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_hand_computed_affine(self):
         spec = MlpSpec((2, 2), "relu")
         m = init_client_model(spec, 0.5, RngStream(7, purpose="init"))
-        m = replace(m, online=(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]),
-                               np.eye(2), np.zeros(2)))
+        m = replace(m, online=vector([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5],
+                                     np.eye(2), np.zeros(2)))
         out, tape = forward_online(m, np.array([[1.0, 1.0]]))
         # single encoder layer is the output layer: identity activation
         assert np.allclose(out, [[4.5, 5.5]])
@@ -169,7 +176,7 @@ class TestForward:
     def test_target_hand_computed(self):
         spec = MlpSpec((2, 2), "tanh")
         m = init_client_model(spec, 0.5, RngStream(8, purpose="init"))
-        m = replace(m, target=(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1.0, 1.0])))
+        m = replace(m, target=vector([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0]))
         assert np.allclose(forward_target(m, np.array([[1.0, 2.0]])), [[3.0, 5.0]])
 
     def test_target_isolated_from_steps(self):
@@ -185,7 +192,8 @@ class TestForward:
         out1, tape = forward_online(m, x)
         out2, _ = forward_online(m, x)
         assert np.array_equal(out1, out2)
-        assert np.array_equal(tape.enc_out @ m.online[-2] + m.online[-1], out1)
+        pred_w, pred_b = tensors(m.online, m.spec)[-2:]
+        assert np.array_equal(tape.enc_out @ pred_w + pred_b, out1)
 
 
 class TestSslLoss:
@@ -217,9 +225,9 @@ class TestSslLoss:
     def test_normalized_zero_predictions_give_zero_gradient(self):
         m = zero_predictor(make_model())
         x = batch_for(RELU)
-        _, _, _, grads = loss_and_grad(m, x, Objective(normalize=True),
-                                       RngStream(3, purpose="step"))
-        assert not np.any(flatten_grads(grads))
+        _, _, _, grad = loss_and_grad(m, x, Objective(normalize=True),
+                                      RngStream(3, purpose="step"))
+        assert not np.any(grad)
 
 
 class TestRepresentations:
@@ -235,8 +243,7 @@ class TestRepresentations:
     def test_hand_computed(self):
         spec = MlpSpec((1, 1), "relu")
         m = init_client_model(spec, 0.5, RngStream(10, purpose="init"))
-        m = replace(m, online=(np.array([[2.0]]), np.array([1.0]),
-                               np.array([[3.0]]), np.array([-1.0])))
+        m = replace(m, online=vector(2.0, 1.0, 3.0, -1.0))
         assert representations(m, np.array([[2.0]]))[0, 0] == pytest.approx(14.0)
 
     def test_clipping_bounds_rows(self):
@@ -247,12 +254,12 @@ class TestRepresentations:
 
 
 def total_loss_fn(model, batch, obj, rng):
-    loss, _, _ = combined_loss(model, objective_views(batch, obj, rng), obj)
+    loss, _, _ = combined_loss(model, objective_views(batch, obj.augment, rng), obj)
     return loss
 
 
 def fd_param_grad(model, vec_fn, h=1e-5):
-    x0 = flatten_params(model)
+    x0 = model.online
     g = np.zeros_like(x0)
     for i in range(x0.size):
         xp = x0.copy()
@@ -281,17 +288,16 @@ class TestCombinedStep:
         m = make_model()
         x = batch_for(RELU)
         step = one_step(m, x, Objective(), 0.0, 0.9, RngStream(12))
-        for a, b in zip(step.model.online, m.online):
-            assert np.array_equal(a, b)
+        assert np.array_equal(step.model.online, m.online)
         assert step.loss_total > 0.0
         assert step.grad_norm > 0.0
 
     def test_gradient_norm_matches_flattened(self):
         m = make_model()
         x = batch_for(RELU)
-        _, _, _, grads = loss_and_grad(m, x, Objective(), RngStream(13))
+        _, _, _, grad = loss_and_grad(m, x, Objective(), RngStream(13))
         step = one_step(m, x, Objective(), 0.01, 0.0, RngStream(13))
-        assert step.grad_norm == float(np.linalg.norm(flatten_grads(grads)))
+        assert step.grad_norm == float(np.linalg.norm(grad))
 
     @pytest.mark.parametrize("form,normalize", [
         (ProximalForm.ONE_MINUS_CKA, False),
@@ -314,8 +320,7 @@ class TestCombinedStep:
         def value(vec):
             return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, obj, rng)
-        analytic = flatten_grads(grads)
+        _, _, _, analytic = loss_and_grad(m, x, obj, rng)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -333,8 +338,7 @@ class TestCombinedStep:
         def value(vec):
             return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, obj, rng)
-        analytic = flatten_grads(grads)
+        _, _, _, analytic = loss_and_grad(m, x, obj, rng)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -357,18 +361,17 @@ class TestCombinedStep:
 
 
 def _poison_backprop(monkeypatch, index, value):
-    """sslnet._backprop with ``value`` at the first entry of grads[index],
-    or in every entry of every tensor when index is None."""
+    """sslnet._backprop with ``value`` at the first entry of its tensor
+    ``index``, or in every entry when index is None."""
     real = sslnet._backprop
 
-    def poisoned(*args):
-        grads = [g.copy() for g in real(*args)]
+    def poisoned(model, *args):
+        grad = real(model, *args).copy()
         if index is None:
-            for g in grads:
-                g.fill(value)
+            grad.fill(value)
         else:
-            grads[index].flat[0] = value
-        return tuple(grads)
+            tensors(grad, model.spec)[index].flat[0] = value
+        return grad
     monkeypatch.setattr(sslnet, "_backprop", poisoned)
 
 
@@ -376,7 +379,7 @@ def _poison_backprop(monkeypatch, index, value):
 GRADIENT_CALLS = {
     "combined_step": lambda m, x, obj, rng: one_step(m, x, obj, 0.05, 0.9, rng).grad_norm,
     "loss_and_grad": lambda m, x, obj, rng: float(
-        np.linalg.norm(flatten_grads(loss_and_grad(m, x, obj, rng)[3]))),
+        np.linalg.norm(loss_and_grad(m, x, obj, rng)[3])),
 }
 
 
@@ -422,8 +425,7 @@ class TestSymmetrized:
         def value(vec):
             return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, obj, rng)
-        analytic = flatten_grads(grads)
+        _, _, _, analytic = loss_and_grad(m, x, obj, rng)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -445,8 +447,7 @@ class TestSymmetrized:
         def value(vec):
             return total_loss_fn(set_params(m, vec), x, obj, rng)
 
-        _, _, _, grads = loss_and_grad(m, x, obj, rng)
-        analytic = flatten_grads(grads)
+        _, _, _, analytic = loss_and_grad(m, x, obj, rng)
         numeric = fd_param_grad(m, value)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -466,29 +467,30 @@ class TestEma:
     def test_tau_one_freezes_target(self):
         m = make_model(tau=1.0)
         out = ema_update(m)
-        assert all(np.array_equal(a, b) for a, b in zip(out.target, m.target))
+        assert np.array_equal(out.target, m.target)
 
     def test_tau_zero_copies_online(self):
         m = make_model(tau=0.0)
-        m = replace(m, online=(m.online[0] + 1.0,) + m.online[1:])
+        online = tensors(m.online, m.spec)
+        m = replace(m, online=vector(online[0] + 1.0, *online[1:]))
         out = ema_update(m)
-        assert len(out.target) == len(m.online) - 2
-        assert all(np.array_equal(a, b) for a, b in zip(out.target, m.online))
+        assert len(tensors(out.target, m.spec)) == len(online) - 2
+        assert np.array_equal(out.target, m.online[:out.target.size])
 
     def test_scalar_average(self):
         spec = MlpSpec((1, 1), "relu")
         m = init_client_model(spec, 0.5, RngStream(40, purpose="init"))
-        m = replace(m, target=(np.array([[2.0]]), m.target[1]),
-                    online=(np.array([[4.0]]),) + m.online[1:])
-        assert ema_update(m).target[0][0, 0] == 3.0
+        m = replace(m, target=vector(2.0, m.target[1]), online=vector(4.0, m.online[1:]))
+        assert tensors(ema_update(m).target, spec)[0][0, 0] == 3.0
 
     def test_drift_decreases_when_online_frozen(self):
         m = make_model(seed=41, tau=0.99)
-        m = replace(m, online=(m.online[0] + 0.5,) + m.online[1:])
+        online = tensors(m.online, m.spec)
+        m = replace(m, online=vector(online[0] + 0.5, *online[1:]))
         dists = []
         for _ in range(10):
-            d = sum(np.linalg.norm(t - o)
-                    for t, o in zip(m.target, m.online))
+            d = sum(np.linalg.norm(t - o) for t, o in zip(tensors(m.target, m.spec),
+                                                          tensors(m.online, m.spec)))
             dists.append(d)
             m = ema_update(m)
         assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -518,6 +520,16 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=re.escape(f"{path}: meta is ")):
             load_model(str(tmp_path / "ckpt"))
 
+    def test_pickles_to_its_three_vectors(self):
+        # a trained model crosses a worker's pipe as its vectors and a
+        # fixed overhead, each vector once
+        spec = MlpSpec((32, 24, 16), "tanh")
+        m = one_step(make_model(spec), batch_for(spec), Objective(), 0.05, 0.9,
+                     RngStream(52)).model
+        size = m.online.size + m.target.size + m.velocity.size
+        assert len(pickle.dumps(m)) < 8 * size + 4096
+        assert same_tensors(pickle.loads(pickle.dumps(m)), m)
+
     def test_entry_names(self):
         names = list(model_arrays(make_model()))
         assert names == [f"online{i}" for i in range(6)] + [f"target{i}" for i in range(4)] \
@@ -538,11 +550,11 @@ class TestCheckpoint:
 
 
 class TestNoWriteInPlace:
-    """A model is a value: every operation succeeds on read-only tensors."""
+    """A model is a value: every operation succeeds on read-only vectors."""
 
     def read_only(self, model):
-        for a in model_arrays(model).values():
-            a.flags.writeable = False
+        for part in ("online", "target", "velocity"):
+            getattr(model, part).flags.writeable = False
         return model
 
     def test_operations_on_read_only_tensors(self, tmp_path):
@@ -556,7 +568,7 @@ class TestNoWriteInPlace:
             self.read_only(step.model)
             one_step(step.model, batch_for(RELU), obj, 0.05, 0.9, RngStream(54))
         moved = self.read_only(ema_update(m))
-        assert same_tensors(set_params(moved, flatten_params(moved)), moved)
+        assert same_tensors(set_params(moved, moved.online), moved)
         save_model(m, str(tmp_path / "ro"))
         assert same_tensors(load_model(str(tmp_path / "ro")), m)
         assert all(np.array_equal(a, before[n]) for n, a in model_arrays(m).items())

@@ -245,8 +245,9 @@ def _kernel_distance(
     if not want_grad:
         return distance, None
     n2 = check_finite(n * n, "gram norm square")
-    grad = (2.0 / nm) * (kphi - (t / n2) * (phi @ g))
-    return distance, check_finite(grad if raw else -grad, "similarity gradient")
+    # ONE_MINUS_CKA's sign rides on the scalar: IEEE negation is exact
+    grad = ((2.0 if raw else -2.0) / nm) * (kphi - (t / n2) * (phi @ g))
+    return distance, check_finite(grad, "similarity gradient")
 
 
 def _distance(

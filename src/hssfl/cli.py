@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -106,12 +107,31 @@ def _read_json(path: str, what: str, parse=json.loads):
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _write_json(path: str, payload) -> None:
-    """Write the file whole or not at all: a kill leaves the old file or none."""
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def _replacing(path: str, what: str):
+    """A new text file that replaces ``path`` whole when the block ends, so
+    a kill leaves the old file or none. A path that cannot be written is
+    refused with ``_file``'s message on entry, before the block runs; a
+    block that raises leaves the old file or none."""
+    tmp = path + ".tmp"
+    with _file("write", what, path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        with _file("write", what, path):
+            os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path: str, what: str, payload) -> None:
+    with _replacing(path, what) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(path + ".tmp", path)
 
 
 def cmd_gen_data(args) -> int:
@@ -128,7 +148,7 @@ def cmd_gen_data(args) -> int:
             )
     with _file("write", "dataset", args.out):
         datahub.save_csv(ds, args.out)
-    _write_json(args.out + ".manifest.json", {
+    _write_json(args.out + ".manifest.json", "dataset manifest", {
         "kind": "dataset",
         "classes": args.classes,
         "dim": args.dim,
@@ -216,8 +236,9 @@ def cmd_run(args) -> int:
     if fresh:
         # the manifest last: it marks a run of the config as started
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "config.resolved.json"), cfg.to_dict())
-        _write_json(manifest_path, {
+        _write_json(os.path.join(args.out, "config.resolved.json"), "resolved config",
+                    cfg.to_dict())
+        _write_json(manifest_path, "run manifest", {
             "kind": "run",
             "config": cfg.to_dict(),
             "seed": cfg.seed,
@@ -239,7 +260,7 @@ def cmd_run(args) -> int:
     for k, model in enumerate(result.models):
         sslnet.save_model(model, os.path.join(args.out, "models", f"client_{k}"),
                           result.server.round)
-    _write_json(os.path.join(args.out, "run_summary.json"), {
+    _write_json(os.path.join(args.out, "run_summary.json"), "run summary", {
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds_completed": result.server.round,
         "timings_s": {f"{t}/{k}": v for (t, k), v in sorted(result.log.timings.items())},
@@ -252,34 +273,40 @@ def cmd_eval(args) -> int:
     run_dir = args.run_dir
     cfg = FedConfig.from_dict(
         _read_json(os.path.join(run_dir, "config.resolved.json"), "resolved config"))
-    models = [sslnet.load_model(os.path.join(run_dir, "models", f"client_{k}"))
-              for k in range(cfg.num_clients)]
-    data = datahub.load_csv(args.data)
-    federation.check_input_widths([m.spec for m in models], data.dim)
-    probe_cfg = evaluation.ProbeConfig(
-        epochs=args.probe_epochs, lr=args.probe_lr, batch=args.probe_batch,
-        seed=cfg.seed,
-    )
-    train_idx, test_idx = evaluation.stratified_split(
-        data.labels, 0.2, RngStream(cfg.seed, purpose="probe-split")
-    )
-    rows = []
-    for k, model in enumerate(models):
-        acc = evaluation.probe_accuracy_for_model(
-            model, data.features, data.labels, train_idx, test_idx, probe_cfg
-        )
-        arch = "x".join(str(w) for w in model.spec.layer_widths)
-        rows.append({"client": k, "architecture": f"{arch}-{model.spec.activation}",
-                     "accuracy": acc})
     out_csv = args.out or os.path.join(run_dir, "eval.csv")
-    with _file("write", "evaluation", out_csv):
-        with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["client", "architecture", "accuracy"])
-            writer.writeheader()
-            writer.writerows(rows)
-        with open(os.path.splitext(out_csv)[0] + ".jsonl", "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    out_jsonl = os.path.splitext(out_csv)[0] + ".jsonl"
+    if out_jsonl == out_csv:
+        raise ConfigError(f"cannot write evaluation {out_csv}: the table and its "
+                          ".jsonl copy would be one file")
+    with contextlib.ExitStack() as outputs:
+        # both outputs are opened before a model is loaded, so one that
+        # cannot be written is refused before any probe trains
+        csv_fh, jsonl_fh = [outputs.enter_context(_replacing(path, "evaluation"))
+                            for path in (out_csv, out_jsonl)]
+        models = [sslnet.load_model(os.path.join(run_dir, "models", f"client_{k}"))
+                  for k in range(cfg.num_clients)]
+        data = datahub.load_csv(args.data)
+        federation.check_input_widths([m.spec for m in models], data.dim)
+        probe_cfg = evaluation.ProbeConfig(
+            epochs=args.probe_epochs, lr=args.probe_lr, batch=args.probe_batch,
+            seed=cfg.seed,
+        )
+        train_idx, test_idx = evaluation.stratified_split(
+            data.labels, 0.2, RngStream(cfg.seed, purpose="probe-split")
+        )
+        rows = []
+        for k, model in enumerate(models):
+            acc = evaluation.probe_accuracy_for_model(
+                model, data.features, data.labels, train_idx, test_idx, probe_cfg
+            )
+            arch = "x".join(str(w) for w in model.spec.layer_widths)
+            rows.append({"client": k, "architecture": f"{arch}-{model.spec.activation}",
+                         "accuracy": acc})
+        writer = csv.DictWriter(csv_fh, fieldnames=["client", "architecture", "accuracy"])
+        writer.writeheader()
+        writer.writerows(rows)
+        for row in rows:
+            jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
     for row in rows:
         print(f"client {row['client']:>3} {row['architecture']:>20} "
               f"accuracy {row['accuracy']:.4f}")

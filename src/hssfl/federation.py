@@ -472,19 +472,22 @@ def local_training(
     ``_epoch_views`` draws them. ``epoch_hook(epoch, model)``, when given, is
     called after each epoch; it must not mutate the model (used for theory
     probes, which draw from their own streams). Each epoch runs the target
-    branch once; each step takes its batch's rows."""
+    branch once; each step takes its batch's rows, and every step of the
+    round writes one set of ``sslnet.StepBuffers``."""
     epoch_losses: List[float] = []
     epoch_grad_norms: List[float] = []
-    size = cfg.batch_size
+    size, buffers = cfg.batch_size, None
     for epoch, views in enumerate(epochs):
         losses, norms, b = [], [], 0
+        # every epoch has the shard's rows, which a batch may exceed
+        buffers = buffers or sslnet.StepBuffers(model.spec, obj, min(size, views[0].shape[0]))
         try:  # the epoch's targets are taken before batch 0, so a failure names it
             targets = sslnet.target_rows(model, views, obj)
             for b in range(-(-views[0].shape[0] // size)):
                 rows = slice(b * size, (b + 1) * size)
                 step = sslnet.combined_step(model, tuple(v[rows] for v in views),
                                             tuple(t[rows] for t in targets), obj,
-                                            cfg.eta, cfg.momentum)
+                                            cfg.eta, cfg.momentum, buffers)
                 model = step.model
                 losses.append(step.loss_total)
                 norms.append(step.grad_norm)

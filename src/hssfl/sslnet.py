@@ -13,6 +13,20 @@ its weights and biases. All models are updated functionally: operations
 return new ClientModel values and never write a vector in place, so models
 can be shared across parallel workers safely.
 
+A layer's bias follows its weights in the vector, so its ``(fan_in + 1) x
+fan_out`` stretch is the block ``[W; b]`` (``_blocks``, a view), and every
+pass, forward-only ones included, runs a layer as one product: each layer
+input carries a trailing ones column, and ``[h, 1] @ [W; b] = h @ W + b``
+with no bias add. Backprop writes each layer's ``[dW; db]`` with one
+product, ``[h, 1]^T @ dz``, with no bias-gradient reduction. The bits are
+those of ``h @ W + b`` and of a row-by-row bias-gradient sum, except where a
+product sums thousands of rows, whose inner sum OpenBLAS then splits
+(a few 1e-15 relative; the benchmark's desk and ``wide_rad`` steps, of at
+most 640 rows, keep every bit). A client round's steps write one set of
+``StepBuffers``: the online input with its alignment rows and ones written
+once, each layer's outputs and gradients, and ``d_pred``; no buffer is ever
+part of a value a step returns.
+
 An epoch does once what the online weights never touch: the views come only
 from fixed random streams, and the target branch changes only at the
 ``ema_update`` after the epoch. So ``objective_views`` draws all of an
@@ -42,7 +56,7 @@ import numpy as np
 
 from . import cka
 from .errors import ConfigError, NumericalFailureError, ParseError, ShapeError
-from .numkit import Matrix, RngStream, as_int, load_arrays, save_arrays
+from .numkit import Matrix, RngStream, all_finite, as_int, load_arrays, save_arrays
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -97,7 +111,8 @@ class ClientModel:
     """Online encoder + predictor, EMA target encoder, momentum buffer.
 
     ``online`` is one vector of ``(W0, b0, ..., W_{n-1}, b_{n-1}, Wp, bp)``,
-    each tensor raveled in turn: the encoder layers, then the predictor.
+    each tensor raveled in turn: the encoder layers, then the predictor,
+    each layer a ``[W; b]`` block.
     ``target`` is the encoder prefix of that layout, updated only by EMA;
     ``velocity`` is the momentum buffer of ``online``. ``tensors`` cuts any
     of them into its tensors.
@@ -114,28 +129,37 @@ _PARTS = ("online", "target", "velocity")
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(spec: MlpSpec) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
-    """(start, stop, shape) of each tensor of ``online`` in its vector, in
-    order: (W, b) of each encoder layer, then of the predictor, one more
-    layer of the representation width. A step cuts three vectors by it."""
-    widths, cuts = spec.layer_widths + (spec.output_width,), []
+def _layout(spec: MlpSpec) -> Tuple[Tuple[int, int, int], ...]:
+    """(start, fan_in, fan_out) of each layer of ``online`` in its vector, in
+    order: each encoder layer, then the predictor, one more layer of the
+    representation width. A layer is its weights W (fan_in x fan_out) and
+    then its bias b (fan_out), so the ``(fan_in + 1) * fan_out`` entries
+    from ``start`` are the matrix ``[W; b]``, the layer as one block."""
+    widths, start, layers = spec.layer_widths + (spec.output_width,), 0, []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        for shape in ((fan_in, fan_out), (fan_out,)):
-            start = cuts[-1][1] if cuts else 0
-            cuts.append((start, start + math.prod(shape), shape))
-    return tuple(cuts)
+        layers.append((start, fan_in, fan_out))
+        start += (fan_in + 1) * fan_out
+    return tuple(layers)
+
+
+def _blocks(vector: np.ndarray, spec: MlpSpec) -> Tuple[Matrix, ...]:
+    """The ``[W; b]`` block of each layer of an ``online`` or ``velocity``
+    vector, or of a ``target`` (the encoder layers): views of it. A layer
+    is then one product, ``[h, 1] @ [W; b] = h @ W + b``."""
+    return tuple([vector[start:start + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
+                  for start, fan_in, fan_out in _layout(spec) if start < vector.size])
 
 
 def tensors(vector: np.ndarray, spec: MlpSpec) -> Tuple[np.ndarray, ...]:
     """An ``online`` or ``velocity`` vector, or a ``target`` (the encoder
-    prefix), cut into its tensors in order: views of it, to be read only."""
-    return tuple([vector[start:stop].reshape(shape) for start, stop, shape in _layout(spec)
-                  if stop <= vector.size])
+    prefix), cut into its tensors in order, W then b of each layer: views
+    of it, to be read only (the rows of each layer's ``[W; b]`` block)."""
+    return tuple([t for block in _blocks(vector, spec) for t in (block[:-1], block[-1])])
 
 
 def _entry_shapes(spec: MlpSpec) -> Dict[str, Tuple[int, ...]]:
     """The shape of every tensor of a model by its ``model_arrays`` name."""
-    online = [shape for _, _, shape in _layout(spec)]
+    online = [s for _, fan_in, fan_out in _layout(spec) for s in ((fan_in, fan_out), (fan_out,))]
     parts = zip(_PARTS, (online, online[:-2], online))
     return {f"{part}{i}": s for part, shapes in parts for i, s in enumerate(shapes)}
 
@@ -183,11 +207,51 @@ class AugmentConfig:
 
 @dataclass
 class ActivationTape:
-    """Cached forward pass: inputs to each layer plus pre-activations."""
+    """The arrays of one pass through folded layers over a fixed set of
+    rows, written anew by each pass: layer i is ``inputs[i] @ block_i``.
 
-    inputs: List[Matrix]      # h_0 = batch, h_1, ..., h_{depth-1}
-    pre_acts: List[Matrix]    # z_i per encoder layer
-    enc_out: Matrix
+    ``inputs[i]`` is layer i's input with a trailing ones column: the rows,
+    then each hidden layer's activation, then (on the online branch) the
+    encoder output, the predictor's input. ``pre_acts`` holds z_i per
+    encoder layer; the last is the encoder output (identity activation), a
+    view of its place in ``inputs`` or ``out``. ``acts`` holds each hidden
+    layer's activation: under relu a view of its place in ``inputs``, under
+    tanh an array of its own, copied there, since the tanh derivative reads
+    it whole (a backward pass overwrites it). ``out`` is the last layer's
+    output.
+    """
+
+    inputs: List[Matrix]
+    pre_acts: List[Matrix]
+    acts: List[Matrix]
+    out: Matrix
+
+    @property
+    def enc_out(self) -> Matrix:
+        return self.pre_acts[-1]
+
+    def tail(self, rows: int) -> "ActivationTape":
+        """The tape of its last ``rows`` rows: views of it."""
+        return ActivationTape(*([a[-rows:] for a in part]
+                                for part in (self.inputs, self.pre_acts, self.acts)),
+                              self.out[-rows:])
+
+
+def _new_tape(spec: MlpSpec, rows: int, layers: int) -> ActivationTape:
+    """An unwritten tape for the first ``layers`` layers of ``online`` (the
+    encoder's, or those and the predictor) over ``rows`` rows; only the
+    ones columns are written."""
+    widths = (spec.layer_widths + (spec.output_width,))[:layers + 1]
+    inputs = [np.empty((rows, w + 1)) for w in widths[:-1]]
+    for h in inputs:
+        h[:, -1] = 1.0
+    out = np.empty((rows, widths[-1]))
+    encoder = len(spec.layer_widths) - 1
+    pre_acts = [np.empty((rows, w)) for w in widths[1:encoder]]
+    acts = [h[:, :-1] if spec.activation == "relu" else np.empty_like(z)
+            for h, z in zip(inputs[1:], pre_acts)]
+    pre_acts.append(inputs[encoder][:, :-1] if layers > encoder else out)
+    return ActivationTape(inputs, pre_acts, acts, out)
 
 
 @dataclass
@@ -226,54 +290,61 @@ def init_client_model(spec: MlpSpec, tau: float, rng: RngStream) -> ClientModel:
     online encoder. The predictor maps the representation width to itself,
     so the regression target is well-formed."""
     gen = rng.generator()
-    online = np.concatenate([gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape).ravel()
-                             if len(shape) == 2 else np.zeros(shape)
-                             for _, _, shape in _layout(spec)])
+    online = np.concatenate([part for _, fan_in, fan_out in _layout(spec) for part in (
+        gen.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).ravel(), np.zeros(fan_out))])
     predictor = spec.output_width * (spec.output_width + 1)
     return ClientModel(spec, tau, online, online[:-predictor], np.zeros_like(online))
 
 
-def _act(z: Matrix, activation: str) -> Matrix:
+def _forward(blocks: Sequence[Matrix], activation: str, tape: ActivationTape) -> Matrix:
+    """Run the folded layers ``blocks`` on the rows of ``tape.inputs[0]``,
+    one product per layer and no bias add, writing each layer's output
+    (and each hidden layer's activation) into the tape; returns ``tape.out``."""
+    for i, block in enumerate(blocks):
+        z = tape.pre_acts[i] if i < len(tape.pre_acts) else tape.out
+        np.matmul(tape.inputs[i], block, out=z)
+        if i < len(tape.acts):
+            h = tape.acts[i]
+            if activation == "relu":
+                np.maximum(z, 0.0, out=h)
+            else:
+                np.tanh(z, out=h)
+                tape.inputs[i + 1][:, :-1] = h
+    return tape.out
+
+
+def _times_act_grad(dh: Matrix, z: Matrix, h: Matrix, activation: str) -> None:
+    """dh times the activation's derivative at pre-activation z (output h),
+    in place. Under tanh it overwrites h, which the backward pass reads no
+    more."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.multiply(dh, z > 0.0, out=dh)
+    else:
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        np.multiply(dh, h, out=dh)
 
 
-def _act_grad(z: Matrix, h: Matrix, activation: str) -> Matrix:
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - h * h
-
-
-def _encoder_forward(
-    encoder: Sequence[np.ndarray], activation: str, x: Matrix
-) -> Tuple[Matrix, List[Matrix], List[Matrix]]:
-    """Run ``(W0, b0, ..., W_{n-1}, b_{n-1})`` on x: the output, the input
-    to each layer and each pre-activation."""
-    inputs = [x]
-    pre_acts = []
-    h = x
-    last = len(encoder) // 2 - 1
-    for i, (w, b) in enumerate(zip(encoder[0::2], encoder[1::2])):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = z if i == last else _act(z, activation)
-        if i != last:
-            inputs.append(h)
-    return h, inputs, pre_acts
+def _pass(model: ClientModel, vector: np.ndarray, rows: Sequence[Matrix]) -> ActivationTape:
+    """The folded layers of ``vector`` (``online`` or ``target``) run on a
+    new tape of the blocks ``rows``, stacked."""
+    blocks = _blocks(vector, model.spec)
+    tape = _new_tape(model.spec, sum(r.shape[0] for r in rows), len(blocks))
+    np.concatenate(rows, out=tape.inputs[0][:, :-1])
+    _forward(blocks, model.spec.activation, tape)
+    return tape
 
 
 def forward_online(model: ClientModel, batch: Matrix) -> Tuple[Matrix, ActivationTape]:
     """Predictor output plus the cached activations needed for backprop."""
-    online = tensors(model.online, model.spec)
-    enc_out, inputs, pre_acts = _encoder_forward(online[:-2], model.spec.activation, batch)
-    pred_w, pred_b = online[-2:]
-    return enc_out @ pred_w + pred_b, ActivationTape(inputs, pre_acts, enc_out)
+    tape = _pass(model, model.online, [batch])
+    return tape.out, tape
 
 
-def forward_target(model: ClientModel, batch: Matrix) -> Matrix:
-    """Target-encoder output; never contributes gradients."""
-    return _encoder_forward(tensors(model.target, model.spec), model.spec.activation, batch)[0]
+def forward_target(model: ClientModel, *batches: Matrix) -> Matrix:
+    """Target-encoder output on the batches' rows, stacked, in one pass;
+    never contributes gradients."""
+    return _pass(model, model.target, batches).out
 
 
 def _row_norms(m: Matrix) -> np.ndarray:
@@ -351,30 +422,70 @@ def _clip_rows_backward(
     return grad
 
 
-def _backprop(model: ClientModel, tape: ActivationTape, d_pred: Matrix) -> np.ndarray:
-    """The gradient of a scalar loss as one vector in the layout of
-    ``online``, given dLoss/d(predictor output)."""
-    grad = np.empty_like(model.online)
-    grads, online = tensors(grad, model.spec), tensors(model.online, model.spec)
-    np.matmul(tape.enc_out.T, d_pred, out=grads[-2])
-    np.add.reduce(d_pred, axis=0, out=grads[-1])
-    dh = d_pred @ online[-2].T
-    last = len(online) // 2 - 2
-    for i in range(last, -1, -1):
-        if i == last:
-            dz = dh
-        else:
-            dz = dh * _act_grad(tape.pre_acts[i], tape.inputs[i + 1], model.spec.activation)
-        np.matmul(tape.inputs[i].T, dz, out=grads[2 * i])
-        np.add.reduce(dz, axis=0, out=grads[2 * i + 1])
-        if i > 0:
-            dh = dz @ online[2 * i].T
-    return grad
+@dataclass(frozen=True)
+class _StepArrays:
+    """The arrays of one step of a fixed row count (see ``StepBuffers``)."""
+
+    tape: ActivationTape      # the online pass over [v1; v2; rad]
+    d_pred: Matrix            # dLoss/d(predictor output) on those rows
+    back: List[Matrix]        # dLoss/d(output) of each encoder layer
+    targets: Matrix           # the batch's targets of both directions
+    grad: np.ndarray          # the gradient, in the layout of ``online``
+    grad_blocks: Tuple[Matrix, ...]
 
 
-def _stacked(blocks: Sequence[Matrix]) -> Matrix:
-    """The blocks' rows as one encoder input; a single block as it is."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+class StepBuffers:
+    """The arrays a client round's steps write, allocated once per round.
+
+    The online pass of a step runs on ``[v1; v2 under symmetrize; rad when
+    mu > 0]``, each row with a trailing ones column; the alignment rows and
+    the ones are written here, once, and a step writes its views' rows. A
+    step of ``batch`` or fewer rows uses the last rows of every array, so
+    the alignment rows stay the last. Each array is overwritten by the next
+    step and is never part of a value a step returns.
+    """
+
+    def __init__(self, spec: MlpSpec, obj: "Objective", batch: int):
+        self._directions = 2 if obj.symmetrize else 1
+        self._align = obj.rad.shape[0] if obj.mu > 0.0 else 0
+        rows = self._directions * batch + self._align
+        self._tape = _new_tape(spec, rows, len(spec.layer_widths))
+        if self._align:
+            self._tape.inputs[0][-self._align:, :-1] = obj.rad
+        self._d_pred = np.empty((rows, spec.output_width))
+        self._back = [np.empty((rows, w)) for w in spec.layer_widths[1:]]
+        self._targets = np.empty((self._directions * batch, spec.output_width))
+        start, fan_in, fan_out = _layout(spec)[-1]
+        self._grad = np.empty(start + (fan_in + 1) * fan_out)
+        self._grad_blocks = _blocks(self._grad, spec)
+        self._cuts: Dict[int, _StepArrays] = {}
+
+    def cut(self, batch: int) -> _StepArrays:
+        """The arrays of a step of ``batch`` rows: views of the last rows."""
+        arrays = self._cuts.get(batch)
+        if arrays is None:
+            rows = self._directions * batch
+            arrays = self._cuts[batch] = _StepArrays(
+                self._tape.tail(rows + self._align), self._d_pred[-(rows + self._align):],
+                [a[-(rows + self._align):] for a in self._back], self._targets[-rows:],
+                self._grad, self._grad_blocks)
+        return arrays
+
+
+def _backprop(model: ClientModel, blocks: Sequence[Matrix], arrays: _StepArrays) -> np.ndarray:
+    """The gradient of a scalar loss, given dLoss/d(predictor output) in
+    ``arrays.d_pred``, written into ``arrays.grad`` (a vector in the layout
+    of ``online``) and returned. ``blocks`` are the online layers; each
+    layer's ``[dW; db]`` is one product, ``[h, 1]^T @ dz``."""
+    tape, dz = arrays.tape, arrays.d_pred
+    for i in range(len(blocks) - 1, -1, -1):
+        np.matmul(tape.inputs[i].T, dz, out=arrays.grad_blocks[i])
+        if i == 0:
+            break
+        dz = np.matmul(dz, blocks[i][:-1].T, out=arrays.back[i - 1])
+        if i - 1 < len(tape.acts):
+            _times_act_grad(dz, tape.pre_acts[i - 1], tape.acts[i - 1], model.spec.activation)
+    return arrays.grad
 
 
 def objective_views(
@@ -415,8 +526,8 @@ def target_rows(model: ClientModel, views: Tuple[Matrix, Matrix], obj: Objective
     target branch on v2 (and on v1 under ``symmetrize``) in one pass, with
     rows L2-normalized under ``normalize``."""
     v1, v2 = views
-    target = forward_target(model, _stacked([v2, v1] if obj.symmetrize else [v2]))
-    if not np.isfinite(target).all():
+    target = forward_target(model, *([v2, v1] if obj.symmetrize else [v2]))
+    if not all_finite(target):
         raise NumericalFailureError("target forward")
     if obj.normalize:
         norms = _row_norms(target)
@@ -425,39 +536,45 @@ def target_rows(model: ClientModel, views: Tuple[Matrix, Matrix], obj: Objective
 
 
 def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix],
-               targets: Params, obj: Objective):
+               targets: Params, obj: Objective, buffers: Optional[StepBuffers] = None):
     """The combined objective on a view pair and its ``target_rows`` in one
     online pass, with the backward pass optional.
 
     The online branch runs once on [v1; v2 if symmetrize; rad if mu > 0]
-    and the backward pass once on [d_ssl; mu d_phi]. Each regression
-    direction is a mean over the batch, so the mean over the stacked
-    directions is scaled by their number (1 or 2, an exact scaling).
+    and the backward pass once on [d_ssl; mu d_phi], in ``buffers`` (new
+    ones when not given); without the backward pass the online branch runs
+    on a tape of its own. Each regression direction is a mean over the
+    batch, so the mean over the stacked directions is scaled by their
+    number (1 or 2, an exact scaling).
 
     Returns (loss_total, loss_ssl, loss_prox, grad, grad_norm): grad is the
-    gradient, a vector in the layout of ``online``, and grad_norm its
-    2-norm, both None when want_grad is False.
+    gradient, a vector in the layout of ``online`` (the buffers' own), and
+    grad_norm its 2-norm, both None when want_grad is False.
     """
-    online_in = list(views) if obj.symmetrize else [views[0]]
-    directions = len(online_in)
-    if obj.mu > 0.0:
-        online_in.append(obj.rad)
-    pred, tape = forward_online(model, _stacked(online_in))
-    target = _stacked(targets)
+    batch, directions = views[0].shape[0], len(targets)
+    if want_grad:
+        arrays = (buffers or StepBuffers(model.spec, obj, batch)).cut(batch)
+        np.concatenate(views[:directions], out=arrays.tape.inputs[0][:directions * batch, :-1])
+        blocks = _blocks(model.online, model.spec)
+        pred = _forward(blocks, model.spec.activation, arrays.tape)
+    else:  # an evaluation needs only the online pass
+        pred = _pass(model, model.online,
+                     [*views[:directions]] + ([obj.rad] if obj.mu > 0.0 else [])).out
+    target = (targets[0] if directions == 1 else
+              np.concatenate(targets, out=arrays.targets if want_grad else None))
     rows = target.shape[0]
-    if not np.isfinite(pred[:rows]).all():
-        raise NumericalFailureError("online forward")
-    loss_ssl, d_pred = _ssl_loss_grad(pred[:rows], target, obj.normalize, want_grad)
+    if not all_finite(pred):  # one scan of both row sets, then the one to name
+        raise NumericalFailureError("representations" if all_finite(pred[:rows])
+                                    else "online forward")
+    loss_ssl, d_ssl = _ssl_loss_grad(pred[:rows], target, obj.normalize, want_grad)
     if directions > 1:
         loss_ssl *= directions
-        if want_grad:
-            d_pred = directions * d_pred
+    if want_grad:
+        np.multiply(d_ssl, directions, out=arrays.d_pred[:rows])
 
     loss_prox = 0.0
     if obj.mu > 0.0:
         phi_raw = pred[rows:]
-        if not np.isfinite(phi_raw).all():
-            raise NumericalFailureError("representations")
         if obj.clip_radius is not None:
             phi, over, norms = _clip_rows(phi_raw, obj.clip_radius)
         else:
@@ -467,7 +584,7 @@ def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix]
             loss_prox = obj.mu * distance
             if obj.clip_radius is not None:
                 d_phi = _clip_rows_backward(phi_raw, d_phi, over, norms, obj.clip_radius)
-            d_pred = np.concatenate([d_pred, obj.mu * d_phi])
+            np.multiply(d_phi, obj.mu, out=arrays.d_pred[rows:])
         else:
             loss_prox = cka.proximal_value(phi, obj.reference, obj.form, obj.mu)
 
@@ -476,7 +593,7 @@ def _objective(want_grad: bool, model: ClientModel, views: Tuple[Matrix, Matrix]
         raise NumericalFailureError("loss", f"ssl={loss_ssl} prox={loss_prox}")
     if not want_grad:
         return loss_total, loss_ssl, loss_prox, None, None
-    grad = _backprop(model, tape, d_pred)
+    grad = _backprop(model, blocks, arrays)
     grad_norm = math.sqrt(grad.dot(grad))  # np.linalg.norm(grad), bit for bit
     # A non-finite entry makes the norm NaN or inf; an inf norm of finite
     # entries is an overflow of the sum, which is no failure.
@@ -528,15 +645,17 @@ def combined_step(
     obj: Objective,
     eta: float,
     momentum: float,
+    buffers: Optional[StepBuffers] = None,
 ) -> StepResult:
     """One SGD-with-momentum step on the online branch, on a view pair and
-    its ``target_rows``.
+    its ``target_rows``, in a client round's ``buffers`` (new ones when not
+    given).
 
     The target branch is untouched. Reported losses and the gradient norm
     are the pre-step values. The update writes only new vectors.
     """
     loss_total, loss_ssl, loss_prox, grad, grad_norm = _objective(
-        True, model, views, targets, obj)
+        True, model, views, targets, obj, buffers)
     velocity = momentum * model.velocity
     velocity += grad
     online = eta * velocity

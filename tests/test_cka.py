@@ -309,6 +309,8 @@ class TestProximalGrad:
         distance, grad = proximal_grad(phi, kbar, form)
         assert abs(distance - want_value) <= 1e-12 * abs(want_value)
         assert rel_err(grad, want_grad) <= 1e-12
+        if form is ProximalForm.ONE_MINUS_CKA:  # the raw gradient negated, bit for bit
+            assert grad.tobytes() == (-proximal_grad(phi, kbar, ProximalForm.RAW_CKA)[1]).tobytes()
         for mu in (0.5, 1.0, 3.7):
             assert proximal_value(phi, kbar, form, mu) == mu * distance
 

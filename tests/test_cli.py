@@ -517,6 +517,36 @@ class TestBadInput:
                 in capsys.readouterr().err)
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("blocked", ["csv-directory-missing", "jsonl-is-a-directory",
+                                         "jsonl-is-the-table"])
+    def test_eval_out_refused_before_a_model_loads(self, tmp_path, data_csv, capsys,
+                                                   monkeypatch, blocked):
+        from hssfl import evaluation, sslnet
+        run = str(tmp_path / "run")
+        assert run_cli(*run_args(data_csv, run)) == 0
+        capsys.readouterr()
+        (tmp_path / "outs").mkdir()
+        if blocked == "csv-directory-missing":
+            out = str(tmp_path / "absent" / "e.csv")
+            refused, reason = out, "No such file or directory"
+        elif blocked == "jsonl-is-a-directory":
+            (tmp_path / "outs" / "e.jsonl").mkdir()
+            out = str(tmp_path / "outs" / "e.csv")
+            refused, reason = str(tmp_path / "outs" / "e.jsonl"), "Is a directory"
+        else:  # the table would be overwritten by its own .jsonl copy
+            out = str(tmp_path / "outs" / "e.jsonl")
+            refused, reason = out, "the table and its .jsonl copy would be one file"
+
+        def never(*args, **kwargs):
+            raise AssertionError("eval went on past a refused --out")
+        monkeypatch.setattr(sslnet, "load_model", never)
+        monkeypatch.setattr(evaluation, "probe_accuracy_for_model", never)
+        assert run_cli("eval", "--run-dir", run, "--data", data_csv, "--out", out) == 2
+        assert f"error: cannot write evaluation {refused}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "absent").exists()
+        assert sorted(p.name for p in tmp_path.glob("outs/*")) == (
+            ["e.jsonl"] if blocked == "jsonl-is-a-directory" else [])
+
     def test_resume_from_per_member_checkpoint(self, tmp_path, data_csv, capsys):
         # the layout of earlier versions: a JSON member, then one per tensor
         out = str(tmp_path / "run")

@@ -402,6 +402,24 @@ class TestGradientCheck:
             assert call(make_model(), batch_for(RELU), Objective(), RngStream(14)) == np.inf
 
 
+class TestForwardCheck:
+    # the online pass over the batch and the alignment rows is scanned once;
+    # a failure names the rows it came from
+    @pytest.mark.parametrize("poisoned,name", [("batch", "online forward"),
+                                               ("rad", "representations")])
+    def test_non_finite_rows_named(self, poisoned, name):
+        m, x, rad = make_model(), batch_for(RELU), batch_for(RELU, seed=2, rows=4)
+        obj = Objective(mu=0.5, rad=rad, reference=gram_linear(batch_for(RELU, seed=3, rows=4)))
+        targets = target_rows(m, (x, x), obj)
+        bad = (x if poisoned == "batch" else rad).copy()
+        bad[1, 2] = np.nan
+        views = (bad, x) if poisoned == "batch" else (x, x)
+        obj = replace(obj, rad=bad) if poisoned == "rad" else obj
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalFailureError, match=f"non-finite values in {name}$"):
+            combined_step(m, views, targets, obj, 0.05, 0.9)
+
+
 class TestSymmetrized:
     def test_doubles_loss_on_identical_views(self):
         m = make_model()
@@ -572,3 +590,152 @@ class TestNoWriteInPlace:
         save_model(m, str(tmp_path / "ro"))
         assert same_tensors(load_model(str(tmp_path / "ro")), m)
         assert all(np.array_equal(a, before[n]) for n, a in model_arrays(m).items())
+
+    @pytest.mark.parametrize("spec", [RELU, TANH], ids=["relu", "tanh"])
+    def test_a_client_round_on_read_only_vectors(self, monkeypatch, spec):
+        # a round's steps share one set of buffers: no model a step returns,
+        # and none an epoch hook receives, may hold or see them
+        from hssfl import federation, theory
+        cfg = FedConfig(num_clients=1, rounds=1, local_epochs=2, eta=0.05, momentum=0.9,
+                        batch_size=8, mu=0.5, proximal_form="one_minus_cka", tau=0.9,
+                        client_specs=(spec,), rad_size=5, seed=3, noise_std=0.2,
+                        mask_prob=0.1, normalize_loss=True, clip_radius=0.5,
+                        symmetrize_loss=True)
+        shard, rad = batch_for(spec, rows=21), batch_for(spec, seed=7, rows=5)  # 8, 8, 5 rows
+        obj = federation._client_objective(cfg, cfg.mu, rad, gram_linear(np.ones((5, 3))))
+        kept = []
+
+        def keep(model):
+            kept.append((self.read_only(model), [getattr(model, part).copy() for part in
+                                                 ("online", "target", "velocity")]))
+        real_step = sslnet.combined_step
+
+        def step(*args):
+            result = real_step(*args)
+            keep(result.model)
+            return result
+
+        def hook(epoch, model):
+            keep(model)
+            probe.after_epoch(epoch, model)
+        monkeypatch.setattr(sslnet, "combined_step", step)
+        m = self.read_only(make_model(spec))
+        keep(m)
+        rng = RngStream(cfg.seed, client=0).child(round=1)
+        probe = theory.RoundProbe(m, shard, obj, rng, federation._epoch_batches(
+            shard.shape[0], cfg.batch_size, rng.sub("order")))
+        out = federation.local_training(m, obj, cfg, federation._epoch_views(
+            shard, cfg, RngStream(cfg.seed, client=0), 1), epoch_hook=hook)
+        assert len(kept) == 1 + cfg.local_epochs * (3 + 1)
+        assert out["model"] is kept[-1][0]
+        for model, vectors in kept:
+            assert all(getattr(model, part).tobytes() == v.tobytes()
+                       for part, v in zip(("online", "target", "velocity"), vectors))
+
+
+def reference_objective(model, views, targets, obj):
+    """The step tensor by tensor, as the folded layers replace it: the
+    inputs concatenated, ``h @ W + b`` per layer and ``np.add.reduce``
+    bias gradients. Returns what ``sslnet._objective`` returns."""
+    online = tensors(model.online, model.spec)
+    ws, bs = online[0::2], online[1::2]
+    relu, hidden = model.spec.activation == "relu", len(ws) - 2
+    directions = len(targets)
+    hs, zs = [np.concatenate(list(views[:directions]) + ([obj.rad] if obj.mu > 0.0 else []))], []
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        zs.append(hs[-1] @ w + b)
+        hs.append((np.maximum(zs[-1], 0.0) if relu else np.tanh(zs[-1])) if i < hidden
+                  else zs[-1])
+    target = np.concatenate(targets)
+    rows = target.shape[0]
+    loss_ssl, d_pred = _ssl_loss_grad(hs[-1][:rows], target, obj.normalize)
+    if directions > 1:
+        loss_ssl, d_pred = directions * loss_ssl, directions * d_pred
+    loss_prox = 0.0
+    if obj.mu > 0.0:
+        phi_raw = phi = hs[-1][rows:]
+        if obj.clip_radius is not None:
+            phi, over, norms = sslnet._clip_rows(phi_raw, obj.clip_radius)
+        distance, d_phi = sslnet.cka.proximal_grad(phi, obj.reference, obj.form)
+        loss_prox = obj.mu * distance
+        if obj.clip_radius is not None:
+            d_phi = sslnet._clip_rows_backward(phi_raw, d_phi, over, norms, obj.clip_radius)
+        d_pred = np.concatenate([d_pred, obj.mu * d_phi])
+    grads, dz = [], d_pred
+    for i in range(len(ws) - 1, -1, -1):
+        grads[:0] = [hs[i].T @ dz, np.add.reduce(dz, axis=0)]
+        if i > 0:
+            dz = dz @ ws[i].T
+            if i - 1 < hidden:
+                dz = dz * ((zs[i - 1] > 0.0).astype(np.float64) if relu
+                           else 1.0 - hs[i] * hs[i])
+    grad = vector(*grads)
+    return loss_ssl + loss_prox, loss_ssl, loss_prox, grad, float(np.linalg.norm(grad))
+
+
+def reference_targets(model, views, obj):
+    """``target_rows`` tensor by tensor, on the concatenated views."""
+    target = tensors(model.target, model.spec)
+    h = np.concatenate([views[1], views[0]] if obj.symmetrize else [views[1]])
+    for i, (w, b) in enumerate(zip(target[0::2], target[1::2])):
+        h = h @ w + b
+        if i < len(target) // 2 - 1:
+            h = np.maximum(h, 0.0) if model.spec.activation == "relu" else np.tanh(h)
+    h = unit_rows(h) if obj.normalize else h
+    return (h[:len(views[0])], h[len(views[0]):]) if obj.symmetrize else (h,)
+
+
+# (batch rows, alignment rows, activation, objective fields): the desk and
+# wide_rad step shapes, a paper-like one and one-row batches
+FOLDED_CASES = {
+    "desk-tanh": (64, 128, "tanh", {}),
+    "desk-relu": (64, 128, "relu", {}),
+    "desk-unnormalized": (64, 128, "tanh", {"normalize": False}),
+    "desk-symmetrized": (64, 128, "relu", {"symmetrize": True}),
+    "desk-clipped": (64, 128, "tanh", {"clip_radius": 0.5}),
+    "desk-mu-zero": (64, 128, "tanh", {"mu": 0.0}),
+    "desk-ragged": (54, 128, "relu", {"symmetrize": True, "clip_radius": 0.5}),
+    "wide_rad-tanh": (64, 512, "tanh", {}),
+    "wide_rad-relu": (64, 512, "relu", {"symmetrize": True, "normalize": False}),
+    "paper-relu": (200, 2500, "relu", {}),
+    "one-row-mu-zero": (1, 128, "relu", {"mu": 0.0}),
+    "one-row": (1, 128, "tanh", {"symmetrize": True}),
+}
+
+
+class TestFoldedLayerOracle:
+    """Each layer is one product with its ``[W; b]`` block, on inputs with a
+    ones column, and its ``[dW; db]`` one product too: the same bits as the
+    tensor-wise step, except where the sums run long or a row stands alone."""
+
+    @pytest.mark.parametrize("widths", [(32, 16, 8), (32, 24, 16)], ids=["32-16-8", "32-24-16"])
+    @pytest.mark.parametrize("batch,align,activation,fields", FOLDED_CASES.values(),
+                             ids=FOLDED_CASES.keys())
+    def test_matches_the_tensor_wise_step(self, widths, batch, align, activation, fields):
+        spec = MlpSpec(widths, activation)
+        gen = RngStream(80, purpose="folded").generator()
+        m = make_model(spec, seed=81)
+        m = replace(set_params(m, m.online + 0.1 * gen.normal(size=m.online.size)),
+                    target=m.target + 0.1 * gen.normal(size=m.target.size))
+        rad = gen.normal(size=(align, widths[0]))
+        other = make_model(MlpSpec((widths[0], widths[-1] + 2), "tanh"), seed=82)
+        obj = Objective(**{**dict(mu=0.5, rad=rad, reference=gram_linear(representations(
+            other, rad)), normalize=True), **fields})
+        views = tuple(gen.normal(size=(batch, widths[0])) for _ in range(2))
+        targets = target_rows(m, views, obj)
+        want_targets = reference_targets(m, views, obj)
+        got = sslnet._objective(True, m, views, targets, obj)
+        want = reference_objective(m, views, targets, obj)
+        rows = (2 if obj.symmetrize else 1) * batch + (align if obj.mu > 0.0 else 0)
+        rel = 1e-14 if rows >= 2500 else 1e-12 if batch == 1 else 0.0
+        if rel == 0.0:
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(targets, want_targets))
+            assert got[:3] == want[:3] and got[4] == want[4]
+            assert got[3].tobytes() == want[3].tobytes()
+        else:
+            for g, w in zip(targets, want_targets):
+                np.testing.assert_allclose(g, w, rtol=rel, atol=0.0)
+            assert got[:3] == pytest.approx(want[:3], rel=rel, abs=0.0)
+            assert got[4] == pytest.approx(want[4], rel=rel, abs=0.0)
+            np.testing.assert_allclose(got[3], want[3], rtol=0.0,
+                                       atol=rel * np.max(np.abs(want[3])))
